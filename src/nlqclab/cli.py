@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -447,12 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # honor the documented thread cap; numpy reads these at import time in
-    # fresh processes, so exporting here covers child invocations
-    threads = os.environ.get("NLQC_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

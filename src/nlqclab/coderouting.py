@@ -162,10 +162,6 @@ def _poly_shift(poly, pad):
     return [0] * pad + list(poly)
 
 
-def encode(scheme: ThresholdScheme, secret: qudit.DenseState) -> qudit.DenseState:
-    return scheme.encode(secret)
-
-
 def decode(
     scheme: ThresholdScheme, state: qudit.DenseState, shares, positions=None
 ) -> qudit.DenseState:
@@ -284,7 +280,7 @@ def code_route(
     winning = tuple(i for i in range(n) if sides[i] == side)
 
     # route the moving shares through real pipes with Bell measurements
-    pos = {i: i for i in range(n)}
+    live = list(range(n))  # share held at each register position
     cur = state
     corrections = {}
     pipes_used = 0
@@ -302,24 +298,22 @@ def code_route(
             if forced is not None and (i, hop) in forced:
                 f = tuple(forced[(i, hop)])
             res = qudit.measure_generalized_bell(
-                cur, (pos[i], near), forced=f, rng=rng
+                cur, (live.index(i), near), forced=f, rng=rng
             )
             a, b = res.outcome
             err = pauli.PauliWord(d, 1, (a,), (b,)).mul(err)
             cur = res.post_state
-            removed = sorted((pos[i], near))
-            pos = {
-                key: p - sum(p > r for r in removed) for key, p in pos.items()
-            }
-            pos[i] = cur.n - 1  # the share now sits on the pipe's far half
+            live.remove(i)
+            live.append(i)  # the share now sits on the pipe's far half
         corrections[i] = err.inverse()
 
     for i, corr in corrections.items():
         if not corr.is_identity():
-            cur = qudit.apply_gate(cur, corr.matrix(), (pos[i],))
+            cur = qudit.apply_gate(cur, corr.matrix(), (live.index(i),))
 
-    decoded = decode(scheme, cur, winning, tuple(pos[i] for i in winning))
-    secret_pos = tuple(pos[i] for i in winning)[scheme.k - 1]
+    positions = tuple(live.index(i) for i in winning)
+    decoded = decode(scheme, cur, winning, positions)
+    secret_pos = positions[scheme.k - 1]
     red = qudit.reduced_from_pure(decoded, (secret_pos,))
     fid = float(
         np.real(q_state.amplitudes.conj() @ red.matrix @ q_state.amplitudes)
@@ -329,7 +323,7 @@ def code_route(
 
     losers = tuple(i for i in range(n) if sides[i] != side)
     if losers:
-        loser_red = qudit.reduced_from_pure(cur, tuple(pos[i] for i in losers))
+        loser_red = qudit.reduced_from_pure(cur, tuple(live.index(i) for i in losers))
         hiding = qudit.trace_distance(
             loser_red, qudit.maximally_mixed(d, len(losers))
         )

@@ -240,64 +240,74 @@ class Branch:
     pending_discards: tuple
 
 
-def _run_ops(ops, wire, outcomes, pending, forced, pgm_cache):
-    if not ops:
-        yield Branch(dict(outcomes), wire, tuple(pending))
-        return
-    op, rest = ops[0], ops[1:]
-    if isinstance(op, GateOp):
-        yield from _run_ops(rest, wire.apply(op.matrix, op.targets), outcomes, pending, forced, pgm_cache)
-    elif isinstance(op, CircuitOp):
-        yield from _run_ops(rest, wire.apply_circuit(op.circuit, op.targets), outcomes, pending, forced, pgm_cache)
-    elif isinstance(op, CorrectionOp):
-        m = op.matrix(outcomes)
-        yield from _run_ops(rest, wire.apply(m, op.targets), outcomes, pending, forced, pgm_cache)
-    elif isinstance(op, PauliCorrectionOp):
-        w = op.word(outcomes)
-        yield from _run_ops(rest, wire.apply_pauli(w, op.targets), outcomes, pending, forced, pgm_cache)
-    elif isinstance(op, BellMeasureOp):
-        d = wire.d
-        if forced is not None and op.label in forced:
-            choices = [tuple(forced[op.label])]
-        else:
-            choices = [(a, b) for a in range(d) for b in range(d)]
-        for ab in choices:
-            w2 = wire.project_bell(op.pair, ab)
-            if len(choices) > 1 and w2.squared_norm() < BRANCH_PRUNE:
-                continue
-            outcomes[op.label] = ab
-            yield from _run_ops(rest, w2, outcomes, pending, forced, pgm_cache)
-        outcomes.pop(op.label, None)
-    elif isinstance(op, PortMeasureOp):
+def _children(op, wire, outcomes, forced, pgm_cache):
+    """Lazily yield (outcomes, branch wire) for each outcome of a measurement.
+
+    A branch is pruned below ``BRANCH_PRUNE`` only when there is a choice, so
+    a forced outcome always runs.
+    """
+    if isinstance(op, BellMeasureOp):
+        kind, choices = tuple, [(a, b) for a in range(wire.d) for b in range(wire.d)]
+        project = lambda ab: wire.project_bell(op.pair, ab)
+    else:
         key = (op.params.d_a, op.params.n_ports)
         if key not in pgm_cache:
             pgm_cache[key] = teleport.build_pgm(op.params).sqrt_povm()
         sqrts = pgm_cache[key]
         names = list(op.input_regs) + [nm for g in op.port_groups for nm in g]
-        if forced is not None and op.label in forced:
-            choices = [int(forced[op.label])]
+        kind, choices = int, list(range(op.params.n_ports))
+        project = lambda i: wire.apply(sqrts[i], names)
+    if forced is not None and op.label in forced:
+        choices = [kind(forced[op.label])]
+    for c in choices:
+        w2 = project(c)
+        if len(choices) > 1 and w2.squared_norm() < BRANCH_PRUNE:
+            continue
+        yield {**outcomes, op.label: c}, w2
+
+
+def _run_ops(ops, wire, forced, pgm_cache):
+    """Depth-first branches of ``ops`` applied to ``wire``, without recursion.
+
+    A stack frame holds the next op index, the pending discards and a lazy
+    iterator over a measurement's (outcomes, wire) children.  A child is made
+    only once the previous outcome's subtree is exhausted, so one child wire
+    per measurement level is alive, and program length is not bounded by the
+    recursion limit.
+    """
+    stack = [(0, (), iter([({}, wire)]))]
+    while stack:
+        i, pending, children = stack[-1]
+        outcomes, wire = next(children, (None, None))
+        if wire is None:
+            stack.pop()
+            continue
+        while i < len(ops):
+            op = ops[i]
+            i += 1
+            if isinstance(op, GateOp):
+                wire = wire.apply(op.matrix, op.targets)
+            elif isinstance(op, CircuitOp):
+                wire = wire.apply_circuit(op.circuit, op.targets)
+            elif isinstance(op, CorrectionOp):
+                wire = wire.apply(op.matrix(outcomes), op.targets)
+            elif isinstance(op, PauliCorrectionOp):
+                wire = wire.apply_pauli(op.word(outcomes), op.targets)
+            elif isinstance(op, (BellMeasureOp, PortMeasureOp)):
+                stack.append((i, pending, _children(op, wire, outcomes, forced, pgm_cache)))
+                break
+            elif isinstance(op, SelectPortOp):
+                k = int(outcomes[op.label])
+                pending += tuple(nm for j, g in enumerate(op.port_groups) if j != k for nm in g)
+                wire = wire.rename(dict(zip(op.port_groups[k], op.renamed)))
+            elif isinstance(op, DiscardOp):
+                pending += tuple(op.targets)
+            elif isinstance(op, AppendOp):
+                wire = wire.append(op.vec, op.names)
+            else:
+                raise DimensionMismatch(f"unknown op {op!r}")
         else:
-            choices = list(range(op.params.n_ports))
-        for i in choices:
-            w2 = wire.apply(sqrts[i], names)
-            if len(choices) > 1 and w2.squared_norm() < BRANCH_PRUNE:
-                continue
-            outcomes[op.label] = i
-            yield from _run_ops(rest, w2, outcomes, pending, forced, pgm_cache)
-        outcomes.pop(op.label, None)
-    elif isinstance(op, SelectPortOp):
-        i = int(outcomes[op.label])
-        drop = [nm for k, g in enumerate(op.port_groups) if k != i for nm in g]
-        mapping = dict(zip(op.port_groups[i], op.renamed))
-        yield from _run_ops(
-            rest, wire.rename(mapping), outcomes, pending + list(drop), forced, pgm_cache
-        )
-    elif isinstance(op, DiscardOp):
-        yield from _run_ops(rest, wire, outcomes, pending + list(op.targets), forced, pgm_cache)
-    elif isinstance(op, AppendOp):
-        yield from _run_ops(rest, wire.append(op.vec, op.names), outcomes, pending, forced, pgm_cache)
-    else:
-        raise DimensionMismatch(f"unknown op {op!r}")
+            yield Branch(outcomes, wire, pending)
 
 
 def run_program(program: Program, input_mat: np.ndarray, *, extra_regs=(), forced=None):
@@ -310,7 +320,7 @@ def run_program(program: Program, input_mat: np.ndarray, *, extra_regs=(), force
     wire = Wire.from_matrix(program.d, input_mat, regs)
     for names, vec in program.init:
         wire = wire.append(vec, names)
-    yield from _run_ops(list(program.ops), wire, {}, [], forced, {})
+    yield from _run_ops(program.ops, wire, forced, {})
 
 
 def branch_map(branch: Branch, out_regs, extra_regs=()) -> np.ndarray:
@@ -319,11 +329,6 @@ def branch_map(branch: Branch, out_regs, extra_regs=()) -> np.ndarray:
     if branch.pending_discards:
         w = w.factor_out(list(branch.pending_discards))
     return w.as_matrix(list(out_regs) + list(extra_regs))
-
-
-def branch_density(branch: Branch, out_regs, extra_regs=()) -> np.ndarray:
-    """Unnormalized density of a branch on (out + extra); trace = probability."""
-    return branch.wire.density_keeping(list(out_regs) + list(extra_regs))
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +522,7 @@ def execute(
         raise DimensionMismatch("input state has too few qudits")
     n_ref = input_state.n - n_in
     extra = [f"ref_{i}" for i in range(n_ref)]
-    total = np.zeros((d ** (n_in + n_ref),) * 2, dtype=complex)
-    out_names = list(protocol.program.out_regs) + extra
-    for br in run_program(
-        protocol.program,
-        input_state.amplitudes.reshape(-1, 1),
-        extra_regs=extra,
-        forced=forced,
-    ):
-        total += br.wire.density_keeping(out_names)
+    total = program_density(protocol.program, input_state.amplitudes, extra, forced)
     if forced is not None:
         total /= np.trace(total).real
     return qudit.DensityOperator(d, n_in + n_ref, total)
@@ -573,37 +570,51 @@ def sweep_branch_maps(program: Program, batch: int | None = None):
         yield outcomes, m
 
 
-def pure_branches(protocol: OneRoundProtocol, forced=None):
-    """(outcomes, M) for each branch run on computational basis columns."""
-    if forced is None:
-        yield from sweep_branch_maps(protocol.program)
-        return
-    d, n_in = protocol.d, protocol.n_inputs
-    eye = np.eye(d**n_in, dtype=complex)
-    for br in run_program(protocol.program, eye, forced=forced):
-        yield br.outcomes, branch_map(br, protocol.program.out_regs)
+def program_density(program: Program, input_vec, extra_regs=(), forced=None) -> np.ndarray:
+    """Unnormalized density on out_regs + extra_regs, summed over branches.
+
+    ``input_vec`` is a pure state on in_regs + extra_regs; the extra
+    registers (a reference system) ride along untouched.  Unforced outcomes
+    are all enumerated, so the trace is the probability of the forced ones.
+    """
+    keep = list(program.out_regs) + list(extra_regs)
+    dim = program.d ** len(keep)
+    total = np.zeros((dim, dim), dtype=complex)
+    inp = np.reshape(input_vec, (-1, 1))
+    for br in run_program(program, inp, extra_regs=extra_regs, forced=forced):
+        total += br.wire.density_keeping(keep)
+    return total
+
+
+def program_choi(program: Program, *, method: str = "auto") -> np.ndarray:
+    """Trace-1 Choi matrix of the program channel on its input registers.
+
+    ``columns`` sums the rank-1 Chois of the pure branch maps, which needs
+    every discarded register to end in a product state; ``ref`` feeds half
+    of a maximally entangled state beside reference registers and traces
+    everything else out.  ``auto`` takes ``ref`` exactly when the program
+    selects ports, discards registers or port-measures.
+    """
+    n_in = len(program.in_regs)
+    dim = program.d**n_in
+    if method == "auto":
+        traced = any(
+            isinstance(op, (SelectPortOp, DiscardOp, PortMeasureOp)) for op in program.ops
+        )
+        method = "ref" if traced else "columns"
+    if method == "columns":
+        j = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for _, m in sweep_branch_maps(program):
+            v = m.reshape(-1)
+            j += np.outer(v, v.conj()) / dim
+        return j
+    ref = [f"ref_{i}" for i in range(n_in)]
+    return program_density(program, qudit.max_entangled_tensor(dim), ref)
 
 
 def protocol_choi(protocol: OneRoundProtocol, *, method: str = "auto") -> np.ndarray:
     """Trace-1 Choi matrix of the protocol channel on its input registers."""
-    d, n_in = protocol.d, protocol.n_inputs
-    dim = d**n_in
-    has_trace = any(
-        isinstance(op, (SelectPortOp, DiscardOp, PortMeasureOp))
-        for op in protocol.program.ops
-    )
-    if method == "auto":
-        method = "ref" if has_trace else "columns"
-    if method == "columns":
-        return program_choi_columns(protocol.program)
-    # reference path: feed half of a maximally entangled state
-    ref = [f"ref_{i}" for i in range(n_in)]
-    inp = qudit.max_entangled_tensor(dim).reshape(-1, 1)
-    j = np.zeros((dim * dim, dim * dim), dtype=complex)
-    out_names = list(protocol.program.out_regs) + ref
-    for br in run_program(protocol.program, inp, extra_regs=ref, forced=None):
-        j += br.wire.density_keeping(out_names)
-    return j
+    return program_choi(protocol.program, method=method)
 
 
 @dataclass(frozen=True)
@@ -657,15 +668,6 @@ def program_exactness(program: Program, target: np.ndarray):
         dists.append(rank1_choi_distance(m, target))
         ptot += float(np.linalg.norm(m) ** 2) / dim
     return max(dists), ptot, len(dists)
-
-
-def program_choi_columns(program: Program) -> np.ndarray:
-    dim = program.d ** len(program.in_regs)
-    j = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for _, m in sweep_branch_maps(program):
-        v = m.reshape(-1)
-        j += np.outer(v, v.conj()) / dim
-    return j
 
 
 def branch_exactness(protocol: OneRoundProtocol, target: np.ndarray):
@@ -782,120 +784,81 @@ def clifford_protocol(
     if decomposition is not None and (dec.n0 != n0 or dec.n1 != n1):
         raise DimensionMismatch("decomposition split mismatch")
     d = circuit.d
-    a0, a1 = _a_names(n0, n1)
     slots = dec.core_slots()
     core = dec.core
 
-    # teleport the smaller core side toward the other party
-    tele_side = 0 if dec.n0_core <= dec.n1_core else 1
-    k = min(dec.n0_core, dec.n1_core)
-    pair_l = [f"L_{i}" for i in range(k)]
-    pair_r = [f"R_{i}" for i in range(k)]
+    # teleport the smaller core side t toward the far side f; stage slots
+    # are [b_left, b_right, c_left, c_right]
+    t = 0 if dec.n0_core <= dec.n1_core else 1
+    f = 1 - t
+    cores = (dec.core0, dec.core1)
+    k = len(cores[t])
+    pairs = ([f"L_{i}" for i in range(k)], [f"R_{i}" for i in range(k)])
     labels = tuple(f"x_{j}" for j in range(k))
-
-    side0_regs = {q: a0[q] for q in range(n0)}
-    side1_regs = {q: a1[q - n0] for q in range(n0, n0 + n1)}
+    a = _a_names(n0, n1)
+    qudits = (range(n0), range(n0, n0 + n1))
+    side_regs = [dict(zip(qudits[s], a[s])) for s in (0, 1)]
+    pre = (dec.pre_left, dec.pre_right)
+    post = (dec.post_left, dec.post_right)
 
     def correction_rule(which):
-        tele = dec.core0 if tele_side == 0 else dec.core1
-        tele_slots = [slots[q] for q in tele]
-        own = dec.core0 if which == 0 else dec.core1
-        own_slots = [slots[q] for q in own]
+        tele_slots = [slots[q] for q in cores[t]]
+        own_slots = [slots[q] for q in cores[which]]
 
         def rule(outcomes):
             err = _teleport_error_word(core, tele_slots, [outcomes[l] for l in labels])
             img = pauli.conjugate_pauli(core, err).inverse()
             sub_x = tuple(img.x[s] for s in own_slots)
             sub_z = tuple(img.z[s] for s in own_slots)
-            ph = img.phase if which == tele_side else 0
+            ph = img.phase if which == t else 0
             return pauli.PauliWord(d, len(own_slots), sub_x, sub_z, ph)
 
         return rule
 
-    if tele_side == 0:
-        tele_regs = [side0_regs[q] for q in dec.core0]
-        # core slots sort as core0 then core1 since side-0 indices come first
-        core_targets = pair_r + [side1_regs[q] for q in dec.core1]
-        b_left = Stage(
-            ops=(CircuitOp(dec.pre_left, tuple(a0)),)
-            + tuple(BellMeasureOp((tele_regs[j], pair_l[j]), labels[j]) for j in range(k)),
-            keep=tuple(nm for nm in a0 if nm not in tele_regs),
-            cross=(),
-        )
-        b_right = Stage(
-            ops=(CircuitOp(dec.pre_right, tuple(a1)), CircuitOp(core, tuple(core_targets))),
-            keep=tuple(a1),
-            cross=tuple(pair_r),
-        )
-        c_left = Stage(
-            ops=(
-                PauliCorrectionOp(labels, tuple(pair_r), correction_rule(0)),
-                CircuitOp(dec.post_left, tuple(
-                    pair_r[dec.core0.index(q)] if q in dec.core0 else side0_regs[q]
-                    for q in range(n0)
-                )),
-            ),
-            keep=tuple(
-                pair_r[dec.core0.index(q)] if q in dec.core0 else side0_regs[q]
-                for q in range(n0)
-            ),
-            cross=(),
-        )
-        c_right = Stage(
-            ops=(
-                PauliCorrectionOp(labels, tuple(side1_regs[q] for q in dec.core1), correction_rule(1)),
-                CircuitOp(dec.post_right, tuple(a1)),
-            ),
-            keep=tuple(a1),
-            cross=(),
-        )
-        out_regs = list(c_left.keep) + list(c_right.keep)
-    else:
-        tele_regs = [side1_regs[q] for q in dec.core1]
-        core_targets = [None] * core.n
-        for q in dec.core0:
-            core_targets[slots[q]] = side0_regs[q]
-        for j, q in enumerate(dec.core1):
-            core_targets[slots[q]] = pair_l[j]
-        b_right = Stage(
-            ops=(CircuitOp(dec.pre_right, tuple(a1)),)
-            + tuple(BellMeasureOp((tele_regs[j], pair_r[j]), labels[j]) for j in range(k)),
-            keep=tuple(nm for nm in a1 if nm not in tele_regs),
-            cross=(),
-        )
-        b_left = Stage(
-            ops=(CircuitOp(dec.pre_left, tuple(a0)), CircuitOp(core, tuple(core_targets))),
-            keep=tuple(a0),
-            cross=tuple(pair_l),
-        )
-        c_right = Stage(
-            ops=(
-                PauliCorrectionOp(labels, tuple(pair_l), correction_rule(1)),
-                CircuitOp(dec.post_right, tuple(
-                    pair_l[dec.core1.index(q)] if q in dec.core1 else side1_regs[q]
-                    for q in range(n0, n0 + n1)
-                )),
-            ),
-            keep=tuple(
-                pair_l[dec.core1.index(q)] if q in dec.core1 else side1_regs[q]
-                for q in range(n0, n0 + n1)
-            ),
-            cross=(),
-        )
-        c_left = Stage(
-            ops=(
-                PauliCorrectionOp(labels, tuple(side0_regs[q] for q in dec.core0), correction_rule(0)),
-                CircuitOp(dec.post_left, tuple(a0)),
-            ),
-            keep=tuple(a0),
-            cross=(),
-        )
-        out_regs = list(c_left.keep) + list(c_right.keep)
+    tele_regs = [side_regs[t][q] for q in cores[t]]
+    # the far side runs the core with the teleported qudits on its pair halves
+    core_targets = [None] * core.n
+    for j, q in enumerate(cores[t]):
+        core_targets[slots[q]] = pairs[f][j]
+    for q in cores[f]:
+        core_targets[slots[q]] = side_regs[f][q]
+    tele_out = tuple(
+        pairs[f][cores[t].index(q)] if q in cores[t] else side_regs[t][q] for q in qudits[t]
+    )
+    stages = [None] * 4
+    stages[t] = Stage(
+        ops=(CircuitOp(pre[t], tuple(a[t])),)
+        + tuple(BellMeasureOp((tele_regs[j], pairs[t][j]), labels[j]) for j in range(k)),
+        keep=tuple(nm for nm in a[t] if nm not in tele_regs),
+        cross=(),
+    )
+    stages[f] = Stage(
+        ops=(CircuitOp(pre[f], tuple(a[f])), CircuitOp(core, tuple(core_targets))),
+        keep=tuple(a[f]),
+        cross=tuple(pairs[f]),
+    )
+    stages[2 + t] = Stage(
+        ops=(
+            PauliCorrectionOp(labels, tuple(pairs[f]), correction_rule(t)),
+            CircuitOp(post[t], tele_out),
+        ),
+        keep=tele_out,
+        cross=(),
+    )
+    stages[2 + f] = Stage(
+        ops=(
+            PauliCorrectionOp(labels, tuple(side_regs[f][q] for q in cores[f]), correction_rule(f)),
+            CircuitOp(post[f], tuple(a[f])),
+        ),
+        keep=tuple(a[f]),
+        cross=(),
+    )
+    out_regs = list(stages[2].keep) + list(stages[3].keep)
 
     resource = Resource.pairs(d, k)
-    meta = {"decomposition": dec, "pairs": k, "labels": labels, "tele_side": tele_side}
+    meta = {"decomposition": dec, "pairs": k, "labels": labels, "tele_side": t}
     return assemble_protocol(
-        d, n0, n1, resource, b_left, b_right, c_left, c_right, out_regs,
+        d, n0, n1, resource, *stages, out_regs,
         target=circuit.unitary(), meta=meta,
     )
 
@@ -968,13 +931,7 @@ def bk_protocol(
 
     k_pairs = n0 + n_ports * n
     # resource: F pairs then port pairs, L halves then R halves
-    vec = np.ones(1, dtype=complex)
-    for _ in range(k_pairs):
-        vec = np.kron(vec, qudit.bell_pair(d).amplitudes)
-    t = vec.reshape((d,) * (2 * k_pairs))
-    order = [2 * i for i in range(k_pairs)] + [2 * i + 1 for i in range(k_pairs)]
-    vec = np.transpose(t, order).reshape(-1)
-    resource = Resource(d, k_pairs, k_pairs, vec, pair_count=k_pairs)
+    resource = Resource.pairs(d, k_pairs)
 
     # resource register names must line up with the stage wiring
     l_names = f0 + [nm for g in ports_l for nm in g]
@@ -1081,20 +1038,23 @@ def projector_task(target_u: np.ndarray):
 
 
 def _success_probability(protocol: OneRoundProtocol, task, resource_vecs) -> float:
-    """Exact success probability with the resource replaced by an ensemble."""
-    d, n_in = protocol.d, protocol.n_inputs
-    dim = d**n_in
-    ref = [f"ref_{i}" for i in range(n_in)]
-    inp = qudit.max_entangled_tensor(dim).reshape(-1, 1)
+    """Exact success probability with the resource replaced by an ensemble.
+
+    The task is a POVM expectation, hence linear in the density, so it is
+    applied once to the output (x) reference density summed over the
+    ensemble and all branches.
+    """
     prog = protocol.program
-    total = 0.0
-    out_names = list(prog.out_regs) + ref
-    for weight, vec in resource_vecs:
-        prog_w = replace(prog, init=((prog.init[0][0], vec),) if prog.init else ())
-        for br in run_program(prog_w, inp, extra_regs=ref):
-            rho = br.wire.density_keeping(out_names)
-            total += weight * task(rho)
-    return total
+    n_in = len(prog.in_regs)
+    ref = [f"ref_{i}" for i in range(n_in)]
+    inp = qudit.max_entangled_tensor(prog.d**n_in)
+    rho = sum(
+        weight * program_density(
+            replace(prog, init=((prog.init[0][0], vec),) if prog.init else ()), inp, ref
+        )
+        for weight, vec in resource_vecs
+    )
+    return task(rho)
 
 
 def product_replacement_check(
@@ -1102,11 +1062,11 @@ def product_replacement_check(
 ) -> BoundReport:
     """Check I(L:R)/2 >= -ln p_suc under product replacement of the resource.
 
-    The task is a functional on the unnormalized output (x) reference density
-    of each forced branch (defaults to the projector onto the protocol
-    target's Choi state); summing it over branches weighted by their exact
-    probabilities gives the success probability, computed once with the true
-    resource and once with the product of its marginals.
+    The task is a POVM expectation on the unnormalized output (x) reference
+    density (defaults to the projector onto the protocol target's Choi
+    state); applied to the density summed over all branches it gives the
+    success probability, computed once with the true resource and once with
+    the product of its marginals.
     """
     if task is None:
         if protocol.target is None:

@@ -174,38 +174,31 @@ def gh_quantum_execute(
         raise MalformedMatching("the routed system is a single qudit")
     route = gh_evaluate(strategy, x, y)
 
-    regs = _registers(strategy)
-    pos = {nm: i for i, nm in enumerate(regs)}
-    state = q_state
+    live = _registers(strategy)  # names of the unmeasured registers, in order
+    cur = q_state
     for _ in range(strategy.pipes):
-        state = state.tensor(qudit.bell_pair(d))
+        cur = cur.tensor(qudit.bell_pair(d))
 
     # all measurements commute (disjoint pairs); record outcomes per pair
     measurements = []
-    cur = state
-    cur_pos = dict(pos)
     prob = 1.0
     for pair in strategy.matched_pairs(x, y):
         f = None if forced is None else tuple(forced[tuple(pair)])
         res = qudit.measure_generalized_bell(
-            cur, (cur_pos[pair[0]], cur_pos[pair[1]]), forced=f, rng=rng
+            cur, (live.index(pair[0]), live.index(pair[1])), forced=f, rng=rng
         )
         measurements.append((tuple(pair), res.outcome))
         prob *= res.probability
         cur = res.post_state
-        removed = sorted((cur_pos[pair[0]], cur_pos[pair[1]]))
-        for nm in list(cur_pos):
-            p = cur_pos[nm]
-            if p in removed:
-                del cur_pos[nm]
-            else:
-                cur_pos[nm] = p - sum(p > r for r in removed)
+        live.remove(pair[0])
+        live.remove(pair[1])
 
     correction = _path_correction(d, route.path, dict(measurements))
     out = RoutingOutcome(route.side, route.terminal, route.path, correction)
-    term = qudit.apply_gate(cur, correction.matrix(), (cur_pos[route.terminal],))
+    term_pos = live.index(route.terminal)
+    term = qudit.apply_gate(cur, correction.matrix(), (term_pos,))
     # everything else must be unentangled with the carrier
-    rho = qudit.reduced_from_pure(term, (cur_pos[route.terminal],))
+    rho = qudit.reduced_from_pure(term, (term_pos,))
     vals, vecs = np.linalg.eigh(rho.matrix)
     if vals[-1] < 1.0 - 1e-9:
         raise MalformedMatching("terminal state is not pure")

@@ -177,14 +177,6 @@ class CliffordCircuit:
             raise DimensionMismatch("cannot concatenate circuits on different registers")
         return CliffordCircuit(self.d, self.n, self.gates + other.gates)
 
-    def remap(self, mapping, n_new: int) -> "CliffordCircuit":
-        """Relabel qudit indices through ``mapping`` onto a register of n_new."""
-        gates = tuple(
-            CliffordGate(g.name, tuple(mapping[q] for q in g.targets), g.power)
-            for g in self.gates
-        )
-        return CliffordCircuit(self.d, n_new, gates)
-
 
 def gate_count(circuit: CliffordCircuit) -> int:
     """Number of generator gates; a powered gate counts once."""

@@ -91,7 +91,8 @@ class CliffordOneRound:
         return engine.Program(d, tuple(a0 + a1), (), tuple(ops), self.out_regs)
 
     def choi(self) -> np.ndarray:
-        return engine.program_choi_columns(self.program())
+        # the messages end in a product state, which the column path checks
+        return engine.program_choi(self.program(), method="columns")
 
     def branch_exactness(self, target: np.ndarray):
         return engine.program_exactness(self.program(), target)
@@ -378,7 +379,7 @@ class LocalInteractionProtocol:
     target: np.ndarray | None = field(default=None, repr=False)
 
     def choi(self) -> np.ndarray:
-        return engine.program_choi_columns(self.program)
+        return engine.program_choi(self.program)
 
     def branch_exactness(self, target: np.ndarray):
         return engine.program_exactness(self.program, target)
@@ -515,30 +516,26 @@ class OneSidedProtocol:
         v1 = [f"V1_{j}" for j in range(n)]
         labels = tuple(f"x_{j}" for j in range(n))
         init = ((tuple(v0) + tuple(v1), engine.Resource.pairs(d, n).state),)
-
-        def undo(outcomes):
-            w = np.eye(1, dtype=complex)
-            for j in range(n):
-                aa, bb = outcomes[labels[j]]
-                w = np.kron(w, qudit.weyl(d, aa, bb))
-            return u @ w.conj().T @ u.conj().T
-
         ops = (engine.GateOp(u, tuple(v1)),)
         ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(n))
-        ops += (engine.CorrectionOp(labels, tuple(v1), undo),)
+        ops += (engine.CorrectionOp(labels, tuple(v1), _undo_rule(d, u, labels)),)
         return engine.Program(d, tuple(a), init, ops, tuple(v1))
 
     def choi(self, x) -> np.ndarray:
-        d, n = self.task.d, self.task.n_a
-        dim = d**n
-        j = np.zeros((dim * dim, dim * dim), dtype=complex)
-        eye = np.eye(dim, dtype=complex)
-        prog = self.program(x)
-        for br in engine.run_program(prog, eye):
-            m = engine.branch_map(br, prog.out_regs)
-            v = m.reshape(-1)
-            j += np.outer(v, v.conj()) / dim
-        return j
+        return engine.program_choi(self.program(x))
+
+
+def _undo_rule(d: int, u: np.ndarray, labels: tuple):
+    """Correction rule U W^dag U^dag undoing the Bell outcomes' Weyls W after U."""
+
+    def rule(outcomes):
+        w = np.eye(1, dtype=complex)
+        for label in labels:
+            a, b = outcomes[label]
+            w = np.kron(w, qudit.weyl(d, a, b))
+        return u @ w.conj().T @ u.conj().T
+
+    return rule
 
 
 def pbt_surgery(
@@ -576,13 +573,6 @@ def pbt_surgery(
                 ((tuple(ports_c[i]) + tuple(ports_y[i])), engine.Resource.pairs(d, e).state)
             )
 
-        def undo_rule(outcomes, u=u, labels=labels):
-            w = np.eye(1, dtype=complex)
-            for j in range(e):
-                aa, bb = outcomes[labels[j]]
-                w = np.kron(w, qudit.weyl(d, aa, bb))
-            return u @ w.conj().T @ u.conj().T
-
         out_names = tuple(f"B_{j}" for j in range(e))
         ops = tuple(engine.GateOp(u, tuple(ports_y[i])) for i in range(n_ports))
         ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(e))
@@ -595,7 +585,7 @@ def pbt_surgery(
             ),
             engine.SelectPortOp("port", tuple(tuple(g) for g in ports_y), out_names),
             engine.DiscardOp(tuple(vl) + tuple(nm for g in ports_c for nm in g)),
-            engine.CorrectionOp(labels, out_names, undo_rule),
+            engine.CorrectionOp(labels, out_names, _undo_rule(d, u, labels)),
         )
         program = engine.Program(d, tuple(a), tuple(init), ops, out_names)
         out[x] = LocalInteractionProtocol(
@@ -610,13 +600,4 @@ def pbt_surgery(
 
 def pbt_surgery_choi(lp: LocalInteractionProtocol) -> np.ndarray:
     """Choi of a localized one-sided protocol via the referenced input."""
-    d = lp.d
-    n_in = len(lp.program.in_regs)
-    dim = d**n_in
-    ref = [f"ref_{i}" for i in range(n_in)]
-    inp = qudit.max_entangled_tensor(dim).reshape(-1, 1)
-    j = np.zeros((dim * dim, dim * dim), dtype=complex)
-    out_names = list(lp.out_regs) + ref
-    for br in engine.run_program(lp.program, inp, extra_regs=ref):
-        j += br.wire.density_keeping(out_names)
-    return j
+    return engine.program_choi(lp.program, method="ref")

@@ -58,30 +58,24 @@ def bell_teleport(
     if len(set(touched)) != len(touched):
         raise IndexOutOfRange("sources and pair halves must be distinct qudits")
 
-    pos = list(range(state.n))  # original index -> current position (or None)
+    live = list(range(state.n))  # original indices of the unmeasured qudits
     cur = state
     outcomes = []
     prob = 1.0
     for i, (src, (near, far)) in enumerate(zip(sources, pairs)):
         f = None if forced is None else tuple(forced[i])
         res = qudit.measure_generalized_bell(
-            cur, (pos[src], pos[near]), forced=f, rng=rng
+            cur, (live.index(src), live.index(near)), forced=f, rng=rng
         )
         outcomes.append(res.outcome)
         prob *= res.probability
         cur = res.post_state
-        removed = sorted((pos[src], pos[near]))
-        for q in range(len(pos)):
-            if pos[q] is None:
-                continue
-            if pos[q] in removed:
-                pos[q] = None
-            else:
-                pos[q] -= sum(pos[q] > r for r in removed)
+        live.remove(src)
+        live.remove(near)
     if correct:
         for (a, b), (_, far) in zip(outcomes, pairs):
             undo = qudit.weyl(state.d, a, b).conj().T
-            cur = qudit.apply_gate(cur, undo, (pos[far],))
+            cur = qudit.apply_gate(cur, undo, (live.index(far),))
     return TeleportResult(tuple(outcomes), prob, cur)
 
 
@@ -110,7 +104,6 @@ def teleportation_channel_choi(d: int, correct: bool = True) -> np.ndarray:
 class PBTParams:
     d_a: int
     n_ports: int
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.n_ports < 1:

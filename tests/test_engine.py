@@ -36,7 +36,14 @@ def test_local_unitary_needs_no_resource():
 def test_swap_protocol_is_exact_on_every_branch():
     c = swap_circuit()
     p = engine.clifford_protocol(c, (1, 1))
-    assert p.meta["pairs"] == 1
+    assert p.meta["pairs"] == 1 and p.meta["tele_side"] == 0
+    maxd, ptot, branches = engine.branch_exactness(p, c.unitary())
+    assert branches == 4
+    assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
+    # the right core is the smaller one here, so it is teleported leftward
+    c = pauli.CliffordCircuit.from_gate_list(2, 3, [("CNOT", (0, 2), 1), ("CNOT", (1, 2), 1)])
+    p = engine.clifford_protocol(c, (2, 1))
+    assert p.meta["pairs"] == 1 and p.meta["tele_side"] == 1
     maxd, ptot, branches = engine.branch_exactness(p, c.unitary())
     assert branches == 4
     assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
@@ -65,6 +72,17 @@ def test_random_clifford_protocols_exact(d, n, n0):
         assert maxd < 1e-9
         assert abs(ptot - 1) < 1e-9
         assert p.meta["pairs"] == min(dec.n0_core, dec.n1_core)
+
+
+def test_long_program_runs_without_recursion_limit():
+    theta = 1e-3
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    ops = tuple(engine.GateOp(rot, ("a",)) for _ in range(1200))
+    program = engine.Program(2, ("a",), (), ops, ("a",))
+    (branch,) = engine.run_program(program, np.eye(2))
+    c, s = np.cos(1200 * theta), np.sin(1200 * theta)
+    m = engine.branch_map(branch, program.out_regs)
+    assert np.abs(m - np.array([[c, -s], [s, c]])).max() < 1e-9
 
 
 def test_reduction_peels_one_sided_gates():

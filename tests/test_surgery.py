@@ -119,6 +119,7 @@ def test_pbt_surgery_distance_non_increasing():
         lps = surgery.pbt_surgery(task, proto, n_ports)
         for x in (0, 1):
             j = surgery.pbt_surgery_choi(lps[x])
+            assert np.abs(lps[x].choi() - j).max() < 1e-12
             dists[x].append(
                 qudit.trace_distance_matrices(j, proto.choi(x))
             )
