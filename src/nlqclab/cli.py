@@ -329,6 +329,11 @@ def cmd_suite(args) -> int:
         rep = geometry.verify_connected_wedge(geometry.preset_config("marginal"), 512)
         assert rep.mutual_information < 1e-9 and rep.ridge_length < 1e-6
 
+    def _geometry_delayed():
+        rep = geometry.verify_connected_wedge(geometry.preset_config("delayed", 0.2), 64)
+        assert abs(rep.ridge_length - 2 * np.arctanh(np.sin(0.2))) < 1e-12
+        assert rep.saturation_residual < 1e-9
+
     check("teleport-identity", _teleport_identity)
     check("clifford-protocol", _clifford)
     check("clifford-surgery", _surgery)
@@ -337,6 +342,7 @@ def cmd_suite(args) -> int:
     check("tracking-transform", _transform)
     check("code-routing-and", _code_route)
     check("geometry-marginal", _geometry)
+    check("geometry-delayed", _geometry_delayed)
     if not args.quick:
         def _pbt_sweep():
             fids = [
@@ -428,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", default=None)
     p.add_argument("--r0", default=None)
     p.add_argument("--r1", default=None)
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--resolution", type=int, default=4096,
+                   help="segments of the sampled ridge points (the length is exact)")
     common(p)
     p.set_defaults(func=cmd_geometry)
 

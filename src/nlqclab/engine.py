@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import pauli, qudit, teleport
-from .errors import CapExceeded, DimensionMismatch, IOFailure
+from .errors import CapExceeded, DimensionMismatch, IOFailure, UsageError
 
 BRANCH_PRUNE = 1e-22  # squared-norm threshold below which a branch is dropped
 
@@ -595,6 +595,8 @@ def program_choi(program: Program, *, method: str = "auto") -> np.ndarray:
     everything else out.  ``auto`` takes ``ref`` exactly when the program
     selects ports, discards registers or port-measures.
     """
+    if method not in ("auto", "columns", "ref"):
+        raise UsageError(f"Choi method {method!r} is not one of 'auto', 'columns', 'ref'")
     n_in = len(program.in_regs)
     dim = program.d**n_in
     if method == "auto":
@@ -971,6 +973,8 @@ def bk_choi(
     on a referenced input with the dense PGM, and only it is bounded by
     ``cap_dim``; it is the oracle for the reduced path at small N.
     """
+    if method not in ("reduced", "protocol"):
+        raise UsageError(f"BK method {method!r} is not one of 'reduced', 'protocol'")
     u = np.asarray(u, dtype=complex)
     if method == "protocol":
         return protocol_choi(bk_protocol(u, split, n_ports, cap_dim))

@@ -42,7 +42,9 @@ class BoundaryPoint:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % (2 * np.pi))
+        theta = float(self.theta) % (2 * np.pi)
+        # a tiny negative angle rounds up to 2 pi, which is angle 0
+        object.__setattr__(self, "theta", 0.0 if theta == 2 * np.pi else theta)
         object.__setattr__(self, "t", float(self.t))
 
     def null_vector(self) -> np.ndarray:
@@ -238,13 +240,32 @@ def ridge_curve(cfg: ScatteringConfig, resolution: int = 4096) -> RidgeCurve:
     """The lower edge of the scattering region, clipped to the output pasts.
 
     The two input lightcone boundaries meet on the intersection of a
-    2-plane with the quadric, a unit-speed hyperbola branch; the branch is
-    clipped to the outputs' pasts and its length is returned by polyline
-    integration of the induced (ambient) metric.
+    2-plane with the quadric, the unit-speed hyperbola branch
+    x(s) = cosh(s) f_t + sinh(s) f_s.  Output r keeps the points with
+    <x(s), P_r> = a cosh(s) + b sinh(s) >= 0, i.e. a + b tanh(s) >= 0, a
+    half-line in s bounded at artanh(-a/b) (or all or nothing when
+    |a| >= |b|).  The length is the exact parameter span hi - lo of the
+    intersected bounds within |s| <= 15; ``resolution`` + 1 evenly spaced
+    ``points`` sample the clipped branch.
     """
     region = scattering_region_nonempty(cfg)
     if not region.nonempty:
         raise EmptyRegion("scattering region is empty")
+    return _clipped_ridge(cfg, resolution)
+
+
+def _clip_interval(a: float, b: float, span: float) -> tuple:
+    """The s-interval within |s| <= span where a cosh(s) + b sinh(s) >= 0.
+
+    An empty interval comes back with lo > hi.
+    """
+    if abs(a) >= abs(b):
+        return (-span, span) if a >= 0 else (span, -span)
+    bound = float(np.arctanh(-a / b))
+    return (max(-span, bound), span) if b > 0 else (-span, min(span, bound))
+
+
+def _clipped_ridge(cfg: ScatteringConfig, resolution: int) -> RidgeCurve:
     f_time, f_space = _ridge_frame(cfg)
     t_lo = max(p.t for p in cfg.inputs())
     t_hi = min(p.t for p in cfg.outputs())
@@ -259,53 +280,30 @@ def ridge_curve(cfg: ScatteringConfig, resolution: int = 4096) -> RidgeCurve:
         if not (t_lo - 1e-9 <= t_mid <= t_hi + 1e-9):
             raise EmptyRegion("no ridge branch inside the causal window")
 
-    pr0 = cfg.r0.null_vector()
-    pr1 = cfg.r1.null_vector()
+    span = 15.0
+    coeffs = [(mink(f_time, p), mink(f_space, p))
+              for p in (cfg.r0.null_vector(), cfg.r1.null_vector())]
+    spans = [_clip_interval(a, b, span) for a, b in coeffs]
+    lo = max(lo for lo, _ in spans)
+    hi = min(hi for _, hi in spans)
+    if lo <= hi:
+        s = np.linspace(lo, hi, resolution + 1)[:, None]
+        return RidgeCurve(hi - lo, _ridge_point(f_time, f_space, s), (lo, hi))
+
+    # nothing survives the clip: the best min-margin sits at a window edge,
+    # at a stationary point of one margin or where the two margins cross
+    (a0, b0), (a1, b1) = coeffs
+    ratios = ((-b0, a0), (-b1, a1), (a1 - a0, b0 - b1))
+    cands = [-span, span] + [float(np.arctanh(n / d)) for n, d in ratios if abs(n) < abs(d)]
 
     def clip_margin(s):
-        x = _ridge_point(f_time, f_space, s)
-        return min(mink(x, pr0), mink(x, pr1))
+        return min(a * np.cosh(s) + b * np.sinh(s) for a, b in coeffs)
 
-    span = 15.0
-    ss = np.linspace(-span, span, 20001)
-    vals = np.array([clip_margin(s) for s in ss])
-    feas = vals >= 0
-    if not feas.any():
-        smax = ss[np.argmax(vals)]
-        if vals.max() > -1e-9:
-            pt = _ridge_point(f_time, f_space, smax)
-            return RidgeCurve(0.0, pt[None, :], (smax, smax))
-        raise EmptyRegion("ridge clipped away by the output pasts")
-    lo = ss[feas][0]
-    hi = ss[feas][-1]
-    lo = _bisect_root(clip_margin, lo - (ss[1] - ss[0]), lo) if lo > ss[0] else lo
-    hi = _bisect_root(clip_margin, hi, hi + (ss[1] - ss[0])) if hi < ss[-1] else hi
-
-    samples = np.linspace(lo, hi, resolution + 1)
-    pts = np.stack([_ridge_point(f_time, f_space, s) for s in samples])
-    diffs = pts[1:] - pts[:-1]
-    seg = np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", diffs @ ETA, diffs)))
-    return RidgeCurve(float(seg.sum()), pts, (float(lo), float(hi)))
-
-
-def _bisect_root(f, a, b, iters: int = 80):
-    fa, fb = f(a), f(b)
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if fa * fb > 0:
-        return a if abs(fa) < abs(fb) else b
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+    smax = max((s for s in cands if abs(s) <= span), key=clip_margin)
+    if clip_margin(smax) > -1e-9:
+        pt = _ridge_point(f_time, f_space, smax)
+        return RidgeCurve(0.0, pt[None, :], (smax, smax))
+    raise EmptyRegion("ridge clipped away by the output pasts")
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +339,38 @@ def _past_front(cfg: ScatteringConfig, theta: float) -> float:
     )
 
 
+def _front_peaks(cfg: ScatteringConfig) -> list:
+    """Local maxima of the past front, in closed form.
+
+    The front is the minimum of two tents of slope 1 on the circle, so a
+    peak is either an apex lying under the other tent, or a crossing of a
+    falling and a rising tent.  On the arc of length L from r0 to r1 (taken
+    both ways round) the tents r0.t - x and r1.t - (L - x) cross at
+    x = (r0.t - r1.t + L) / 2; that crossing is a peak when both x and
+    L - x are genuine circle distances, in [0, pi).
+    """
+    r0, r1 = cfg.outputs()
+    peaks = [r for r in (r0, r1) if _past_front(cfg, r.theta) >= r.t]
+    ccw = (r1.theta - r0.theta) % (2 * np.pi)
+    for sign, arc in ((1.0, ccw), (-1.0, 2 * np.pi - ccw)):
+        x = (r0.t - r1.t + arc) / 2
+        if 0 <= x <= arc and max(x, arc - x) < np.pi:
+            th = r0.theta + sign * x
+            peaks.append(BoundaryPoint(_past_front(cfg, th), th))
+    return peaks
+
+
 def decision_regions(cfg: ScatteringConfig) -> tuple:
     """Boundary diamonds from each input within both output pasts.
 
-    The diamond top is the crossing of the two output past cones above the
-    input point; the base interval runs between the diamond's left and
-    right null corners.  Degenerate (null or empty) diamonds raise.
+    The diamond top is the nearest peak of the outputs' past front (an apex
+    of one past cone or a crossing of the two, found in closed form by
+    ``_front_peaks``) strictly inside the input's future; the base interval
+    runs between the diamond's left and right null corners.  Degenerate
+    (null or empty) diamonds raise.
     """
     diamonds = []
-    n_grid = 4096
-    thetas = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
-    front = np.array([_past_front(cfg, th) for th in thetas])
-    step = 2 * np.pi / n_grid
-    # local maxima of the past front are the cone crossings; refine each by
-    # ternary search (the front is piecewise linear and locally concave)
-    peaks = []
-    for i in range(n_grid):
-        if front[i] >= front[i - 1] and front[i] >= front[(i + 1) % n_grid]:
-            lo, hi = thetas[i] - step, thetas[i] + step
-            for _ in range(120):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if _past_front(cfg, m1) < _past_front(cfg, m2):
-                    lo = m1
-                else:
-                    hi = m2
-            th = 0.5 * (lo + hi)
-            peaks.append(BoundaryPoint(_past_front(cfg, th), th))
+    peaks = _front_peaks(cfg)
     for c in cfg.inputs():
         best = None
         for peak in peaks:
@@ -418,7 +421,11 @@ def mutual_information(cfg: ScatteringConfig, cutoff: float = 1e-4) -> float:
     the cross pairing of the four diamond corners; the disconnected phase
     clamps I to zero.  Cutoff dependence cancels between the two phases.
     """
-    d0, d1 = decision_regions(cfg)
+    return _mutual_information(decision_regions(cfg), cutoff)
+
+
+def _mutual_information(diamonds: tuple, cutoff: float) -> float:
+    d0, d1 = diamonds
     disc = boundary_geodesic_length(d0.corner_left, d0.corner_right, cutoff)
     disc += boundary_geodesic_length(d1.corner_left, d1.corner_right, cutoff)
     conn = boundary_geodesic_length(d0.corner_right, d1.corner_left, cutoff)
@@ -448,11 +455,9 @@ def verify_connected_wedge(
     the caller.
     """
     region = scattering_region_nonempty(cfg)
-    ridge_len = 0.0
-    if region.nonempty:
-        ridge_len = ridge_curve(cfg, resolution).length
+    ridge_len = _clipped_ridge(cfg, resolution).length if region.nonempty else 0.0
     d0, d1 = decision_regions(cfg)
-    mi = mutual_information(cfg, cutoff)
+    mi = _mutual_information((d0, d1), cutoff)
     return GeometryReport(
         region.nonempty,
         region.margin,

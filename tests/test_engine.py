@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlqclab import engine, pauli, qudit, teleport
+from nlqclab.errors import UsageError
 
 
 SWAP_GATES = [("CNOT", (0, 1), 1), ("CNOT", (1, 0), 1), ("CNOT", (0, 1), 1)]
@@ -123,6 +124,12 @@ def test_choi_paths_agree():
     ).max() < 1e-10
 
 
+def test_program_choi_rejects_unknown_method():
+    p = engine.clifford_protocol(pauli.random_clifford(2, 2, seed=3), (1, 1))
+    with pytest.raises(UsageError, match="'auto', 'columns', 'ref'"):
+        engine.program_choi(p.program, method="column")
+
+
 def test_verify_identity_against_swap_distance():
     # oracle: Chois are rank one, distance sqrt(1 - |tr(SWAP)/4|^2)
     ident = pauli.CliffordCircuit(2, 2, ())
@@ -144,6 +151,11 @@ def test_bk_reduced_matches_protocol_path():
             j_pro = engine.bk_choi(u, (1, 1), n, method="protocol")
             assert np.abs(j_red - j_pro).max() < 1e-9
             assert abs(np.trace(j_red).real - 1) < 1e-9
+
+
+def test_bk_choi_rejects_unknown_method():
+    with pytest.raises(UsageError, match="'reduced', 'protocol'"):
+        engine.bk_choi(np.eye(4), (1, 1), 2, method="protcol")
 
 
 def test_bk_reduced_path_reaches_eight_ports_without_a_pgm(monkeypatch):

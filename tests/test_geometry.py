@@ -35,6 +35,15 @@ def test_past_classification():
     assert geo.bulk_causal(p, geo.BulkPoint(-np.pi / 2 - 0.1, 0, 0)) == "past"
 
 
+def test_boundary_angle_stays_below_two_pi():
+    # -1e-17 % 2 pi rounds up to 2 pi in floating point
+    assert geo.BoundaryPoint(0, -1e-17).theta == 0.0
+    for theta in (-1e-17, -np.pi, 0.0, 2 * np.pi, 7.0, -50.0):
+        assert 0.0 <= geo.BoundaryPoint(0, theta).theta < 2 * np.pi
+    d0, _ = geo.decision_regions(geo.preset_config("marginal"))
+    assert d0.top.theta == 0.0
+
+
 def test_quadric_validation():
     with pytest.raises(NotOnQuadric):
         geo.BulkPoint.from_embedding([1.0, 1.0, 0.0, 0.0])
@@ -105,6 +114,26 @@ def test_ridge_resolution_cauchy():
     assert abs(l1 - l2) / l2 < 1e-5
 
 
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.2, 0.4])
+def test_ridge_length_is_exact_on_the_delayed_preset(tau):
+    length = geo.ridge_curve(delayed(tau), 64).length
+    assert abs(length - 2 * np.arctanh(np.sin(tau))) < 1e-12
+
+
+def polyline_length(points):
+    diffs = points[1:] - points[:-1]
+    return np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", diffs @ geo.ETA, diffs))).sum()
+
+
+def test_ridge_length_matches_its_own_polyline():
+    # the chords of a unit-speed hyperbola overestimate its length by
+    # L^3 / (24 n^2), under 2e-9 at n = 4096 for every grid ridge
+    for cfg in grid_configs():
+        rc = geo.ridge_curve(cfg, 4096)
+        assert rc.points.shape == (4097, 4)
+        assert abs(rc.length - polyline_length(rc.points)) < 2e-9
+
+
 def test_empty_region_raises():
     cfg = geo.ScatteringConfig(
         geo.BoundaryPoint(0, 0), geo.BoundaryPoint(0, np.pi),
@@ -133,6 +162,68 @@ def test_delayed_intervals_widen_but_stay_disjoint():
     assert d0d.base_width > d0m.base_width
     gap = geo._circle_dist(d0d.corner_right.theta, d1d.corner_left.theta)
     assert gap > 1e-3
+
+
+def scanned_front_peaks(cfg, n_grid=4096, zooms=10):
+    """Oracle: local maxima of the past front by vectorised grid scans.
+
+    Each grid maximum of the front is zoomed in on by 65-point grids, each
+    spanning four steps of the grid before it.
+    """
+    def front(th):
+        tents = []
+        for r in cfg.outputs():
+            d = np.abs(th - r.theta) % (2 * np.pi)
+            tents.append(r.t - np.minimum(d, 2 * np.pi - d))
+        return np.minimum(*tents)
+
+    th = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
+    f = front(th)
+    peaks = []
+    for i in np.flatnonzero((f >= np.roll(f, 1)) & (f >= np.roll(f, -1))):
+        center, half = th[i], 2 * np.pi / n_grid
+        for _ in range(zooms):
+            grid = np.linspace(center - half, center + half, 65)
+            center = grid[np.argmax(front(grid))]
+            half /= 16
+        peaks.append((float(front(np.array([center]))[0]), float(center)))
+    return peaks
+
+
+def near_any(point, peaks, tol=1e-9):
+    t, theta = point
+    return any(abs(t - pt) < tol and geo._circle_dist(theta, pth) < tol for pt, pth in peaks)
+
+
+def peak_test_configs():
+    rng = np.random.default_rng(7)
+    out = grid_configs() + [geo.preset_config("marginal")]
+    for _ in range(60):
+        t0, t1 = rng.uniform(2.0, 6.0, 2)
+        th0, th1 = rng.uniform(0, 2 * np.pi, 2)
+        out.append(geo.ScatteringConfig(
+            geo.BoundaryPoint(0, 0), geo.BoundaryPoint(0, np.pi),
+            geo.BoundaryPoint(t0, th0), geo.BoundaryPoint(t1, th1),
+        ))
+    return out
+
+
+def test_front_peaks_match_a_grid_scan():
+    apexes = 0
+    for cfg in peak_test_configs():
+        scanned = scanned_front_peaks(cfg)
+        closed = [(p.t, p.theta) for p in geo._front_peaks(cfg)]
+        assert all(near_any(p, scanned) for p in closed)
+        assert all(near_any(p, closed) for p in scanned)
+        apexes += sum(near_any((r.t, r.theta), closed) for r in cfg.outputs())
+    assert apexes > 0  # the apex branch is exercised
+
+
+def test_diamond_tops_match_a_grid_scan():
+    for cfg in grid_configs() + [geo.preset_config("marginal")]:
+        scanned = scanned_front_peaks(cfg)
+        for d in geo.decision_regions(cfg):
+            assert near_any((d.top.t, d.top.theta), scanned)
 
 
 def test_degenerate_diamond_flagged():
@@ -176,6 +267,17 @@ def test_marginal_report_is_all_zero():
 def test_vacuum_saturation(tau):
     rep = geo.verify_connected_wedge(delayed(tau), 4096)
     assert rep.saturation_residual < 1e-3
+
+
+def test_each_region_is_computed_once(monkeypatch):
+    calls = {}
+    for name in ("scattering_region_nonempty", "decision_regions"):
+        def counted(*args, _name=name, _real=getattr(geo, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(geo, name, counted)
+    geo.verify_connected_wedge(delayed(0.2), 512)
+    assert calls == {"scattering_region_nonempty": 1, "decision_regions": 1}
 
 
 def test_translation_invariance():
