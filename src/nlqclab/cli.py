@@ -186,6 +186,7 @@ def cmd_surgery(args) -> int:
         if args.protocol:
             with open(args.protocol, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+            engine.load_protocol_json(doc)  # IOFailure on a malformed document
             spec = qudit.load_circuit_json(doc["split_circuit"])
             circuit = pauli.CliffordCircuit.from_circuit_spec(spec)
             split = (int(doc["n0"]), int(doc["n1"]))
@@ -225,6 +226,8 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_geometry(args) -> int:
+    if args.resolution < 1:
+        raise UsageError(f"--resolution must be at least 1, got {args.resolution}")
     if args.preset:
         cfg = geometry.preset_config(args.preset, args.delay)
     else:
@@ -303,6 +306,17 @@ def cmd_suite(args) -> int:
         maxd, _, _ = lp.branch_exactness(c.unitary())
         assert maxd < 1e-9
 
+    def _normal_form():
+        # qutrits, so a sign slip shows; the right core is the smaller one, so
+        # the right side teleports (t = 1)
+        c = pauli.CliffordCircuit.from_gate_list(
+            3, 3, [("H", (0,), 1), ("CNOT", (0, 2), 1), ("CNOT", (1, 2), 1), ("S", (2,), 1)]
+        )
+        p = engine.clifford_protocol(c, (2, 1))
+        assert p.meta["tele_side"] == 1
+        j = surgery.clifford_normal_form(c, (2, 1)).choi()
+        assert np.abs(j - engine.protocol_choi(p)).max() < 1e-12
+
     def _pbt():
         rep = teleport.pbt_channel(teleport.PBTParams(2, 1))
         assert abs(rep.choi_trace_distance - 0.75) < 1e-9
@@ -337,6 +351,7 @@ def cmd_suite(args) -> int:
     check("teleport-identity", _teleport_identity)
     check("clifford-protocol", _clifford)
     check("clifford-surgery", _surgery)
+    check("clifford-normal-form", _normal_form)
     check("pbt-single-port", _pbt)
     check("garden-hose-and", _gh)
     check("tracking-transform", _transform)

@@ -1092,16 +1092,18 @@ def load_protocol_json(source) -> OneRoundProtocol:
     try:
         n0, n1 = int(doc["n0"]), int(doc["n1"])
         spec = qudit.load_circuit_json(doc["split_circuit"])
-    except (KeyError, TypeError, ValueError) as exc:
+        d = int(doc["d"]) if "d" in doc else None
+        declared = doc.get("resource", {}).get("pairs")
+        declared = None if declared is None else int(declared)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IOFailure(f"malformed protocol document: {exc}") from exc
     circuit = pauli.CliffordCircuit.from_circuit_spec(spec)
     if n0 + n1 != circuit.n:
         raise IOFailure("n0 + n1 does not match the circuit register")
-    if "d" in doc and int(doc["d"]) != circuit.d:
+    if d is not None and d != circuit.d:
         raise IOFailure("declared d does not match the circuit")
     protocol = clifford_protocol(circuit, (n0, n1))
-    declared = doc.get("resource", {}).get("pairs")
-    if declared is not None and int(declared) != protocol.meta["pairs"]:
+    if declared is not None and declared != protocol.meta["pairs"]:
         raise IOFailure(
             f"declared resource of {declared} pairs, construction needs "
             f"{protocol.meta['pairs']}"

@@ -180,15 +180,7 @@ class CliffordCircuit:
 
 def gate_count(circuit: CliffordCircuit) -> int:
     """Number of generator gates; a powered gate counts once."""
-    return sum(1 for g in circuit.gates if g.power % _gate_order(g, circuit.d) != 0)
-
-
-def _gate_order(g: CliffordGate, d: int) -> int:
-    if g.name == "H":
-        return 4
-    if g.name == "S":
-        return 4 if d == 2 else d
-    return d
+    return sum(1 for g in circuit.gates if g.power % qudit._gate_order(g.name, circuit.d) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +216,7 @@ def _conj_single_step(p: PauliWord, g: CliffordGate) -> PauliWord:
 
 
 def _conj_gate(p: PauliWord, g: CliffordGate, d: int) -> PauliWord:
-    k = g.power % _gate_order(g, d)
+    k = g.power % qudit._gate_order(g.name, d)
     step = CliffordGate(g.name, g.targets, 1)
     for _ in range(k):
         p = _conj_single_step(p, step)

@@ -326,14 +326,7 @@ def embed_operator(op: np.ndarray, d: int, n: int, targets) -> np.ndarray:
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Reduced operator on the kept qudits, in their original order."""
     k = _check_targets(rho.n, keep)
-    d, n = rho.d, rho.n
-    rest = tuple(q for q in range(n) if q not in k)
-    m = rho.matrix.reshape((d,) * (2 * n))
-    perm = k + rest
-    m = m.transpose(tuple(perm) + tuple(n + q for q in perm))
-    dk, dr = d ** len(k), d ** len(rest)
-    m = m.reshape(dk, dr, dk, dr)
-    return DensityOperator(d, len(k), np.trace(m, axis1=1, axis2=3))
+    return DensityOperator(rho.d, len(k), partial_trace_matrix(rho.matrix, rho.d, rho.n, k))
 
 
 def reduced_from_pure(state: DenseState, keep) -> DensityOperator:
@@ -537,12 +530,8 @@ def measure_generalized_bell(
     i, j = pair
     if i == j:
         raise IndexOutOfRange("measured pair must be two distinct qudits")
-    _check_targets(state.n, (i, j))
     d, n = state.d, state.n
-
-    psi = state.amplitudes.reshape((d,) * n)
-    psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(d * d, -1)
-    overlaps = bell_unitary(d).conj().T @ psi  # row (a*d+b): amplitude on rest
+    overlaps = _bell_overlaps(state, pair)
     probs = np.linalg.norm(overlaps, axis=1) ** 2
 
     if forced is not None:
@@ -565,13 +554,18 @@ def measure_generalized_bell(
 
 def bell_outcome_probabilities(state: DenseState, pair) -> np.ndarray:
     """Born probabilities of every outcome (a, b), shape (d, d)."""
+    overlaps = _bell_overlaps(state, pair)
+    return (np.linalg.norm(overlaps, axis=1) ** 2).reshape(state.d, state.d)
+
+
+def _bell_overlaps(state: DenseState, pair) -> np.ndarray:
+    """Row a*d + b: the amplitude left on the other qudits by outcome (a, b)."""
     i, j = pair
     _check_targets(state.n, (i, j))
     d, n = state.d, state.n
     psi = state.amplitudes.reshape((d,) * n)
     psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(d * d, -1)
-    overlaps = bell_unitary(d).conj().T @ psi
-    return (np.linalg.norm(overlaps, axis=1) ** 2).reshape(d, d)
+    return bell_unitary(d).conj().T @ psi
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ measurements in a small interaction stage; the broadcast outcomes feed Pauli
 corrections computed by conjugation through the stage circuits, so the
 rewritten protocol implements the same channel exactly.  The interaction
 touches 2 pairs-worth of qudits and counts one Hadamard, one CNOT and two
-single-qudit measurements per pair.
+single-qudit measurements per pair.  The normal form is the
+deferred-measurement form of ``engine.clifford_protocol``, so the
+teleportation wiring is written only there.
 
 PBT surgery handles tasks whose right-hand input is a classical label: the
 right stage is replicated onto N locally prepared pair copies and the shared
@@ -25,70 +27,39 @@ from . import engine, pauli, qudit, teleport
 from .errors import DimensionMismatch, NotOneSided
 
 # ---------------------------------------------------------------------------
-# unitary-stage normal form for Clifford protocols
+# deferred-measurement normal form of the Clifford teleportation protocol
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class CliffordOneRound:
-    """One-round Clifford protocol with unitary stages and explicit wiring.
+    """One-round Clifford protocol whose four stages are Clifford circuits.
 
-    The V stages act on (inputs + resource halves + ancillas); their
-    registers partition into kept and crossed groups.  The W stages act on
-    the explicit ``w_left_regs``/``w_right_regs`` lists and the declared
-    message registers are discarded at the end.  With ``message_copies``
-    the broadcast is modelled by CNOT-copied ancillas so each output stage
-    reads its own copy; without them both stages read the same registers,
-    which leaves the channel unchanged.
+    ``stages`` holds (register names, circuit) for the V stages b_left and
+    b_right, before the crossing, and the W stages c_left and c_right, after
+    it, run in that order once the resource pairs (v0[j], v1[j]) are
+    appended; the message registers in ``discards`` are dropped at the end.
     """
 
     d: int
     n_a0: int
     n_a1: int
     pairs: int
-    regs_left: tuple
-    regs_right: tuple
-    anc_left: tuple       # |0> ancillas inside regs_left
-    v0: tuple             # resource halves inside regs_left
-    v1: tuple             # resource halves inside regs_right
-    v_left: pauli.CliffordCircuit
-    v_right: pauli.CliffordCircuit
-    keep_left: tuple
-    cross_left: tuple
-    keep_right: tuple
-    cross_right: tuple
-    w_left_regs: tuple
-    w_right_regs: tuple
-    w_left: pauli.CliffordCircuit
-    w_right: pauli.CliffordCircuit
-    out_left: tuple
-    out_right: tuple
+    v0: tuple      # resource halves held on the left
+    v1: tuple      # resource halves held on the right
+    stages: tuple  # ((regs, CliffordCircuit),) * 4
+    out_regs: tuple
     discards: tuple
     target: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def out_regs(self) -> tuple:
-        return tuple(self.out_left) + tuple(self.out_right)
-
     def program(self) -> engine.Program:
-        d = self.d
-        ops = []
+        init = ()
         if self.pairs:
-            vec = engine.Resource.pairs(d, self.pairs).state
-            ops.append(engine.AppendOp(tuple(self.v0) + tuple(self.v1), vec))
-        if self.anc_left:
-            z = np.zeros(d ** len(self.anc_left), dtype=complex)
-            z[0] = 1.0
-            ops.append(engine.AppendOp(tuple(self.anc_left), z))
-        ops += [
-            engine.CircuitOp(self.v_left, tuple(self.regs_left)),
-            engine.CircuitOp(self.v_right, tuple(self.regs_right)),
-            engine.CircuitOp(self.w_left, tuple(self.w_left_regs)),
-            engine.CircuitOp(self.w_right, tuple(self.w_right_regs)),
-            engine.DiscardOp(tuple(self.discards)),
-        ]
+            init = ((self.v0 + self.v1, engine.Resource.pairs(self.d, self.pairs).state),)
+        ops = tuple(engine.CircuitOp(circ, regs) for regs, circ in self.stages)
+        ops += (engine.DiscardOp(self.discards),)
         a0, a1 = engine._a_names(self.n_a0, self.n_a1)
-        return engine.Program(d, tuple(a0 + a1), (), tuple(ops), self.out_regs)
+        return engine.Program(self.d, tuple(a0 + a1), init, ops, self.out_regs)
 
     def choi(self) -> np.ndarray:
         # the messages end in a product state, which the column path checks
@@ -125,198 +96,77 @@ def _controlled_word_gates(d, coeffs_x, coeffs_z) -> list:
     return gates
 
 
-def clifford_normal_form(
-    circuit: pauli.CliffordCircuit,
-    split: tuple,
-    decomposition: engine.InteractionDecomposition | None = None,
-    message_copies: bool = False,
-) -> CliffordOneRound:
-    """Teleportation protocol for a Clifford, with all stages as circuits.
+def _deferred_stage(d: int, stage: engine.Stage, messages: dict) -> tuple:
+    """(registers, circuit) running a protocol stage with measurements deferred.
 
-    Bell measurements are deferred: the measurement pre-rotation joins the
-    V stage, the would-be outcomes ride along as message registers,
-    corrections become controlled generator gates in the W stages, and the
-    messages are discarded at the end.  The channel equals the measured
-    protocol's exactly.
+    A Bell measurement of (src, half) becomes CNOT^-1(src, half), H^-1(src)
+    and leaves (src, half) as message registers holding (u, v); its outcome
+    would be (a, b) = (v, -u), and ``messages`` records the pair under the
+    label.  A Pauli correction becomes controlled gates: Clifford
+    conjugation is linear in the exponents, so v controls the word of the
+    rule at a = 1 and u the inverse of its word at b = 1.
     """
-    n0, n1 = split
-    if n0 + n1 != circuit.n:
-        raise DimensionMismatch("split does not cover the circuit register")
-    dec = decomposition or engine.reduce_circuit(circuit, n0)
-    d = circuit.d
-    core = dec.core
-    tele_side = 0 if dec.n0_core <= dec.n1_core else 1
-    if tele_side == 1:
-        return _mirror_normal_form(circuit, split, message_copies)
-    k = min(dec.n0_core, dec.n1_core)
-    slots = dec.core_slots()
+    regs = []
 
-    a0 = [f"a0_{i}" for i in range(n0)]
-    a1 = [f"a1_{i}" for i in range(n1)]
-    v0 = [f"V0_{j}" for j in range(k)]
-    v1 = [f"V1_{j}" for j in range(k)]
-    anc = [f"m_{j}" for j in range(2 * k)] if message_copies else []
+    def at(names) -> list:
+        regs.extend(nm for nm in names if nm not in regs)
+        return [regs.index(nm) for nm in names]
 
-    side0 = {q: a0[q] for q in range(n0)}
-    side1 = {q: a1[q - n0] for q in range(n0, n0 + n1)}
-    tele = list(dec.core0)
-    own_slots = {q: slots[q] for q in dec.core0 + dec.core1}
+    gates = []
+    for op in stage.ops:
+        if isinstance(op, engine.CircuitOp):
+            pos = at(op.targets)
+            gates += [
+                pauli.CliffordGate(g.name, tuple(pos[q] for q in g.targets), g.power)
+                for g in op.circuit.gates
+            ]
+        elif isinstance(op, engine.BellMeasureOp):
+            src, half = at(op.pair)
+            messages[op.label] = op.pair
+            gates += [pauli.CliffordGate("CNOT", (src, half), -1), pauli.CliffordGate("H", (src,), -1)]
+        elif isinstance(op, engine.PauliCorrectionOp):
+            # all u, then all v, then the targets: the sorted gate order
+            # below then runs the u-controlled gates first
+            us = at([messages[label][0] for label in op.labels])
+            vs = at([messages[label][1] for label in op.labels])
+            tgt = at(op.targets)
+            zero = {label: (0, 0) for label in op.labels}
+            cx, cz = {}, {}
+            for label, u, v in zip(op.labels, us, vs):
+                for ctrl, unit, sign in ((v, (1, 0), 1), (u, (0, 1), -1)):
+                    word = op.word({**zero, label: unit})
+                    for i, t in enumerate(tgt):
+                        cx[(ctrl, t)] = sign * word.x[i]
+                        cz[(ctrl, t)] = sign * word.z[i]
+            gates += _controlled_word_gates(d, cx, cz)
+        else:
+            raise DimensionMismatch(f"no deferred form for {op!r}")
+    return tuple(regs), pauli.CliffordCircuit(d, len(regs), tuple(gates))
 
-    regs_left = a0 + v0 + anc
-    pos_l = {nm: i for i, nm in enumerate(regs_left)}
-    gates_l = [
-        pauli.CliffordGate(g.name, tuple(pos_l[a0[q]] for q in g.targets), g.power)
-        for g in dec.pre_left.gates
-    ]
-    for j, q in enumerate(tele):
-        cq, lv = pos_l[side0[q]], pos_l[v0[j]]
-        gates_l.append(pauli.CliffordGate("CNOT", (cq, lv), -1))
-        gates_l.append(pauli.CliffordGate("H", (cq,), -1))
-        if message_copies:
-            gates_l.append(pauli.CliffordGate("CNOT", (cq, pos_l[anc[2 * j]]), 1))
-            gates_l.append(pauli.CliffordGate("CNOT", (lv, pos_l[anc[2 * j + 1]]), 1))
-    v_left = pauli.CliffordCircuit(d, len(regs_left), tuple(gates_l))
 
-    regs_right = a1 + v1
-    pos_r = {nm: i for i, nm in enumerate(regs_right)}
-    core_targets = [None] * core.n
-    for j, q in enumerate(tele):
-        core_targets[slots[q]] = v1[j]
-    for q in dec.core1:
-        core_targets[slots[q]] = side1[q]
-    gates_r = [
-        pauli.CliffordGate(g.name, tuple(pos_r[a1[q]] for q in g.targets), g.power)
-        for g in dec.pre_right.gates
-    ]
-    gates_r += [
-        pauli.CliffordGate(g.name, tuple(pos_r[core_targets[s]] for s in g.targets), g.power)
-        for g in core.gates
-    ]
-    v_right = pauli.CliffordCircuit(d, len(regs_right), tuple(gates_r))
+def clifford_normal_form(circuit: pauli.CliffordCircuit, split: tuple) -> CliffordOneRound:
+    """Deferred-measurement form of ``engine.clifford_protocol(circuit, split)``.
 
-    msg_u = [side0[q] for q in tele]  # post-rotation core registers
-    msg_v = list(v0)                  # post-rotation pair halves
-
-    keep_left = tuple(nm for nm in a0 if nm not in set(msg_u)) + tuple(msg_u) + tuple(msg_v)
-    cross_left = tuple(anc)
-    keep_right = tuple(a1)
-    cross_right = tuple(v1)
-
-    # message value (u_j, v_j) encodes Bell outcome (a_j, b_j) = (v_j, -u_j)
-    unit_a = [
-        pauli.conjugate_pauli(core, pauli.PauliWord.single(d, core.n, slots[q], 1, 0))
-        for q in tele
-    ]
-    unit_b = [
-        pauli.conjugate_pauli(core, pauli.PauliWord.single(d, core.n, slots[q], 0, 1))
-        for q in tele
-    ]
-
-    def correction_coeffs(target_qudits, msg_pos, target_pos):
-        cx, cz = {}, {}
-        for j in range(k):
-            ru, rv = msg_pos[2 * j], msg_pos[2 * j + 1]
-            for q in target_qudits:
-                s = own_slots[q]
-                t = target_pos[q]
-                # exponents of the undo word: a_j couples through unit_a,
-                # b_j through unit_b, with (a_j, b_j) = (v_j, -u_j)
-                cx[(rv, t)] = cx.get((rv, t), 0) - unit_a[j].x[s]
-                cx[(ru, t)] = cx.get((ru, t), 0) + unit_b[j].x[s]
-                cz[(rv, t)] = cz.get((rv, t), 0) - unit_a[j].z[s]
-                cz[(ru, t)] = cz.get((ru, t), 0) + unit_b[j].z[s]
-        return cx, cz
-
-    # left output stage reads the kept originals
-    wl_regs = list(keep_left) + list(cross_right)
-    wl_pos = {nm: i for i, nm in enumerate(wl_regs)}
-    msg_pos_l = {}
-    for j in range(k):
-        msg_pos_l[2 * j] = wl_pos[msg_u[j]]
-        msg_pos_l[2 * j + 1] = wl_pos[msg_v[j]]
-    target_pos_l = {q: wl_pos[v1[tele.index(q)]] for q in dec.core0}
-    cx, cz = correction_coeffs(dec.core0, msg_pos_l, target_pos_l)
-    gates_wl = _controlled_word_gates(d, cx, cz)
-    out_slot_l = {
-        q: (v1[tele.index(q)] if q in dec.core0 else side0[q]) for q in range(n0)
-    }
-    gates_wl += [
-        pauli.CliffordGate(g.name, tuple(wl_pos[out_slot_l[q]] for q in g.targets), g.power)
-        for g in dec.post_left.gates
-    ]
-    w_left = pauli.CliffordCircuit(d, len(wl_regs), tuple(gates_wl))
-
-    # right output stage reads the copies if present, the originals if not
-    if message_copies:
-        wr_regs = list(keep_right) + list(cross_left)
-        right_msgs = list(anc)
-    else:
-        wr_regs = list(keep_right) + msg_u + msg_v
-        right_msgs = msg_u + msg_v
-    wr_pos = {nm: i for i, nm in enumerate(wr_regs)}
-    msg_pos_r = {}
-    for j in range(k):
-        msg_pos_r[2 * j] = wr_pos[right_msgs[2 * j] if message_copies else msg_u[j]]
-        msg_pos_r[2 * j + 1] = wr_pos[right_msgs[2 * j + 1] if message_copies else msg_v[j]]
-    target_pos_r = {q: wr_pos[side1[q]] for q in dec.core1}
-    cx, cz = correction_coeffs(dec.core1, msg_pos_r, target_pos_r)
-    gates_wr = _controlled_word_gates(d, cx, cz)
-    gates_wr += [
-        pauli.CliffordGate(g.name, tuple(wr_pos[a1[q]] for q in g.targets), g.power)
-        for g in dec.post_right.gates
-    ]
-    w_right = pauli.CliffordCircuit(d, len(wr_regs), tuple(gates_wr))
-
-    out_left = tuple(out_slot_l[q] for q in range(n0))
-    out_right = tuple(a1)
-    discards = tuple(msg_u) + tuple(msg_v) + tuple(anc)
-
-    return CliffordOneRound(
-        d, n0, n1, k,
-        tuple(regs_left), tuple(regs_right), tuple(anc), tuple(v0), tuple(v1),
-        v_left, v_right,
-        keep_left, cross_left, keep_right, cross_right,
-        tuple(wl_regs), tuple(wr_regs), w_left, w_right,
-        out_left, out_right, discards,
-        target=circuit.unitary(),
+    Each of the protocol's four stages becomes one Clifford circuit on its
+    registers (see ``_deferred_stage``): the Bell outcomes ride along as
+    message registers, the corrections become controlled generator gates,
+    and the messages are discarded at the end.  The channel equals the
+    measured protocol's exactly.
+    """
+    protocol = engine.clifford_protocol(circuit, split)
+    messages = {}
+    stages = tuple(
+        _deferred_stage(protocol.d, stage, messages)
+        for stage in (protocol.b_left, protocol.b_right, protocol.c_left, protocol.c_right)
     )
-
-
-def _mirror_normal_form(circuit, split, message_copies):
-    """Build the normal form teleporting the right core leftward."""
-    n0, n1 = split
-    d = circuit.d
-    swapped = pauli.CliffordCircuit(
-        d, circuit.n,
-        tuple(
-            pauli.CliffordGate(
-                g.name,
-                tuple(q + n1 if q < n0 else q - n0 for q in g.targets),
-                g.power,
-            )
-            for g in circuit.gates
-        ),
-    )
-    nf = clifford_normal_form(swapped, (n1, n0), message_copies=message_copies)
-    ren = {}
-    for i in range(n1):
-        ren[f"a0_{i}"] = f"a1_{i}"
-    for i in range(n0):
-        ren[f"a1_{i}"] = f"a0_{i}"
-
-    def rn(names):
-        return tuple(ren.get(nm, nm) for nm in names)
-
+    k = protocol.meta["pairs"]
+    halves = protocol.program.init[0][0] if k else ()
     return CliffordOneRound(
-        d, n0, n1, nf.pairs,
-        rn(nf.regs_right), rn(nf.regs_left), rn(nf.anc_left), rn(nf.v1), rn(nf.v0),
-        nf.v_right, nf.v_left,
-        rn(nf.keep_right), rn(nf.cross_right), rn(nf.keep_left), rn(nf.cross_left),
-        rn(nf.w_right_regs), rn(nf.w_left_regs),
-        nf.w_right, nf.w_left,
-        rn(nf.out_right), rn(nf.out_left),
-        rn(nf.discards),
-        target=circuit.unitary(),
+        protocol.d, protocol.n_a0, protocol.n_a1, k,
+        tuple(halves[:k]), tuple(halves[k:]), stages,
+        protocol.program.out_regs,
+        tuple(u for u, _ in messages.values()) + tuple(v for _, v in messages.values()),
+        target=protocol.target,
     )
 
 
@@ -399,42 +249,31 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
     s1 = [f"s1_{j}" for j in range(k)]
     labels = tuple(f"w_{j}" for j in range(k))
     twist = sewing_twist_table(d)
-
-    v1_slots = {nm: i for i, nm in enumerate(cnf.regs_right)}
+    stage_ops = [engine.CircuitOp(circ, regs) for regs, circ in cnf.stages]
+    regs_right, v_right = cnf.stages[1]  # the V stage holding the v1 halves
 
     def correction_rule(outcomes):
-        x = [0] * len(cnf.regs_right)
-        z = [0] * len(cnf.regs_right)
+        x = [0] * len(regs_right)
+        z = [0] * len(regs_right)
         for j in range(k):
             al, be = twist[tuple(outcomes[labels[j]])]
-            s = v1_slots[cnf.v1[j]]
+            s = regs_right.index(cnf.v1[j])
             x[s], z[s] = al, be
-        word = pauli.PauliWord(d, len(cnf.regs_right), tuple(x), tuple(z))
-        return pauli.conjugate_pauli(cnf.v_right, word).inverse()
+        word = pauli.PauliWord(d, len(regs_right), tuple(x), tuple(z))
+        return pauli.conjugate_pauli(v_right, word).inverse()
 
     # sew first: the interaction measurements commute with the V stages and
     # collapsing the inner halves early keeps the working tensor small
     ops = ()
     if k:
         left_pairs = engine.Resource.pairs(d, k).state
-        ops += (engine.AppendOp(tuple(cnf.v0) + tuple(s0), left_pairs),)
-        ops += (engine.AppendOp(tuple(s1) + tuple(cnf.v1), left_pairs),)
+        ops += (engine.AppendOp(cnf.v0 + tuple(s0), left_pairs),)
+        ops += (engine.AppendOp(tuple(s1) + cnf.v1, left_pairs),)
         ops += tuple(engine.BellMeasureOp((s0[j], s1[j]), labels[j]) for j in range(k))
-    if cnf.anc_left:
-        z = np.zeros(d ** len(cnf.anc_left), dtype=complex)
-        z[0] = 1.0
-        ops += (engine.AppendOp(tuple(cnf.anc_left), z),)
-    ops += (
-        engine.CircuitOp(cnf.v_left, tuple(cnf.regs_left)),
-        engine.CircuitOp(cnf.v_right, tuple(cnf.regs_right)),
-    )
+    ops += tuple(stage_ops[:2])
     if k:
-        ops += (engine.PauliCorrectionOp(labels, tuple(cnf.regs_right), correction_rule),)
-    ops += (
-        engine.CircuitOp(cnf.w_left, tuple(cnf.w_left_regs)),
-        engine.CircuitOp(cnf.w_right, tuple(cnf.w_right_regs)),
-        engine.DiscardOp(tuple(cnf.discards)),
-    )
+        ops += (engine.PauliCorrectionOp(labels, regs_right, correction_rule),)
+    ops += tuple(stage_ops[2:]) + (engine.DiscardOp(cnf.discards),)
     a0, a1 = engine._a_names(cnf.n_a0, cnf.n_a1)
     program = engine.Program(d, tuple(a0 + a1), (), ops, cnf.out_regs)
     return LocalInteractionProtocol(

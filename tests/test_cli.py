@@ -101,3 +101,33 @@ def test_strategy_file_round_trip(tmp_path, capsys):
     assert code == 0
     sides = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
     assert sides == ["0", "1", "1", "1"]
+
+
+def test_malformed_protocol_file_is_an_error(tmp_path, capsys):
+    circuit = {"d": 2, "n": 2, "gates": [{"g": "CNOT", "q": [0, 1], "pow": 1}]}
+    good = {"n0": 1, "n1": 1, "split_circuit": circuit}
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(good))
+    code, out = run(capsys, "surgery", "--protocol", str(path))
+    assert code == 0 and json.loads(out)["exact"] is True
+    for bad in (
+        {"n1": 1, "split_circuit": circuit},
+        {**good, "d": 3},
+        {**good, "d": "two"},
+        {**good, "resource": {"pairs": 2}},
+        {**good, "resource": 1},
+    ):
+        path.write_text(json.dumps(bad))
+        assert cli.main(["surgery", "--protocol", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_geometry_resolution_below_one_is_a_usage_error(capsys):
+    for value in ("-5", "-1", "0"):
+        assert cli.main(["geometry", "--preset", "delayed", "--resolution", value]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+    code, _ = run(capsys, "geometry", "--preset", "delayed", "--resolution", "1")
+    assert code == 0

@@ -13,24 +13,41 @@ SWAP = pauli.CliffordCircuit.from_gate_list(
 
 
 def test_normal_form_matches_measured_protocol_channel():
-    for seed in range(3):
-        c = pauli.random_clifford(2, 2, seed=seed)
-        cnf = surgery.clifford_normal_form(c, (1, 1))
-        p2 = engine.clifford_protocol(c, (1, 1))
+    # (d, n, n0, seed): the last cells teleport the right core (t = 1)
+    cells = [(2, 2, 1, s) for s in range(3)] + [
+        (3, 2, 1, 0), (3, 3, 1, 1), (2, 3, 2, 0), (2, 3, 2, 1), (2, 3, 2, 2), (3, 3, 2, 0),
+    ]
+    tele_sides = set()
+    for d, n, n0, seed in cells:
+        c = pauli.random_clifford(n, d, seed=seed)
+        cnf = surgery.clifford_normal_form(c, (n0, n - n0))
+        p2 = engine.clifford_protocol(c, (n0, n - n0))
         assert cnf.pairs == p2.meta["pairs"]
+        tele_sides.add(p2.meta["tele_side"])
         j_nf = cnf.choi()
         j_p2 = engine.protocol_choi(p2)
         assert np.abs(j_nf - j_p2).max() < 1e-9
+    assert tele_sides == {0, 1}
 
 
-def test_message_copy_variant_same_channel():
-    c = pauli.random_clifford(2, 2, seed=5)
-    a = surgery.clifford_normal_form(c, (1, 1), message_copies=False)
-    b = surgery.clifford_normal_form(c, (1, 1), message_copies=True)
-    assert np.abs(a.choi() - b.choi()).max() < 1e-10
-    lp = surgery.clifford_surgery(b)
-    maxd, _, _ = lp.branch_exactness(c.unitary())
-    assert maxd < 1e-9
+def test_normal_form_is_derived_from_one_protocol(monkeypatch):
+    calls = {"protocol": 0, "unitary": 0}
+    build, unitary = engine.clifford_protocol, pauli.CliffordCircuit.unitary
+
+    def counted_protocol(*args, **kwargs):
+        calls["protocol"] += 1
+        return build(*args, **kwargs)
+
+    def counted_unitary(self):
+        calls["unitary"] += 1
+        return unitary(self)
+
+    monkeypatch.setattr(engine, "clifford_protocol", counted_protocol)
+    monkeypatch.setattr(pauli.CliffordCircuit, "unitary", counted_unitary)
+    c = pauli.random_clifford(3, 2, seed=4)
+    cnf = surgery.clifford_normal_form(c, (2, 1))
+    assert calls == {"protocol": 1, "unitary": 1}
+    assert np.array_equal(cnf.target, unitary(c))
 
 
 def test_swap_surgery_footprint_and_exactness():
@@ -57,15 +74,18 @@ def test_zero_pair_surgery_is_identity_transform():
 
 
 def test_two_pair_random_protocol_surgery():
-    c = pauli.random_clifford(4, 2, seed=12)
-    cnf = surgery.clifford_normal_form(c, (2, 2))
-    lp = surgery.clifford_surgery(cnf)
-    maxd, ptot, _ = lp.branch_exactness(c.unitary())
-    assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
-    rep = surgery.complexity_report(lp)
-    if rep.resource_pairs == 2:
-        assert rep.interaction_qudits == 4
-        assert rep.interaction_gate_count <= 8
+    for c, split in (
+        (pauli.random_clifford(4, 2, seed=12), (2, 2)),
+        (pauli.random_clifford(2, 2, seed=5), (1, 1)),
+    ):
+        cnf = surgery.clifford_normal_form(c, split)
+        lp = surgery.clifford_surgery(cnf)
+        maxd, ptot, _ = lp.branch_exactness(c.unitary())
+        assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
+        rep = surgery.complexity_report(lp)
+        if rep.resource_pairs == 2:
+            assert rep.interaction_qudits == 4
+            assert rep.interaction_gate_count <= 8
 
 
 @pytest.mark.parametrize("d,n,n0,seed", [
