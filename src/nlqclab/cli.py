@@ -317,6 +317,12 @@ def cmd_suite(args) -> int:
         j = surgery.clifford_normal_form(c, (2, 1)).choi()
         assert np.abs(j - engine.protocol_choi(p)).max() < 1e-12
 
+    def _bk_protocol():
+        # the closed form against the assembled program with its dense PGM
+        u = qudit.cnot(2)
+        j = engine.protocol_choi(engine.bk_protocol(u, (1, 1), 1))
+        assert np.abs(engine.bk_choi(u, (1, 1), 1) - j).max() < 1e-9
+
     def _pbt():
         rep = teleport.pbt_channel(teleport.PBTParams(2, 1))
         assert abs(rep.choi_trace_distance - 0.75) < 1e-9
@@ -352,6 +358,7 @@ def cmd_suite(args) -> int:
     check("clifford-protocol", _clifford)
     check("clifford-surgery", _surgery)
     check("clifford-normal-form", _normal_form)
+    check("bk-protocol", _bk_protocol)
     check("pbt-single-port", _pbt)
     check("garden-hose-and", _gh)
     check("tracking-transform", _transform)

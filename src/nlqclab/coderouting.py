@@ -213,14 +213,24 @@ def or_plan(d: int = 3) -> CodeRoutingPlan:
     return CodeRoutingPlan(scheme, ("send", ("x", 0), ("y", 0)))
 
 
-def _directive_side(directive, x: int, y: int) -> int:
+def _directive_route(directive, x: int, y: int) -> tuple:
+    """(side, teleport hops, pipes) of the garden-hose gadget moving one share.
+
+    keep: side 0, no pipes.  send: side 1, one hop over one pipe.  x-owned
+    bit: one pipe, hopped once iff the bit is 1.  y-owned bit: two pipes;
+    the left always launches the share, the right bounces it back iff the
+    bit is 0, so it hops once (bit 1) or twice (bit 0).  The share ends on
+    the side the bit names.
+    """
     if directive == "keep":
-        return 0
+        return 0, 0, 0
     if directive == "send":
-        return 1
+        return 1, 1, 1
     owner, idx = directive
-    bits = x if owner == "x" else y
-    return (bits >> int(idx)) & 1
+    bit = ((x if owner == "x" else y) >> int(idx)) & 1
+    if owner == "x":
+        return bit, bit, 1
+    return bit, 2 - bit, 2
 
 
 @dataclass(frozen=True)
@@ -231,21 +241,6 @@ class RouteReport:
     fidelity: float
     hiding_distance: float
     pipe_count: int
-
-
-def _share_gadget(directive, d):
-    """Garden-hose sub-strategy moving one share, with its pipe cost.
-
-    keep: no pipes.  send: one pipe, always measured.  x-owned bit: one
-    pipe measured iff the bit is 1.  y-owned bit: two pipes; the left
-    always launches the share, the right bounces it back iff the bit is 0.
-    """
-    if directive == "keep":
-        return 0
-    if directive == "send":
-        return 1
-    owner, _ = directive
-    return 1 if owner == "x" else 2
 
 
 def code_route(
@@ -271,7 +266,8 @@ def code_route(
     rng = rng or np.random.default_rng(0)
 
     state = scheme.encode(q_state)
-    sides = [_directive_side(dv, x, y) for dv in plan.directives]
+    routes = [_directive_route(dv, x, y) for dv in plan.directives]
+    sides = [route[0] for route in routes]
     winners = [i for i in range(n) if len([s for s in sides if s == sides[i]]) >= scheme.k]
     win_sides = {sides[i] for i in winners}
     if len(win_sides) != 1:
@@ -284,10 +280,9 @@ def code_route(
     cur = state
     corrections = {}
     pipes_used = 0
-    for i, dv in enumerate(plan.directives):
-        moved, hops = _route_share(dv, x, y)
-        pipes_used += _share_gadget(dv, d)
-        if not moved:
+    for i, (share_side, hops, pipes) in enumerate(routes):
+        pipes_used += pipes
+        if share_side == 0:  # kept, or bounced back to the left: not routed
             corrections[i] = pauli.PauliWord.identity(d, 1)
             continue
         err = pauli.PauliWord.identity(d, 1)
@@ -331,17 +326,3 @@ def code_route(
         hiding = 0.0
     return RouteReport(side, winning, recovered, fid, hiding, pipes_used)
 
-
-def _route_share(directive, x: int, y: int):
-    """(moved_to_other_side_total?, number of teleport hops performed)."""
-    if directive == "keep":
-        return False, 0
-    if directive == "send":
-        return True, 1
-    owner, idx = directive
-    if owner == "x":
-        bit = (x >> int(idx)) & 1
-        return (bit == 1), (1 if bit == 1 else 0)
-    bit = (y >> int(idx)) & 1
-    # y-owned: always launched rightward; bounced back left iff bit is 0
-    return (bit == 1), (1 if bit == 1 else 2)

@@ -226,9 +226,15 @@ class AppendOp:
 
 @dataclass(frozen=True, eq=False)
 class Program:
+    """Flat op sequence over named d-dimensional registers.
+
+    The program starts on ``in_regs``; every other register, the halves of
+    a shared resource included, enters through an ``AppendOp``.  The
+    registers left at the end, less the discarded ones, are ``out_regs``.
+    """
+
     d: int
     in_regs: tuple
-    init: tuple  # ((names, amplitude vector), ...) appended before ops
     ops: tuple
     out_regs: tuple
 
@@ -318,8 +324,6 @@ def run_program(program: Program, input_mat: np.ndarray, *, extra_regs=(), force
     """
     regs = list(program.in_regs) + list(extra_regs)
     wire = Wire.from_matrix(program.d, input_mat, regs)
-    for names, vec in program.init:
-        wire = wire.append(vec, names)
     yield from _run_ops(program.ops, wire, forced, {})
 
 
@@ -356,13 +360,6 @@ class Resource:
             order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
             vec = np.transpose(t, order).reshape(-1)
         return cls(d, k, k, vec, pair_count=k)
-
-    @classmethod
-    def pure(cls, d: int, n_l: int, n_r: int, vec) -> "Resource":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        if v.shape[0] != d ** (n_l + n_r):
-            raise DimensionMismatch("resource vector length mismatch")
-        return cls(d, n_l, n_r, v)
 
     def density(self) -> qudit.DensityOperator:
         return qudit.DensityOperator(
@@ -413,30 +410,20 @@ class ResourceAccount:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class Stage:
-    """Local operations of one party in one round."""
-
-    ops: tuple
-    keep: tuple
-    cross: tuple
-
-
-@dataclass(frozen=True, eq=False)
 class OneRoundProtocol:
     """Resource + two first-round and two second-round local operations.
 
-    The compiled ``program`` realizes: (C_left (x) C_right) after crossing
-    the L'/R' messages, after (B_left (x) B_right) on input (x) resource.
+    ``stages`` holds the op tuples of b_left, b_right, c_left and c_right.
+    The compiled ``program`` appends the resource, runs B_left (x) B_right,
+    crosses the messages and runs C_left (x) C_right: its ops are the
+    resource ``AppendOp`` followed by the four stages in that order.
     """
 
     d: int
     n_a0: int
     n_a1: int
     resource: Resource
-    b_left: Stage
-    b_right: Stage
-    c_left: Stage
-    c_right: Stage
+    stages: tuple
     program: Program
     target: np.ndarray | None = field(default=None, repr=False)
     meta: dict = field(default_factory=dict, compare=False, repr=False)
@@ -481,24 +468,27 @@ class OneRoundProtocol:
                 teleport.build_pgm(op.params)  # POVM invariants checked there
 
 
-def _a_names(n0, n1):
-    return [f"a0_{i}" for i in range(n0)], [f"a1_{i}" for i in range(n1)]
+def input_names(n0: int, n1: int = 0) -> tuple:
+    """Input register names: a0_i for the left party, then a1_i for the right."""
+    return tuple(f"a0_{i}" for i in range(n0)) + tuple(f"a1_{i}" for i in range(n1))
 
 
 def assemble_protocol(
-    d, n0, n1, resource, b_left, b_right, c_left, c_right, out_regs,
-    target=None, meta=None,
+    d, n0, n1, resource, stages, out_regs, target=None, meta=None,
 ) -> OneRoundProtocol:
-    """Wire the four stages into a flat program (the one-round shape)."""
-    a0, a1 = _a_names(n0, n1)
-    l_names = [f"L_{i}" for i in range(resource.n_l)]
-    r_names = [f"R_{i}" for i in range(resource.n_r)]
-    init = (((l_names + r_names), resource.state),) if (l_names or r_names) else ()
-    ops = tuple(b_left.ops) + tuple(b_right.ops) + tuple(c_left.ops) + tuple(c_right.ops)
-    program = Program(d, tuple(a0 + a1), init, ops, tuple(out_regs))
+    """Wire a resource and four stages into the one-round program.
+
+    The resource halves are named L_i and R_i and enter as the leading
+    ``AppendOp`` (none when the resource has no registers); the ops of
+    ``stages`` = (b_left, b_right, c_left, c_right) follow in that order.
+    """
+    halves = tuple(f"L_{i}" for i in range(resource.n_l))
+    halves += tuple(f"R_{i}" for i in range(resource.n_r))
+    ops = (AppendOp(halves, resource.state),) if halves else ()
+    ops += tuple(op for stage in stages for op in stage)
+    program = Program(d, input_names(n0, n1), ops, tuple(out_regs))
     return OneRoundProtocol(
-        d, n0, n1, resource, b_left, b_right, c_left, c_right, program,
-        target=target, meta=dict(meta or {}),
+        d, n0, n1, resource, tuple(stages), program, target=target, meta=dict(meta or {}),
     )
 
 
@@ -531,9 +521,7 @@ def execute(
 def _auto_batch(program: Program, budget: int = 2**23) -> int:
     """Column batch size keeping the peak tensor under ``budget`` entries."""
     d = program.d
-    regs = len(program.in_regs)
-    peak = regs + sum(len(names) for names, _ in program.init)
-    live = peak
+    peak = live = len(program.in_regs)
     for op in program.ops:
         if isinstance(op, AppendOp):
             live += len(op.names)
@@ -767,11 +755,7 @@ def _teleport_error_word(core: pauli.CliffordCircuit, tele_slots, outcomes_list)
     return pauli.PauliWord(d, n, tuple(x), tuple(z))
 
 
-def clifford_protocol(
-    circuit: pauli.CliffordCircuit,
-    split: tuple,
-    decomposition: InteractionDecomposition | None = None,
-) -> OneRoundProtocol:
+def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundProtocol:
     """One-round protocol implementing a Clifford exactly.
 
     The smaller core side is Bell-teleported to the other party, who applies
@@ -782,9 +766,7 @@ def clifford_protocol(
     n0, n1 = split
     if n0 + n1 != circuit.n:
         raise DimensionMismatch("split does not cover the circuit register")
-    dec = decomposition or reduce_circuit(circuit, n0)
-    if decomposition is not None and (dec.n0 != n0 or dec.n1 != n1):
-        raise DimensionMismatch("decomposition split mismatch")
+    dec = reduce_circuit(circuit, n0)
     d = circuit.d
     slots = dec.core_slots()
     core = dec.core
@@ -797,7 +779,8 @@ def clifford_protocol(
     k = len(cores[t])
     pairs = ([f"L_{i}" for i in range(k)], [f"R_{i}" for i in range(k)])
     labels = tuple(f"x_{j}" for j in range(k))
-    a = _a_names(n0, n1)
+    names = input_names(n0, n1)
+    a = (names[:n0], names[n0:])
     qudits = (range(n0), range(n0, n0 + n1))
     side_regs = [dict(zip(qudits[s], a[s])) for s in (0, 1)]
     pre = (dec.pre_left, dec.pre_right)
@@ -828,39 +811,23 @@ def clifford_protocol(
         pairs[f][cores[t].index(q)] if q in cores[t] else side_regs[t][q] for q in qudits[t]
     )
     stages = [None] * 4
-    stages[t] = Stage(
-        ops=(CircuitOp(pre[t], tuple(a[t])),)
-        + tuple(BellMeasureOp((tele_regs[j], pairs[t][j]), labels[j]) for j in range(k)),
-        keep=tuple(nm for nm in a[t] if nm not in tele_regs),
-        cross=(),
+    stages[t] = (CircuitOp(pre[t], a[t]),) + tuple(
+        BellMeasureOp((tele_regs[j], pairs[t][j]), labels[j]) for j in range(k)
     )
-    stages[f] = Stage(
-        ops=(CircuitOp(pre[f], tuple(a[f])), CircuitOp(core, tuple(core_targets))),
-        keep=tuple(a[f]),
-        cross=tuple(pairs[f]),
+    stages[f] = (CircuitOp(pre[f], a[f]), CircuitOp(core, tuple(core_targets)))
+    stages[2 + t] = (
+        PauliCorrectionOp(labels, tuple(pairs[f]), correction_rule(t)),
+        CircuitOp(post[t], tele_out),
     )
-    stages[2 + t] = Stage(
-        ops=(
-            PauliCorrectionOp(labels, tuple(pairs[f]), correction_rule(t)),
-            CircuitOp(post[t], tele_out),
-        ),
-        keep=tele_out,
-        cross=(),
+    stages[2 + f] = (
+        PauliCorrectionOp(labels, tuple(side_regs[f][q] for q in cores[f]), correction_rule(f)),
+        CircuitOp(post[f], a[f]),
     )
-    stages[2 + f] = Stage(
-        ops=(
-            PauliCorrectionOp(labels, tuple(side_regs[f][q] for q in cores[f]), correction_rule(f)),
-            CircuitOp(post[f], tuple(a[f])),
-        ),
-        keep=tuple(a[f]),
-        cross=(),
-    )
-    out_regs = list(stages[2].keep) + list(stages[3].keep)
+    out_regs = tele_out + a[f] if t == 0 else a[f] + tele_out
 
-    resource = Resource.pairs(d, k)
     meta = {"decomposition": dec, "pairs": k, "labels": labels, "tele_side": t}
     return assemble_protocol(
-        d, n0, n1, resource, *stages, out_regs,
+        d, n0, n1, Resource.pairs(d, k), stages, out_regs,
         target=circuit.unitary(), meta=meta,
     )
 
@@ -869,9 +836,7 @@ def clifford_protocol(
 # Beigi-Koenig style protocol (port teleportation of the joint register)
 # ---------------------------------------------------------------------------
 
-def bk_protocol(
-    u: np.ndarray, split: tuple, n_ports: int, cap_dim: int = teleport.POVM_DIM_CAP
-) -> OneRoundProtocol:
+def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
     """Approximate one-round protocol for an arbitrary unitary.
 
     One party Bell-measures its input against shared pairs; the other
@@ -883,15 +848,18 @@ def bk_protocol(
     n = n0 + n1
     d = _infer_d(u.shape[0], n)
     d_a = d**n
-    if d_a ** (n_ports + 1) > cap_dim:
+    if d_a ** (n_ports + 1) > teleport.POVM_DIM_CAP:
         raise CapExceeded(
-            f"port measurement dimension {d_a ** (n_ports + 1)} exceeds cap {cap_dim}"
+            f"port measurement dimension {d_a ** (n_ports + 1)} exceeds cap "
+            f"{teleport.POVM_DIM_CAP}"
         )
-    a0, a1 = _a_names(n0, n1)
-    f0 = [f"F0_{i}" for i in range(n0)]
-    f1 = [f"F1_{i}" for i in range(n0)]
-    ports_l = [[f"P{k}L_{i}" for i in range(n)] for k in range(n_ports)]
-    ports_r = [[f"P{k}R_{i}" for i in range(n)] for k in range(n_ports)]
+    a = input_names(n0, n1)
+    a0, a1 = a[:n0], a[n0:]
+    # pair halves L_j / R_j: the n0 teleport pairs first, then n per port
+    f0 = tuple(f"L_{j}" for j in range(n0))
+    f1 = tuple(f"R_{j}" for j in range(n0))
+    ports_l = tuple(tuple(f"L_{n0 + k * n + i}" for i in range(n)) for k in range(n_ports))
+    ports_r = tuple(tuple(f"R_{n0 + k * n + i}" for i in range(n)) for k in range(n_ports))
 
     labels = tuple(f"x_{j}" for j in range(n0))
 
@@ -905,45 +873,18 @@ def bk_protocol(
         px = np.kron(px, np.eye(d**n1))
         return u @ px.conj().T
 
-    b_left = Stage(
-        ops=tuple(BellMeasureOp((a0[j], f0[j]), labels[j]) for j in range(n0))
-        + tuple(
-            CorrectionOp(labels, tuple(ports_l[k]), gx_rule) for k in range(n_ports)
-        ),
-        keep=tuple(nm for k in range(n_ports) for nm in ports_l[k][:n0]),
-        cross=tuple(nm for k in range(n_ports) for nm in ports_l[k][n0:]),
-    )
-    b_right = Stage(
-        ops=(
-            PortMeasureOp(
-                "port",
-                tuple(f1 + a1),
-                tuple(tuple(g) for g in ports_r),
-                teleport.PBTParams(d_a, n_ports),
-            ),
-        ),
-        keep=(),
-        cross=(),
-    )
+    b_left = tuple(BellMeasureOp((a0[j], f0[j]), labels[j]) for j in range(n0))
+    b_left += tuple(CorrectionOp(labels, g, gx_rule) for g in ports_l)
+    b_right = (PortMeasureOp("port", f1 + a1, ports_r, teleport.PBTParams(d_a, n_ports)),)
     out_names = tuple(f"B_{i}" for i in range(n))
-    select = SelectPortOp("port", tuple(tuple(g) for g in ports_l), out_names)
-    drop_meas = DiscardOp(tuple(f1 + a1) + tuple(nm for g in ports_r for nm in g))
-    c_left = Stage(ops=(select, drop_meas), keep=out_names[:n0], cross=())
-    c_right = Stage(ops=(), keep=out_names[n0:], cross=())
-
+    c_left = (
+        SelectPortOp("port", ports_l, out_names),
+        DiscardOp(f1 + a1 + tuple(nm for g in ports_r for nm in g)),
+    )
     k_pairs = n0 + n_ports * n
-    # resource: F pairs then port pairs, L halves then R halves
-    resource = Resource.pairs(d, k_pairs)
-
-    # resource register names must line up with the stage wiring
-    l_names = f0 + [nm for g in ports_l for nm in g]
-    r_names = f1 + [nm for g in ports_r for nm in g]
-    init = ((tuple(l_names + r_names), resource.state),)
-    ops = tuple(b_left.ops) + tuple(b_right.ops) + tuple(c_left.ops) + tuple(c_right.ops)
-    program = Program(d, tuple(a0 + a1), init, ops, out_names)
     meta = {"n_ports": n_ports, "pairs": k_pairs, "d_a": d_a}
-    return OneRoundProtocol(
-        d, n0, n1, resource, b_left, b_right, c_left, c_right, program,
+    return assemble_protocol(
+        d, n0, n1, Resource.pairs(d, k_pairs), (b_left, b_right, c_left, ()), out_names,
         target=u, meta=meta,
     )
 
@@ -956,28 +897,19 @@ def _infer_d(dim: int, n: int) -> int:
     raise DimensionMismatch(f"dimension {dim} is not a {n}-th power")
 
 
-def bk_choi(
-    u: np.ndarray, split: tuple, n_ports: int, *, method: str = "reduced",
-    cap_dim: int = teleport.POVM_DIM_CAP,
-) -> np.ndarray:
-    """Choi matrix of the BK channel.
+def bk_choi(u: np.ndarray, split: tuple, n_ports: int) -> np.ndarray:
+    """Choi matrix of the BK channel, from covariance; no PGM is built.
 
-    ``reduced`` uses covariance and builds no PGM.  Bell branch x hands the
-    port measurement the input twisted by P_x.  The PGM port channel is
-    U (x) U* covariant, hence the depolarizing channel Delta_F with
-    F = ``teleport.pgm_fidelity(d_a, n_ports)``, and it commutes with every
-    unitary, so the port-wise correction U P_x^dagger leaves U . Delta_F on
-    every branch.  The Choi matrix is therefore
+    Bell branch x hands the port measurement the input twisted by P_x.  The
+    PGM port channel is U (x) U* covariant, hence the depolarizing channel
+    Delta_F with F = ``teleport.pgm_fidelity(d_a, n_ports)``, and it
+    commutes with every unitary, so the port-wise correction U P_x^dagger
+    leaves U . Delta_F on every branch.  The Choi matrix is therefore
     F Phi_U + (1 - F)/(d_a^2 - 1) (I - Phi_U) at any port count, and its
-    trace distance to Phi_U is 1 - F.  ``protocol`` runs the full program
-    on a referenced input with the dense PGM, and only it is bounded by
-    ``cap_dim``; it is the oracle for the reduced path at small N.
+    trace distance to Phi_U is 1 - F.  The dense oracle at small N is
+    ``protocol_choi(bk_protocol(u, split, n_ports))``.
     """
-    if method not in ("reduced", "protocol"):
-        raise UsageError(f"BK method {method!r} is not one of 'reduced', 'protocol'")
     u = np.asarray(u, dtype=complex)
-    if method == "protocol":
-        return protocol_choi(bk_protocol(u, split, n_ports, cap_dim))
     _infer_d(u.shape[0], sum(split))  # the register must split into qudits
     fid = teleport.pgm_fidelity(u.shape[0], n_ports)
     return teleport.depolarizing_choi(qudit.choi_of_unitary(u), fid)
@@ -1031,11 +963,16 @@ def _success_probability(protocol: OneRoundProtocol, task, resource_vecs) -> flo
     n_in = len(prog.in_regs)
     ref = [f"ref_{i}" for i in range(n_in)]
     inp = qudit.max_entangled_tensor(prog.d**n_in)
+    res = protocol.resource
+
+    def with_resource(vec) -> Program:
+        # the leading AppendOp carries the resource whenever it has registers
+        if res.n_l + res.n_r == 0:
+            return prog
+        return replace(prog, ops=(AppendOp(prog.ops[0].names, vec),) + prog.ops[1:])
+
     rho = sum(
-        weight * program_density(
-            replace(prog, init=((prog.init[0][0], vec),) if prog.init else ()), inp, ref
-        )
-        for weight, vec in resource_vecs
+        weight * program_density(with_resource(vec), inp, ref) for weight, vec in resource_vecs
     )
     return task(rho)
 

@@ -160,7 +160,6 @@ def gh_quantum_execute(
     *,
     forced=None,
     rng: np.random.Generator | None = None,
-    d: int | None = None,
 ) -> QuantumRoute:
     """Run the Bell measurements on real pipes and extract the terminal state.
 
@@ -169,8 +168,8 @@ def gh_quantum_execute(
     it reproduces ``q_state`` exactly; the raw correction word is available
     on the routing outcome.
     """
-    d = d or q_state.d
-    if q_state.n != 1 or q_state.d != d:
+    d = q_state.d
+    if q_state.n != 1:
         raise MalformedMatching("the routed system is a single qudit")
     route = gh_evaluate(strategy, x, y)
 

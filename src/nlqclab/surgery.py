@@ -53,13 +53,14 @@ class CliffordOneRound:
     target: np.ndarray | None = field(default=None, repr=False)
 
     def program(self) -> engine.Program:
-        init = ()
+        ops = ()
         if self.pairs:
-            init = ((self.v0 + self.v1, engine.Resource.pairs(self.d, self.pairs).state),)
-        ops = tuple(engine.CircuitOp(circ, regs) for regs, circ in self.stages)
+            pair_state = engine.Resource.pairs(self.d, self.pairs).state
+            ops += (engine.AppendOp(self.v0 + self.v1, pair_state),)
+        ops += tuple(engine.CircuitOp(circ, regs) for regs, circ in self.stages)
         ops += (engine.DiscardOp(self.discards),)
-        a0, a1 = engine._a_names(self.n_a0, self.n_a1)
-        return engine.Program(self.d, tuple(a0 + a1), init, ops, self.out_regs)
+        in_regs = engine.input_names(self.n_a0, self.n_a1)
+        return engine.Program(self.d, in_regs, ops, self.out_regs)
 
     def choi(self) -> np.ndarray:
         # the messages end in a product state, which the column path checks
@@ -96,7 +97,7 @@ def _controlled_word_gates(d, coeffs_x, coeffs_z) -> list:
     return gates
 
 
-def _deferred_stage(d: int, stage: engine.Stage, messages: dict) -> tuple:
+def _deferred_stage(d: int, stage: tuple, messages: dict) -> tuple:
     """(registers, circuit) running a protocol stage with measurements deferred.
 
     A Bell measurement of (src, half) becomes CNOT^-1(src, half), H^-1(src)
@@ -113,7 +114,7 @@ def _deferred_stage(d: int, stage: engine.Stage, messages: dict) -> tuple:
         return [regs.index(nm) for nm in names]
 
     gates = []
-    for op in stage.ops:
+    for op in stage:
         if isinstance(op, engine.CircuitOp):
             pos = at(op.targets)
             gates += [
@@ -155,12 +156,9 @@ def clifford_normal_form(circuit: pauli.CliffordCircuit, split: tuple) -> Cliffo
     """
     protocol = engine.clifford_protocol(circuit, split)
     messages = {}
-    stages = tuple(
-        _deferred_stage(protocol.d, stage, messages)
-        for stage in (protocol.b_left, protocol.b_right, protocol.c_left, protocol.c_right)
-    )
+    stages = tuple(_deferred_stage(protocol.d, stage, messages) for stage in protocol.stages)
     k = protocol.meta["pairs"]
-    halves = protocol.program.init[0][0] if k else ()
+    halves = protocol.program.ops[0].names if k else ()  # the resource AppendOp
     return CliffordOneRound(
         protocol.d, protocol.n_a0, protocol.n_a1, k,
         tuple(halves[:k]), tuple(halves[k:]), stages,
@@ -174,43 +172,6 @@ def clifford_normal_form(circuit: pauli.CliffordCircuit, split: tuple) -> Cliffo
 # Clifford surgery
 # ---------------------------------------------------------------------------
 
-_TWIST_CACHE: dict = {}
-
-
-def sewing_twist_table(d: int) -> dict:
-    """Outcome (a, b) of sewing two fresh pairs -> Weyl twist on the far half.
-
-    Measuring the inner halves of Phi(v0,s0) (x) Phi(s1,v1) in the Bell
-    basis leaves (v0,v1) in (I (x) X^alpha Z^beta)|Phi+> up to phase; the
-    table records (alpha, beta) per outcome, matched numerically.
-    """
-    if d in _TWIST_CACHE:
-        return _TWIST_CACHE[d]
-    bell = qudit.bell_pair(d).amplitudes.reshape(d, d)
-    table = {}
-    targets = {}
-    phi = qudit.max_entangled_tensor(d)
-    for al in range(d):
-        for be in range(d):
-            targets[(al, be)] = (qudit.weyl(d, al, be) @ phi.T).T  # (v0, v1)
-    for a in range(d):
-        for b in range(d):
-            proj = qudit.bell_basis_vector(d, a, b).conj().reshape(d, d)
-            # joint[v0, s0, s1, v1]; contract (s0, s1)
-            vec = np.einsum("vs,st,tw->vw", bell, proj, bell)
-            hit = None
-            for key, tgt in targets.items():
-                ov = abs(np.vdot(tgt.reshape(-1), vec.reshape(-1)))
-                if ov > 0.9 * np.linalg.norm(vec):
-                    hit = key
-                    break
-            if hit is None:
-                raise DimensionMismatch("sewing outcome did not match a Weyl twist")
-            table[(a, b)] = hit
-    _TWIST_CACHE[d] = table
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class LocalInteractionProtocol:
     """Interaction-form rewrite of a protocol, with broadcast wires.
@@ -220,9 +181,7 @@ class LocalInteractionProtocol:
     classical broadcast of the outcomes, corrections, and post-stages.
     """
 
-    d: int
     program: engine.Program
-    out_regs: tuple
     interaction_qudits: int
     interaction_gate_count: int
     resource_pairs: int
@@ -239,16 +198,17 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
     """Replace shared pairs by local ones sewn inside an interaction stage.
 
     Each resource pair becomes two local pairs whose inner halves meet in a
-    Bell measurement; the broadcast outcome fixes a Weyl twist on the sewn
-    pair, which is conjugated through the right V stage and undone before
-    the W stages.  The interaction acts on 2 * pairs qudits and costs one
-    Hadamard, one CNOT and two single-qudit measurements per pair.
+    Bell measurement.  Sewing Phi(v0, s0) (x) Phi(s1, v1) with outcome
+    (a, b) on (s0, s1) leaves (I (x) X^a Z^b)|Phi+> on (v0, v1) up to
+    phase, so the outcome is the Weyl twist of the sewn pair; it is
+    conjugated through the right V stage and undone before the W stages.
+    The interaction acts on 2 * pairs qudits and costs one Hadamard, one
+    CNOT and two single-qudit measurements per pair.
     """
     d, k = cnf.d, cnf.pairs
     s0 = [f"s0_{j}" for j in range(k)]
     s1 = [f"s1_{j}" for j in range(k)]
     labels = tuple(f"w_{j}" for j in range(k))
-    twist = sewing_twist_table(d)
     stage_ops = [engine.CircuitOp(circ, regs) for regs, circ in cnf.stages]
     regs_right, v_right = cnf.stages[1]  # the V stage holding the v1 halves
 
@@ -256,9 +216,8 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
         x = [0] * len(regs_right)
         z = [0] * len(regs_right)
         for j in range(k):
-            al, be = twist[tuple(outcomes[labels[j]])]
             s = regs_right.index(cnf.v1[j])
-            x[s], z[s] = al, be
+            x[s], z[s] = outcomes[labels[j]]
         word = pauli.PauliWord(d, len(regs_right), tuple(x), tuple(z))
         return pauli.conjugate_pauli(v_right, word).inverse()
 
@@ -274,10 +233,9 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
     if k:
         ops += (engine.PauliCorrectionOp(labels, regs_right, correction_rule),)
     ops += tuple(stage_ops[2:]) + (engine.DiscardOp(cnf.discards),)
-    a0, a1 = engine._a_names(cnf.n_a0, cnf.n_a1)
-    program = engine.Program(d, tuple(a0 + a1), (), ops, cnf.out_regs)
+    program = engine.Program(d, engine.input_names(cnf.n_a0, cnf.n_a1), ops, cnf.out_regs)
     return LocalInteractionProtocol(
-        d, program, cnf.out_regs,
+        program,
         interaction_qudits=2 * k,
         interaction_gate_count=4 * k,
         resource_pairs=k,
@@ -350,15 +308,14 @@ class OneSidedProtocol:
     def program(self, x) -> engine.Program:
         d, n = self.task.d, self.task.n_a
         u = np.asarray(self.task.unitaries[x], dtype=complex)
-        a = [f"a0_{i}" for i in range(n)]
-        v0 = [f"V0_{j}" for j in range(n)]
-        v1 = [f"V1_{j}" for j in range(n)]
+        a = engine.input_names(n)
+        v0 = tuple(f"V0_{j}" for j in range(n))
+        v1 = tuple(f"V1_{j}" for j in range(n))
         labels = tuple(f"x_{j}" for j in range(n))
-        init = ((tuple(v0) + tuple(v1), engine.Resource.pairs(d, n).state),)
-        ops = (engine.GateOp(u, tuple(v1)),)
+        ops = (engine.AppendOp(v0 + v1, engine.Resource.pairs(d, n).state), engine.GateOp(u, v1))
         ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(n))
-        ops += (engine.CorrectionOp(labels, tuple(v1), _undo_rule(d, u, labels)),)
-        return engine.Program(d, tuple(a), init, ops, tuple(v1))
+        ops += (engine.CorrectionOp(labels, v1, _undo_rule(d, u, labels)),)
+        return engine.Program(d, a, ops, v1)
 
     def choi(self, x) -> np.ndarray:
         return engine.program_choi(self.program(x))
@@ -381,7 +338,6 @@ def pbt_surgery(
     task: OneSidedTask,
     protocol: OneSidedProtocol,
     n_ports: int,
-    cap_dim: int = teleport.POVM_DIM_CAP,
 ) -> dict:
     """Localize a one-sided protocol at a chosen port count.
 
@@ -399,36 +355,28 @@ def pbt_surgery(
     out = {}
     for x in task.unitaries:
         u = np.asarray(task.unitaries[x], dtype=complex)
-        a = [f"a0_{i}" for i in range(n)]
-        v0 = [f"V0_{j}" for j in range(e)]
-        vl = [f"VL_{j}" for j in range(e)]
-        ports_c = [[f"C{i}_{j}" for j in range(e)] for i in range(n_ports)]
-        ports_y = [[f"Y{i}_{j}" for j in range(e)] for i in range(n_ports)]
+        a = engine.input_names(n)
+        v0 = tuple(f"V0_{j}" for j in range(e))
+        vl = tuple(f"VL_{j}" for j in range(e))
+        ports_c = tuple(tuple(f"C{i}_{j}" for j in range(e)) for i in range(n_ports))
+        ports_y = tuple(tuple(f"Y{i}_{j}" for j in range(e)) for i in range(n_ports))
         labels = tuple(f"x_{j}" for j in range(e))
 
-        init = [((tuple(v0) + tuple(vl)), engine.Resource.pairs(d, e).state)]
-        for i in range(n_ports):
-            init.append(
-                ((tuple(ports_c[i]) + tuple(ports_y[i])), engine.Resource.pairs(d, e).state)
-            )
-
+        pair_state = engine.Resource.pairs(d, e).state
+        ops = (engine.AppendOp(v0 + vl, pair_state),)
+        ops += tuple(engine.AppendOp(c + y, pair_state) for c, y in zip(ports_c, ports_y))
         out_names = tuple(f"B_{j}" for j in range(e))
-        ops = tuple(engine.GateOp(u, tuple(ports_y[i])) for i in range(n_ports))
+        ops += tuple(engine.GateOp(u, y) for y in ports_y)
         ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(e))
         ops += (
-            engine.PortMeasureOp(
-                "port",
-                tuple(vl),
-                tuple(tuple(g) for g in ports_c),
-                teleport.PBTParams(d_a, n_ports),
-            ),
-            engine.SelectPortOp("port", tuple(tuple(g) for g in ports_y), out_names),
-            engine.DiscardOp(tuple(vl) + tuple(nm for g in ports_c for nm in g)),
+            engine.PortMeasureOp("port", vl, ports_c, teleport.PBTParams(d_a, n_ports)),
+            engine.SelectPortOp("port", ports_y, out_names),
+            engine.DiscardOp(vl + tuple(nm for g in ports_c for nm in g)),
             engine.CorrectionOp(labels, out_names, _undo_rule(d, u, labels)),
         )
-        program = engine.Program(d, tuple(a), tuple(init), ops, out_names)
+        program = engine.Program(d, a, ops, out_names)
         out[x] = LocalInteractionProtocol(
-            d, program, out_names,
+            program,
             interaction_qudits=e + n_ports * e,
             interaction_gate_count=0,
             resource_pairs=e,

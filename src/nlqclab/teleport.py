@@ -161,13 +161,11 @@ def _signal(params: PBTParams, i: int) -> np.ndarray:
     return qudit.embed_operator(p, d, n + 1, (0, i + 1)) / d ** (n - 1)
 
 
-def build_pgm(params: PBTParams, cap_dim: int = POVM_DIM_CAP) -> PBTInstance:
+def build_pgm(params: PBTParams) -> PBTInstance:
     """Pretty-good-measurement POVM for the port teleportation instance."""
     dim = params.dim
-    if dim > cap_dim:
-        raise CapExceeded(
-            f"PGM on dimension {dim} exceeds the dense cap {cap_dim}"
-        )
+    if dim > POVM_DIM_CAP:
+        raise CapExceeded(f"PGM on dimension {dim} exceeds the dense cap {POVM_DIM_CAP}")
     sigmas = [_signal(params, i) for i in range(params.n_ports)]
     rho = sum(sigmas)
     vals, vecs = np.linalg.eigh(rho)
@@ -204,44 +202,17 @@ class PBTChannelReport:
         return self.choi_trace_distance <= self.paper_bound_trace + 1e-9
 
 
-def pbt_channel(
-    params: PBTParams,
-    instance: PBTInstance | None = None,
-    cap_dim: int = POVM_DIM_CAP,
-) -> PBTChannelReport:
+def pbt_channel(params: PBTParams, instance: PBTInstance | None = None) -> PBTChannelReport:
     """Exact Choi operator of the PGM port-teleportation channel.
 
-    The full outcome sweep is summed; no sampling.  Output per port i is
-    tr_{else}[(Pi_i (x) I)(rho_A (x) resource)] restricted to R_i.
+    The sum over ports of ``reduced_port_choi``: every outcome is summed,
+    nothing is sampled.
     """
     if instance is None:
-        instance = build_pgm(params, cap_dim)
-    d, n = params.d_a, params.n_ports
-    # pure joint state on regs (A, ref, L_1..L_N, R_1..R_N)
-    psi = qudit.max_entangled_tensor(d)  # (A, ref)
-    for _ in range(n):
-        psi = np.multiply.outer(psi, qudit.max_entangled_tensor(d))
-    # axes currently: A, ref, (L_1, R_1), ..., (L_N, R_N)
-    order = [0, 1] + [2 + 2 * k for k in range(n)] + [3 + 2 * k for k in range(n)]
-    psi = np.transpose(psi, order)  # (A, ref, L_1..L_N, R_1..R_N)
-
-    j = np.zeros((d * d, d * d), dtype=complex)
-    axes = {"A": 0, "ref": 1}
-    for k in range(n):
-        axes[f"L{k}"] = 2 + k
-        axes[f"R{k}"] = 2 + n + k
-    for i in range(n):
-        traced_r = [axes[f"R{k}"] for k in range(n) if k != i]
-        x_axes = [axes["A"]] + [axes[f"L{k}"] for k in range(n)] + traced_r
-        keep = [axes[f"R{i}"], axes["ref"]]
-        psi_m = np.transpose(psi, x_axes + keep).reshape(d ** (2 * n), d * d)
-        m = psi_m.reshape(d ** (n + 1), d ** (n - 1) * d * d)
-        m = instance.povm[i] @ m  # Pi_i acts on (A, L_1..L_N)
-        m = m.reshape(d ** (2 * n), d * d)
-        out = psi_m.conj().T @ m  # (keep', keep) -> transpose below
-        j += out.T
+        instance = build_pgm(params)
+    j = sum(reduced_port_choi(instance))
     j = 0.5 * (j + j.conj().T)
-    target = _phi_projector(d)
+    target = _phi_projector(params.d_a)
     fid = float(np.real(np.trace(target @ j)))
     dist = qudit.trace_distance_matrices(j, target)
     bound = params.diamond_bound()

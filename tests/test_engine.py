@@ -1,5 +1,7 @@
 """One-round protocol engine: constructors, execution, the success bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,11 +81,37 @@ def test_long_program_runs_without_recursion_limit():
     theta = 1e-3
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     ops = tuple(engine.GateOp(rot, ("a",)) for _ in range(1200))
-    program = engine.Program(2, ("a",), (), ops, ("a",))
+    program = engine.Program(2, ("a",), ops, ("a",))
     (branch,) = engine.run_program(program, np.eye(2))
     c, s = np.cos(1200 * theta), np.sin(1200 * theta)
     m = engine.branch_map(branch, program.out_regs)
     assert np.abs(m - np.array([[c, -s], [s, c]])).max() < 1e-9
+
+
+def test_programs_are_a_resource_append_then_the_stages():
+    # split (1, 1) teleports the left core (t = 0); the qutrit circuit at
+    # split (2, 1) has the smaller core on the right (t = 1)
+    c0 = pauli.random_clifford(2, 2, seed=3)
+    c1 = pauli.CliffordCircuit.from_gate_list(
+        3, 3, [("H", (0,), 1), ("CNOT", (0, 2), 1), ("CNOT", (1, 2), 1), ("S", (2,), 1)]
+    )
+    protocols = [
+        engine.clifford_protocol(c0, (1, 1)),
+        engine.clifford_protocol(c1, (2, 1)),
+        engine.bk_protocol(qudit.cnot(2), (1, 1), 2),
+    ]
+    assert [p.meta.get("tele_side") for p in protocols] == [0, 1, None]
+    for p in protocols:
+        k = p.meta["pairs"]
+        assert k > 0
+        head, *rest = p.program.ops
+        assert isinstance(head, engine.AppendOp)
+        assert head.names == tuple(f"L_{i}" for i in range(k)) + tuple(f"R_{i}" for i in range(k))
+        assert np.array_equal(head.vec, engine.Resource.pairs(p.d, k).state)
+        assert len(p.stages) == 4
+        assert tuple(rest) == tuple(op for stage in p.stages for op in stage)
+    assert [f.name for f in dataclasses.fields(engine.Program)] == ["d", "in_regs", "ops", "out_regs"]
+    assert not hasattr(engine, "Stage")
 
 
 def test_reduction_peels_one_sided_gates():
@@ -147,15 +175,10 @@ def test_verify_identity_against_swap_distance():
 def test_bk_reduced_matches_protocol_path():
     for u in (np.eye(4, dtype=complex), qudit.cnot(2)):
         for n in (1, 2):
-            j_red = engine.bk_choi(u, (1, 1), n, method="reduced")
-            j_pro = engine.bk_choi(u, (1, 1), n, method="protocol")
+            j_red = engine.bk_choi(u, (1, 1), n)
+            j_pro = engine.protocol_choi(engine.bk_protocol(u, (1, 1), n))
             assert np.abs(j_red - j_pro).max() < 1e-9
             assert abs(np.trace(j_red).real - 1) < 1e-9
-
-
-def test_bk_choi_rejects_unknown_method():
-    with pytest.raises(UsageError, match="'reduced', 'protocol'"):
-        engine.bk_choi(np.eye(4), (1, 1), 2, method="protcol")
 
 
 def test_bk_reduced_path_reaches_eight_ports_without_a_pgm(monkeypatch):
@@ -264,24 +287,6 @@ def test_bk_error_non_increasing_on_port_grid():
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
-def test_explicit_decomposition_is_honored():
-    # force the full circuit into the interaction even though the built-in
-    # reduction would peel the one-sided dressing
-    gates = [("H", (0,), 1), ("CNOT", (0, 1), 1), ("S", (1,), 1)]
-    c = pauli.CliffordCircuit.from_gate_list(2, 2, gates)
-    full_core = engine.InteractionDecomposition(
-        2, 1, 1,
-        pauli.CliffordCircuit(2, 1, ()), pauli.CliffordCircuit(2, 1, ()),
-        c, pauli.CliffordCircuit(2, 1, ()), pauli.CliffordCircuit(2, 1, ()),
-        (0,), (1,),
-    )
-    p = engine.clifford_protocol(c, (1, 1), decomposition=full_core)
-    maxd, ptot, _ = engine.branch_exactness(p, c.unitary())
-    assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
-    auto = engine.clifford_protocol(c, (1, 1))
-    assert p.meta["pairs"] == auto.meta["pairs"] == 1
-
-
 def test_protocol_validate_passes_for_constructors():
     c = pauli.random_clifford(2, 3, seed=8)
     engine.clifford_protocol(c, (1, 1)).validate()
@@ -303,8 +308,8 @@ def test_bk_works_over_qutrits():
     d2 = qudit.trace_distance_matrices(engine.bk_choi(u, (1, 1), 2), jt)
     assert d2 < d1
     # cross-check the reduced path against the full protocol at N=1
-    j_red = engine.bk_choi(u, (1, 1), 1, method="reduced")
-    j_pro = engine.bk_choi(u, (1, 1), 1, method="protocol")
+    j_red = engine.bk_choi(u, (1, 1), 1)
+    j_pro = engine.protocol_choi(engine.bk_protocol(u, (1, 1), 1))
     assert np.abs(j_red - j_pro).max() < 1e-9
 
 

@@ -102,11 +102,20 @@ def test_surgery_exact_across_dimensions(d, n, n0, seed):
     assert rep.footprint_law and rep.gate_bound
 
 
-def test_sewing_twist_table_is_complete():
-    for d in (2, 3):
-        table = surgery.sewing_twist_table(d)
-        assert set(table) == {(a, b) for a in range(d) for b in range(d)}
-        assert sorted(table.values()) == sorted(table)  # a bijection on labels
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_sewing_outcome_is_the_twist(d):
+    # Bell outcome (a, b) on (s0, s1) of Phi(v0, s0) (x) Phi(s1, v1) leaves
+    # (v0, v1) in (I (x) X^a Z^b)|Phi+>, which clifford_surgery's rule reads
+    bell = qudit.bell_pair(d).amplitudes.reshape(d, d)
+    phi = qudit.max_entangled_tensor(d).reshape(-1)
+    for a in range(d):
+        for b in range(d):
+            proj = qudit.bell_basis_vector(d, a, b).conj().reshape(d, d)
+            vec = np.einsum("vs,st,tw->vw", bell, proj, bell).reshape(-1)
+            want = np.kron(np.eye(d), qudit.weyl(d, a, b)) @ phi
+            assert abs(np.linalg.norm(vec) ** 2 - 1 / d**2) < 1e-12
+            overlap = abs(np.vdot(want, vec)) / (np.linalg.norm(want) * np.linalg.norm(vec))
+            assert abs(overlap - 1) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlqclab import qudit, teleport
+from nlqclab import engine, qudit, teleport
 from nlqclab.errors import CapExceeded
 
 
@@ -123,13 +123,35 @@ def test_trace_distance_respects_min_guarded_bound():
         assert rep.bound_respected()
 
 
+def _port_program(m, n_ports):
+    """Dense port teleportation of m qubits (d_a = 2^m).
+
+    The input is port-measured against the L halves of n_ports groups of m
+    pairs; the R group the outcome names is kept, all else is discarded.
+    """
+    a = engine.input_names(m)
+    ports_l = [tuple(f"L_{k * m + i}" for i in range(m)) for k in range(n_ports)]
+    ports_r = [tuple(f"R_{k * m + i}" for i in range(m)) for k in range(n_ports)]
+    out = tuple(f"B_{i}" for i in range(m))
+    ops = (
+        engine.AppendOp(
+            sum(ports_l, ()) + sum(ports_r, ()), engine.Resource.pairs(2, m * n_ports).state
+        ),
+        engine.PortMeasureOp("port", a, tuple(ports_l), teleport.PBTParams(2**m, n_ports)),
+        engine.SelectPortOp("port", tuple(ports_r), out),
+        engine.DiscardOp(a + sum(ports_l, ())),
+    )
+    return engine.Program(2, a, ops, out)
+
+
 @pytest.mark.parametrize("d_a,n", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2)])
 def test_reduced_port_channel_matches_direct(d_a, n):
-    params = teleport.PBTParams(d_a, n)
-    inst = teleport.build_pgm(params)
-    direct = teleport.pbt_channel(params, inst).choi
+    # d_a = 4 runs as two qubits per port, as bk_protocol does
+    direct = engine.program_choi(_port_program({2: 1, 4: 2}[d_a], n))
+    inst = teleport.build_pgm(teleport.PBTParams(d_a, n))
     reduced = sum(teleport.reduced_port_choi(inst))
     assert np.abs(direct - reduced).max() < 1e-10
+    assert np.abs(teleport.pbt_channel(inst.params, inst).choi - reduced).max() < 1e-14
 
 
 # the dense oracle stops at dimension 2^10: at POVM_DIM_CAP = 2^14 one dense
