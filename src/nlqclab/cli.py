@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import coderouting, engine, gardenhose, geometry, pauli, qudit, surgery, teleport
-from .errors import NlqcError, UsageError
+from .errors import CheckFailed, NlqcError, UsageError
 
 
 def _emit(args, payload, fieldnames=None):
@@ -288,23 +288,28 @@ def cmd_suite(args) -> int:
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             checks.append((name, False, str(exc)))
 
+    def require(ok, what):
+        # not an assert, which python -O strips
+        if not ok:
+            raise CheckFailed(what)
+
     def _teleport_identity():
         for d in (2, 3):
             j = teleport.teleportation_channel_choi(d)
             t = qudit.max_entangled_tensor(d).reshape(-1)
-            assert qudit.trace_distance_matrices(j, np.outer(t, t.conj())) < 1e-9
+            require(qudit.trace_distance_matrices(j, np.outer(t, t.conj())) < 1e-9, f"d={d}")
 
     def _clifford():
         c = pauli.random_clifford(2, 2, seed=args.seed)
         p = engine.clifford_protocol(c, (1, 1))
         maxd, ptot, _ = engine.branch_exactness(p, c.unitary())
-        assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
+        require(maxd < 1e-9 and abs(ptot - 1) < 1e-9, f"distance {maxd}, probability {ptot}")
 
     def _surgery():
         c = pauli.random_clifford(2, 2, seed=args.seed + 1)
         lp = surgery.clifford_surgery(surgery.clifford_normal_form(c, (1, 1)))
         maxd, _, _ = lp.branch_exactness(c.unitary())
-        assert maxd < 1e-9
+        require(maxd < 1e-9, f"distance {maxd}")
 
     def _normal_form():
         # qutrits, so a sign slip shows; the right core is the smaller one, so
@@ -313,46 +318,45 @@ def cmd_suite(args) -> int:
             3, 3, [("H", (0,), 1), ("CNOT", (0, 2), 1), ("CNOT", (1, 2), 1), ("S", (2,), 1)]
         )
         p = engine.clifford_protocol(c, (2, 1))
-        assert p.meta["tele_side"] == 1
+        require(p.meta["tele_side"] == 1, "the left side teleports")
         j = surgery.clifford_normal_form(c, (2, 1)).choi()
-        assert np.abs(j - engine.protocol_choi(p)).max() < 1e-12
+        require(np.abs(j - engine.protocol_choi(p)).max() < 1e-12, "the Choi matrices differ")
 
     def _bk_protocol():
         # the closed form against the assembled program with its dense PGM
         u = qudit.cnot(2)
         j = engine.protocol_choi(engine.bk_protocol(u, (1, 1), 1))
-        assert np.abs(engine.bk_choi(u, (1, 1), 1) - j).max() < 1e-9
+        require(np.abs(engine.bk_choi(u, (1, 1), 1) - j).max() < 1e-9, "the Choi matrices differ")
 
     def _pbt():
         rep = teleport.pbt_channel(teleport.PBTParams(2, 1))
-        assert abs(rep.choi_trace_distance - 0.75) < 1e-9
+        require(abs(rep.choi_trace_distance - 0.75) < 1e-9, f"distance {rep.choi_trace_distance}")
 
     def _gh():
-        assert gardenhose.exhaustive_table(gardenhose.and_strategy()) == {
-            (0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1,
-        }
+        table = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+        require(gardenhose.exhaustive_table(gardenhose.and_strategy()) == table, "wrong AND table")
 
     def _transform():
         prog = gardenhose.and_program()
         tracked = gardenhose.interaction_to_preprocessed(prog)
         for x in (0, 1):
             for y in (0, 1):
-                assert prog.evaluate(x, y) == tracked.evaluate(x, y)
+                require(prog.evaluate(x, y) == tracked.evaluate(x, y), f"x={x}, y={y}")
 
     def _code_route():
         plan = coderouting.and_plan(3)
         psi = qudit.DenseState(3, 1, np.ones(3) / np.sqrt(3))
         rep = coderouting.code_route(plan, 1, 1, psi, rng=np.random.default_rng(args.seed))
-        assert rep.side == 1 and rep.fidelity > 1 - 1e-9
+        require(rep.side == 1 and rep.fidelity > 1 - 1e-9, f"side {rep.side}, F {rep.fidelity}")
 
     def _geometry():
         rep = geometry.verify_connected_wedge(geometry.preset_config("marginal"), 512)
-        assert rep.mutual_information < 1e-9 and rep.ridge_length < 1e-6
+        require(rep.mutual_information < 1e-9 and rep.ridge_length < 1e-6, "not marginal")
 
     def _geometry_delayed():
         rep = geometry.verify_connected_wedge(geometry.preset_config("delayed", 0.2), 64)
-        assert abs(rep.ridge_length - 2 * np.arctanh(np.sin(0.2))) < 1e-12
-        assert rep.saturation_residual < 1e-9
+        require(abs(rep.ridge_length - 2 * np.arctanh(np.sin(0.2))) < 1e-12, "ridge length")
+        require(rep.saturation_residual < 1e-9, f"residual {rep.saturation_residual}")
 
     check("teleport-identity", _teleport_identity)
     check("clifford-protocol", _clifford)
@@ -371,12 +375,12 @@ def cmd_suite(args) -> int:
                 teleport.pbt_channel(teleport.PBTParams(2, n)).choi_fidelity
                 for n in range(1, 5)
             ]
-            assert all(b > a for a, b in zip(fids, fids[1:]))
+            require(all(b > a for a, b in zip(fids, fids[1:])), f"fidelities {fids}")
 
         def _bound():
             c = pauli.random_clifford(2, 2, seed=args.seed + 2)
             rep = engine.product_replacement_check(engine.clifford_protocol(c, (1, 1)))
-            assert rep.passed_full
+            require(rep.passed_full, f"-ln p_suc {rep.rhs}")
 
         check("pbt-monotonicity", _pbt_sweep)
         check("product-replacement-full-I", _bound)

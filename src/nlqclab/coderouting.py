@@ -21,8 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from . import gardenhose as gh
-from . import pauli, qudit
+from . import engine, qudit, teleport
 from .errors import (
     AmbiguousSide,
     DimensionMismatch,
@@ -162,25 +161,6 @@ def _poly_shift(poly, pad):
     return [0] * pad + list(poly)
 
 
-def decode(
-    scheme: ThresholdScheme, state: qudit.DenseState, shares, positions=None
-) -> qudit.DenseState:
-    """Recover the secret from >= k shares of an encoded state.
-
-    ``shares`` are the share indices (fixing which evaluation points are in
-    hand); ``positions`` say where those shares sit inside ``state`` and
-    default to the share indices.  Returns the state with the decode
-    relabeling applied; the secret sits on the k-th listed position.
-    """
-    shares = tuple(shares)
-    positions = tuple(positions) if positions is not None else shares
-    if len(shares) < scheme.k or len(positions) < scheme.k:
-        raise InsufficientShares(f"need {scheme.k} shares, got {len(shares)}")
-    u = scheme.decode_unitary(shares)
-    return qudit.apply_gate(state, u, positions[: scheme.k])
-
-
-
 # ---------------------------------------------------------------------------
 # code-routing plans
 # ---------------------------------------------------------------------------
@@ -258,14 +238,13 @@ def code_route(
     (the garden-hose mechanism); the broadcast outcomes fix the Pauli
     correction applied to each moved share before decoding.  The losing
     side's reduced state is returned as a distance from maximally mixed.
+    ``forced`` maps (share, hop) to a Bell outcome; outcomes not given are
+    drawn with ``rng`` in one ``engine.sample_branch`` of the routing program.
     """
     scheme = plan.scheme
     d, n = scheme.d, scheme.n_shares
     if q_state.d != d or q_state.n != 1:
         raise DimensionMismatch("routed system must be one qudit of matching d")
-    rng = rng or np.random.default_rng(0)
-
-    state = scheme.encode(q_state)
     routes = [_directive_route(dv, x, y) for dv in plan.directives]
     sides = [route[0] for route in routes]
     winners = [i for i in range(n) if len([s for s in sides if s == sides[i]]) >= scheme.k]
@@ -275,53 +254,41 @@ def code_route(
     side = win_sides.pop()
     winning = tuple(i for i in range(n) if sides[i] == side)
 
-    # route the moving shares through real pipes with Bell measurements
-    live = list(range(n))  # share held at each register position
-    cur = state
-    corrections = {}
+    # one program over the shares: each hop appends a pipe and Bell-measures
+    # the share against its near half, so the share moves to the far half
+    shares = tuple(f"share{i}" for i in range(n))
+    regs = list(shares)  # register holding each share
+    ops = ()
     pipes_used = 0
     for i, (share_side, hops, pipes) in enumerate(routes):
         pipes_used += pipes
         if share_side == 0:  # kept, or bounced back to the left: not routed
-            corrections[i] = pauli.PauliWord.identity(d, 1)
             continue
-        err = pauli.PauliWord.identity(d, 1)
-        for hop in range(hops):
-            cur = cur.tensor(qudit.bell_pair(d))
-            near = cur.n - 2
-            f = None
-            if forced is not None and (i, hop) in forced:
-                f = tuple(forced[(i, hop)])
-            res = qudit.measure_generalized_bell(
-                cur, (live.index(i), near), forced=f, rng=rng
+        labels = tuple((i, hop) for hop in range(hops))
+        for label in labels:
+            near, far = f"pipe{i}_{label[1]}_near", f"pipe{i}_{label[1]}_far"
+            ops += (
+                engine.AppendOp((near, far), qudit.bell_pair(d).amplitudes),
+                engine.BellMeasureOp((regs[i], near), label),
             )
-            a, b = res.outcome
-            err = pauli.PauliWord(d, 1, (a,), (b,)).mul(err)
-            cur = res.post_state
-            live.remove(i)
-            live.append(i)  # the share now sits on the pipe's far half
-        corrections[i] = err.inverse()
+            regs[i] = far
+        ops += (engine.PauliCorrectionOp(labels, (regs[i],), teleport.hop_undo_rule(d, labels)),)
+    decoded = tuple(regs[i] for i in winning[: scheme.k])
+    ops += (engine.GateOp(scheme.decode_unitary(winning), decoded),)
+    program = engine.Program(d, shares, ops, tuple(regs))
+    wire = engine.sample_branch(program, scheme.encode(q_state).amplitudes, forced, rng).wire
+    prob = wire.squared_norm()
 
-    for i, corr in corrections.items():
-        if not corr.is_identity():
-            cur = qudit.apply_gate(cur, corr.matrix(), (live.index(i),))
-
-    positions = tuple(live.index(i) for i in winning)
-    decoded = decode(scheme, cur, winning, positions)
-    secret_pos = positions[scheme.k - 1]
-    red = qudit.reduced_from_pure(decoded, (secret_pos,))
-    fid = float(
-        np.real(q_state.amplitudes.conj() @ red.matrix @ q_state.amplitudes)
-    )
-    vec = red.matrix @ q_state.amplitudes
+    red = wire.density_keeping(decoded[-1:]) / prob  # the secret's register
+    fid = float(np.real(q_state.amplitudes.conj() @ red @ q_state.amplitudes))
+    vec = red @ q_state.amplitudes
     recovered = qudit.DenseState(d, 1, vec / np.linalg.norm(vec)) if fid > 1e-9 else q_state
 
     losers = tuple(i for i in range(n) if sides[i] != side)
     if losers:
-        loser_red = qudit.reduced_from_pure(cur, tuple(live.index(i) for i in losers))
-        hiding = qudit.trace_distance(
-            loser_red, qudit.maximally_mixed(d, len(losers))
-        )
+        loser_red = wire.density_keeping([regs[i] for i in losers]) / prob
+        mixed = qudit.maximally_mixed(d, len(losers)).matrix
+        hiding = qudit.trace_distance_matrices(loser_red, mixed)
     else:
         hiding = 0.0
     return RouteReport(side, winning, recovered, fid, hiding, pipes_used)

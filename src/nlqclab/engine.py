@@ -3,10 +3,10 @@
 A protocol is compiled to a flat ``Program`` over named registers.  The
 executor propagates a state tensor (optionally with a column axis carrying
 basis inputs, which turns a pure branch into the matrix of the induced
-linear map) and enumerates or forces measurement outcomes; classical
-outcomes live in a per-branch dict that downstream corrections read.
-Success probabilities and Choi operators are therefore computed by exact
-outcome sweeps, never by sampling.
+linear map) and enumerates, forces or samples measurement outcomes;
+classical outcomes live in a per-branch dict that downstream corrections
+read.  Success probabilities and Choi operators are computed by exact
+outcome sweeps, never by sampling; ``sample_branch`` runs one seeded shot.
 """
 
 from __future__ import annotations
@@ -246,11 +246,14 @@ class Branch:
     pending_discards: tuple
 
 
-def _children(op, wire, outcomes, forced, pgm_cache):
+def _children(op, wire, outcomes, forced, pgm_cache, rng):
     """Lazily yield (outcomes, branch wire) for each outcome of a measurement.
 
-    A branch is pruned below ``BRANCH_PRUNE`` only when there is a choice, so
-    a forced outcome always runs.
+    A forced outcome always runs, and raises ``DimensionMismatch`` when its
+    probability given the branch so far is below 1e-30.  An unforced outcome
+    is drawn with ``rng`` when one is given, by the Born weights of all the
+    children; otherwise every outcome is enumerated and, when there is a
+    choice, a branch below ``BRANCH_PRUNE`` is pruned.
     """
     if isinstance(op, BellMeasureOp):
         kind, choices = tuple, [(a, b) for a in range(wire.d) for b in range(wire.d)]
@@ -264,7 +267,18 @@ def _children(op, wire, outcomes, forced, pgm_cache):
         kind, choices = int, list(range(op.params.n_ports))
         project = lambda i: wire.apply(sqrts[i], names)
     if forced is not None and op.label in forced:
-        choices = [kind(forced[op.label])]
+        c = kind(forced[op.label])
+        w2 = project(c)
+        if w2.squared_norm() < 1e-30 * wire.squared_norm():
+            raise DimensionMismatch(f"outcome {c!r} of {op.label!r} has zero probability")
+        yield {**outcomes, op.label: c}, w2
+        return
+    if rng is not None:
+        wires = [project(c) for c in choices]
+        probs = np.array([w.squared_norm() for w in wires])
+        i = int(rng.choice(len(choices), p=probs / probs.sum()))
+        yield {**outcomes, op.label: choices[i]}, wires[i]
+        return
     for c in choices:
         w2 = project(c)
         if len(choices) > 1 and w2.squared_norm() < BRANCH_PRUNE:
@@ -272,7 +286,7 @@ def _children(op, wire, outcomes, forced, pgm_cache):
         yield {**outcomes, op.label: c}, w2
 
 
-def _run_ops(ops, wire, forced, pgm_cache):
+def _run_ops(ops, wire, forced, pgm_cache, rng):
     """Depth-first branches of ``ops`` applied to ``wire``, without recursion.
 
     A stack frame holds the next op index, the pending discards and a lazy
@@ -300,7 +314,7 @@ def _run_ops(ops, wire, forced, pgm_cache):
             elif isinstance(op, PauliCorrectionOp):
                 wire = wire.apply_pauli(op.word(outcomes), op.targets)
             elif isinstance(op, (BellMeasureOp, PortMeasureOp)):
-                stack.append((i, pending, _children(op, wire, outcomes, forced, pgm_cache)))
+                stack.append((i, pending, _children(op, wire, outcomes, forced, pgm_cache, rng)))
                 break
             elif isinstance(op, SelectPortOp):
                 k = int(outcomes[op.label])
@@ -324,7 +338,24 @@ def run_program(program: Program, input_mat: np.ndarray, *, extra_regs=(), force
     """
     regs = list(program.in_regs) + list(extra_regs)
     wire = Wire.from_matrix(program.d, input_mat, regs)
-    yield from _run_ops(program.ops, wire, forced, {})
+    yield from _run_ops(program.ops, wire, forced, {}, None)
+
+
+def sample_branch(program: Program, input_vec, forced=None, rng=None) -> Branch:
+    """The one branch picked by ``forced``; other outcomes are drawn with ``rng``.
+
+    ``input_vec`` is a pure state on ``in_regs``.  Each drawn outcome costs
+    one ``rng.choice`` over the measurement's outcomes, weighted by Born
+    probability.  An outcome that is neither forced nor drawable raises
+    ``UsageError``; a forced outcome of zero probability, ``DimensionMismatch``.
+    """
+    forced = forced or {}
+    if rng is None:
+        for op in program.ops:
+            if isinstance(op, (BellMeasureOp, PortMeasureOp)) and op.label not in forced:
+                raise UsageError(f"outcome {op.label!r} is not forced and no rng was given")
+    wire = Wire.from_matrix(program.d, np.reshape(input_vec, (-1, 1)), program.in_regs)
+    return next(_run_ops(program.ops, wire, forced, {}, rng))
 
 
 def branch_map(branch: Branch, out_regs, extra_regs=()) -> np.ndarray:

@@ -63,3 +63,7 @@ class UsageError(NlqcError):
 
 class IOFailure(NlqcError):
     pass
+
+
+class CheckFailed(NlqcError):
+    """A self-check (``nlqc suite``) found a wrong result."""

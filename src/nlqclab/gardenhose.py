@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli, qudit
-from .errors import IOFailure, MalformedMatching, MalformedProgram
+from . import engine, pauli, qudit
+from .errors import CapExceeded, DimensionMismatch, IOFailure, MalformedMatching, MalformedProgram
 
 Q = "Q"
 
@@ -145,13 +145,6 @@ class QuantumRoute:
     terminal_state: qudit.DenseState
 
 
-def _registers(strategy: GHStrategy):
-    regs = [Q]
-    for i in range(1, strategy.pipes + 1):
-        regs += [left_node(i), right_node(i)]
-    return regs
-
-
 def gh_quantum_execute(
     strategy: GHStrategy,
     x: int,
@@ -163,51 +156,52 @@ def gh_quantum_execute(
 ) -> QuantumRoute:
     """Run the Bell measurements on real pipes and extract the terminal state.
 
-    ``forced`` maps measured pairs to outcomes; outcomes not given are
-    sampled.  The returned state has the accumulated correction applied, so
-    it reproduces ``q_state`` exactly; the raw correction word is available
-    on the routing outcome.
+    One engine program: the E pipes enter as Bell pairs on L1..LE, R1..RE,
+    each matched pair is Bell-measured under its own label, the terminal
+    gets the path correction and every other register is discarded, which
+    checks that it is unentangled with the carrier.  ``forced`` maps
+    measured pairs to outcomes; outcomes not given are drawn with ``rng``.
+    The returned state has the correction applied, so it reproduces
+    ``q_state`` exactly; the raw correction word is on the routing outcome.
     """
     d = q_state.d
     if q_state.n != 1:
         raise MalformedMatching("the routed system is a single qudit")
+    dim = d ** (1 + 2 * strategy.pipes)
+    if dim > qudit.STATE_ENTRY_CAP:
+        raise CapExceeded(f"state of {dim} entries exceeds cap {qudit.STATE_ENTRY_CAP}")
     route = gh_evaluate(strategy, x, y)
+    pairs = tuple(tuple(pair) for pair in strategy.matched_pairs(x, y))
 
-    live = _registers(strategy)  # names of the unmeasured registers, in order
-    cur = q_state
-    for _ in range(strategy.pipes):
-        cur = cur.tensor(qudit.bell_pair(d))
+    halves = tuple(left_node(i) for i in range(1, strategy.pipes + 1))
+    halves += tuple(right_node(i) for i in range(1, strategy.pipes + 1))
+    measured = {node for pair in pairs for node in pair}
+    untouched = tuple(nm for nm in (Q,) + halves if nm not in measured and nm != route.terminal)
+    ops = (engine.AppendOp(halves, engine.Resource.pairs(d, strategy.pipes).state),)
+    ops += tuple(engine.BellMeasureOp(pair, pair) for pair in pairs)
+    ops += (
+        engine.PauliCorrectionOp(
+            pairs, (route.terminal,), lambda outcomes: _path_correction(d, route.path, outcomes)
+        ),
+        engine.DiscardOp(untouched),
+    )
+    program = engine.Program(d, (Q,), ops, (route.terminal,))
+    branch = engine.sample_branch(program, q_state.amplitudes, forced, rng)
+    try:
+        vec = engine.branch_map(branch, program.out_regs)[:, 0]
+    except DimensionMismatch as exc:
+        raise MalformedMatching("terminal state is not pure") from exc
 
-    # all measurements commute (disjoint pairs); record outcomes per pair
-    measurements = []
-    prob = 1.0
-    for pair in strategy.matched_pairs(x, y):
-        f = None if forced is None else tuple(forced[tuple(pair)])
-        res = qudit.measure_generalized_bell(
-            cur, (live.index(pair[0]), live.index(pair[1])), forced=f, rng=rng
-        )
-        measurements.append((tuple(pair), res.outcome))
-        prob *= res.probability
-        cur = res.post_state
-        live.remove(pair[0])
-        live.remove(pair[1])
-
-    correction = _path_correction(d, route.path, dict(measurements))
+    measurements = tuple((pair, branch.outcomes[pair]) for pair in pairs)
+    correction = _path_correction(d, route.path, branch.outcomes)
     out = RoutingOutcome(route.side, route.terminal, route.path, correction)
-    term_pos = live.index(route.terminal)
-    term = qudit.apply_gate(cur, correction.matrix(), (term_pos,))
-    # everything else must be unentangled with the carrier
-    rho = qudit.reduced_from_pure(term, (term_pos,))
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    if vals[-1] < 1.0 - 1e-9:
-        raise MalformedMatching("terminal state is not pure")
-    vec = vecs[:, -1]
+    prob = branch.wire.squared_norm()
+    vec = vec / np.linalg.norm(vec)
     vec = vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
-    ref = q_state.amplitudes
-    phase = np.vdot(vec, ref)
+    phase = np.vdot(vec, q_state.amplitudes)
     if abs(phase) > 1e-12:
         vec = vec * phase / abs(phase)
-    return QuantumRoute(out, tuple(measurements), prob, qudit.DenseState(d, 1, vec))
+    return QuantumRoute(out, measurements, prob, qudit.DenseState(d, 1, vec))
 
 
 def _path_correction(d: int, path, outcome_by_pair) -> pauli.PauliWord:

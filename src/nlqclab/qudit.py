@@ -9,6 +9,8 @@ Conventions used throughout the package:
 * Generalized Bell outcomes are labelled so that outcome ``(a, b)`` on a
   measured pair leaves the far half of the consumed entangled pair holding
   ``X^a Z^b |psi>`` exactly; the undo correction is ``(X^a Z^b)^dagger``.
+  ``bell_basis_vector`` fixes this convention; the measurement itself is
+  ``engine.Wire.project_bell``.
 
 All values are immutable from the caller's perspective; operations return new
 objects. Randomness enters only through explicitly passed generators.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure
+from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure, UsageError
 
 ATOL = 1e-9
 STATE_ENTRY_CAP = 2**22  # largest dense state vector we agree to build
@@ -269,12 +271,6 @@ def bell_basis_vector(d: int, a: int, b: int) -> np.ndarray:
     return (w @ pair).reshape(-1)
 
 
-def bell_unitary(d: int) -> np.ndarray:
-    """Unitary whose column (a*d + b) is the Bell basis vector for (a, b)."""
-    cols = [bell_basis_vector(d, a, b) for a in range(d) for b in range(d)]
-    return np.array(cols, dtype=complex).T
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -329,16 +325,6 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(rho.d, len(k), partial_trace_matrix(rho.matrix, rho.d, rho.n, k))
 
 
-def reduced_from_pure(state: DenseState, keep) -> DensityOperator:
-    """Reduced density of a pure state without forming the full projector."""
-    k = _check_targets(state.n, keep)
-    d, n = state.d, state.n
-    rest = tuple(q for q in range(n) if q not in k)
-    psi = state.amplitudes.reshape((d,) * n)
-    psi = np.transpose(psi, k + rest).reshape(d ** len(k), d ** len(rest))
-    return DensityOperator(d, len(k), psi @ psi.conj().T)
-
-
 def partial_trace_matrix(mat: np.ndarray, d: int, n: int, keep) -> np.ndarray:
     """partial_trace on a raw matrix (no normalization requirements)."""
     k = tuple(keep)
@@ -384,7 +370,7 @@ def von_neumann_entropy(rho: DensityOperator, base: str = "e") -> float:
         return s
     if base == "2":
         return s / np.log(2.0)
-    raise ValueError(f"unsupported entropy base {base!r}")
+    raise UsageError(f"unsupported entropy base {base!r}")
 
 
 def mutual_information_bipartite(rho: DensityOperator, n_left: int, base="e") -> float:
@@ -500,72 +486,6 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
     """Trace-1 Choi matrix of the unitary channel u . u^dagger."""
     v = np.asarray(u, dtype=complex).reshape(-1) / np.sqrt(u.shape[1])
     return np.outer(v, v.conj())
-
-
-# ---------------------------------------------------------------------------
-# generalized Bell measurement
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BellOutcome:
-    outcome: tuple
-    probability: float
-    post_state: DenseState
-
-
-def measure_generalized_bell(
-    state: DenseState,
-    pair,
-    *,
-    forced: tuple | None = None,
-    rng: np.random.Generator | None = None,
-) -> BellOutcome:
-    """Measure an ordered qudit pair in the generalized Bell basis.
-
-    The measured pair is removed from the register (kept as a classical
-    record in the outcome); the post state lives on the remaining n-2
-    qudits.  With ``forced`` the projection outcome is fixed and its exact
-    Born probability returned; otherwise an outcome is sampled with ``rng``.
-    """
-    i, j = pair
-    if i == j:
-        raise IndexOutOfRange("measured pair must be two distinct qudits")
-    d, n = state.d, state.n
-    overlaps = _bell_overlaps(state, pair)
-    probs = np.linalg.norm(overlaps, axis=1) ** 2
-
-    if forced is not None:
-        a, b = int(forced[0]) % d, int(forced[1]) % d
-        idx = a * d + b
-    else:
-        if rng is None:
-            raise ValueError("sampling a Bell outcome requires an rng")
-        idx = int(rng.choice(d * d, p=probs / probs.sum()))
-        a, b = divmod(idx, d)
-
-    p = float(probs[idx])
-    if p < 1e-30:
-        raise DimensionMismatch(f"outcome {(a, b)} has zero probability")
-    post = overlaps[idx] / np.sqrt(p)
-    # overlap rows inherit the axis order (i, j, rest...), so the remaining
-    # register keeps its original relative order
-    return BellOutcome((a, b), p, DenseState(d, n - 2, post))
-
-
-def bell_outcome_probabilities(state: DenseState, pair) -> np.ndarray:
-    """Born probabilities of every outcome (a, b), shape (d, d)."""
-    overlaps = _bell_overlaps(state, pair)
-    return (np.linalg.norm(overlaps, axis=1) ** 2).reshape(state.d, state.d)
-
-
-def _bell_overlaps(state: DenseState, pair) -> np.ndarray:
-    """Row a*d + b: the amplitude left on the other qudits by outcome (a, b)."""
-    i, j = pair
-    _check_targets(state.n, (i, j))
-    d, n = state.d, state.n
-    psi = state.amplitudes.reshape((d,) * n)
-    psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(d * d, -1)
-    return bell_unitary(d).conj().T @ psi
 
 
 # ---------------------------------------------------------------------------

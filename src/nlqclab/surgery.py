@@ -5,11 +5,10 @@ form (pre-stages V, crossing, post-stages W, all generator circuits) and
 replaces its shared pairs with locally prepared ones sewn together by Bell
 measurements in a small interaction stage; the broadcast outcomes feed Pauli
 corrections computed by conjugation through the stage circuits, so the
-rewritten protocol implements the same channel exactly.  The interaction
-touches 2 pairs-worth of qudits and counts one Hadamard, one CNOT and two
-single-qudit measurements per pair.  The normal form is the
-deferred-measurement form of ``engine.clifford_protocol``, so the
-teleportation wiring is written only there.
+rewritten protocol implements the same channel exactly.  The interaction's
+qudits and gates are counted from the rewritten program's ops.  The normal
+form is the deferred-measurement form of ``engine.clifford_protocol``, so
+the teleportation wiring is written only there.
 
 PBT surgery handles tasks whose right-hand input is a classical label: the
 right stage is replicated onto N locally prepared pair copies and the shared
@@ -179,19 +178,56 @@ class LocalInteractionProtocol:
     ``program`` realizes pre-stages on locally prepared pairs, an
     interaction consisting of Bell measurements (or a port measurement),
     classical broadcast of the outcomes, corrections, and post-stages.
+    The interaction's size is counted from the program (``_interaction``).
     """
 
     program: engine.Program
-    interaction_qudits: int
-    interaction_gate_count: int
     resource_pairs: int
     target: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def interaction_qudits(self) -> int:
+        return _interaction(self.program)[0]
+
+    @property
+    def interaction_gate_count(self) -> int:
+        return _interaction(self.program)[1]
 
     def choi(self) -> np.ndarray:
         return engine.program_choi(self.program)
 
     def branch_exactness(self, target: np.ndarray):
         return engine.program_exactness(self.program, target)
+
+
+def _interaction(program: engine.Program) -> tuple:
+    """(qudits, gates) of the interaction, counted from the program's ops.
+
+    The interaction measurements are the Bell and port measurements that
+    touch no input register; its qudits are the registers they consume.
+    Each counts 4 gates (H, CNOT and two single-qudit measurements) if Bell
+    and none if a port measurement, whose POVM is not decomposed into
+    generators; a gate or circuit on interaction registers not yet measured
+    adds its gates.
+    """
+
+    def measured(op) -> set:
+        if isinstance(op, engine.BellMeasureOp):
+            return set(op.pair)
+        if isinstance(op, engine.PortMeasureOp):
+            return set(op.input_regs).union(*op.port_groups)
+        return set()
+
+    sewing = [op for op in program.ops if measured(op) and not measured(op) & set(program.in_regs)]
+    live = set().union(*map(measured, sewing))
+    qudits, gates = len(live), 0
+    for op in program.ops:
+        if op in sewing:
+            gates += 4 if isinstance(op, engine.BellMeasureOp) else 0
+            live -= measured(op)
+        elif isinstance(op, (engine.GateOp, engine.CircuitOp)) and set(op.targets) <= live:
+            gates += len(op.circuit.gates) if isinstance(op, engine.CircuitOp) else 1
+    return qudits, gates
 
 
 def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
@@ -202,8 +238,7 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
     (a, b) on (s0, s1) leaves (I (x) X^a Z^b)|Phi+> on (v0, v1) up to
     phase, so the outcome is the Weyl twist of the sewn pair; it is
     conjugated through the right V stage and undone before the W stages.
-    The interaction acts on 2 * pairs qudits and costs one Hadamard, one
-    CNOT and two single-qudit measurements per pair.
+    The interaction is the k sewing measurements: 2k qudits and 4k gates.
     """
     d, k = cnf.d, cnf.pairs
     s0 = [f"s0_{j}" for j in range(k)]
@@ -234,13 +269,7 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
         ops += (engine.PauliCorrectionOp(labels, regs_right, correction_rule),)
     ops += tuple(stage_ops[2:]) + (engine.DiscardOp(cnf.discards),)
     program = engine.Program(d, engine.input_names(cnf.n_a0, cnf.n_a1), ops, cnf.out_regs)
-    return LocalInteractionProtocol(
-        program,
-        interaction_qudits=2 * k,
-        interaction_gate_count=4 * k,
-        resource_pairs=k,
-        target=cnf.target,
-    )
+    return LocalInteractionProtocol(program, resource_pairs=k, target=cnf.target)
 
 
 @dataclass(frozen=True)
@@ -255,9 +284,10 @@ class ComplexityReport:
 def complexity_report(lp: LocalInteractionProtocol) -> ComplexityReport:
     """n', gate count and pair count, with the construction-level relations.
 
-    The construction realizes exactly n' = 2 * pairs and at most 4 counted
-    operations per pair; both raw numbers are reported so either reading of
-    the pairs-versus-registers relation can be checked downstream.
+    n' and the gate count are counted from the program's interaction ops;
+    Clifford surgery should realize n' = 2 * pairs and at most 4 counted
+    operations per pair.  The raw numbers are reported too, so either
+    reading of the pairs-versus-registers relation can be checked downstream.
     """
     return ComplexityReport(
         lp.interaction_qudits,
@@ -375,16 +405,10 @@ def pbt_surgery(
             engine.CorrectionOp(labels, out_names, _undo_rule(d, u, labels)),
         )
         program = engine.Program(d, a, ops, out_names)
-        out[x] = LocalInteractionProtocol(
-            program,
-            interaction_qudits=e + n_ports * e,
-            interaction_gate_count=0,
-            resource_pairs=e,
-            target=u,
-        )
+        out[x] = LocalInteractionProtocol(program, resource_pairs=e, target=u)
     return out
 
 
 def pbt_surgery_choi(lp: LocalInteractionProtocol) -> np.ndarray:
     """Choi of a localized one-sided protocol via the referenced input."""
-    return engine.program_choi(lp.program, method="ref")
+    return lp.choi()

@@ -26,7 +26,7 @@ from math import exp, fsum, lgamma, log
 
 import numpy as np
 
-from . import qudit
+from . import pauli, qudit
 from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange
 
 POVM_DIM_CAP = 2**14  # largest dense dimension for PGM operator matrices
@@ -58,8 +58,13 @@ def bell_teleport(
     ``pairs[i] = (near, far)`` names two qudit indices of ``state``; source
     ``i`` is measured against ``near`` and lands on ``far``.  With
     ``correct=True`` the outcome-dependent (X^a Z^b)^dagger undo is applied,
-    reproducing the input exactly.  ``forced`` fixes all outcomes.
+    reproducing the input exactly.  ``forced[i]`` fixes the outcome of
+    source ``i``; the others are drawn with ``rng``.  The run is one
+    ``engine.sample_branch`` of the teleport program over the qudits of
+    ``state``, named by their indices.
     """
+    from . import engine  # engine imports this module
+
     sources = tuple(sources)
     pairs = tuple(tuple(p) for p in pairs)
     if len(sources) != len(pairs):
@@ -67,43 +72,59 @@ def bell_teleport(
     touched = list(sources) + [q for p in pairs for q in p]
     if len(set(touched)) != len(touched):
         raise IndexOutOfRange("sources and pair halves must be distinct qudits")
+    measured = set(sources) | {near for near, _ in pairs}
+    rest = tuple(q for q in range(state.n) if q not in measured)
+    ops = _teleport_ops(state.d, sources, pairs, correct)
+    program = engine.Program(state.d, tuple(range(state.n)), ops, rest)
+    forced = None if forced is None else dict(enumerate(forced))
+    branch = engine.sample_branch(program, state.amplitudes, forced, rng)
+    prob = branch.wire.squared_norm()
+    vec = engine.branch_map(branch, rest)[:, 0] / np.sqrt(prob)
+    outcomes = tuple(branch.outcomes[i] for i in range(len(sources)))
+    return TeleportResult(outcomes, prob, qudit.DenseState(state.d, len(rest), vec))
 
-    live = list(range(state.n))  # original indices of the unmeasured qudits
-    cur = state
-    outcomes = []
-    prob = 1.0
-    for i, (src, (near, far)) in enumerate(zip(sources, pairs)):
-        f = None if forced is None else tuple(forced[i])
-        res = qudit.measure_generalized_bell(
-            cur, (live.index(src), live.index(near)), forced=f, rng=rng
-        )
-        outcomes.append(res.outcome)
-        prob *= res.probability
-        cur = res.post_state
-        live.remove(src)
-        live.remove(near)
+
+def _teleport_ops(d: int, sources, pairs, correct: bool) -> tuple:
+    """Bell measurement i of (source i, near i); then, if ``correct``, the undos."""
+    from . import engine  # engine imports this module
+
+    ops = tuple(
+        engine.BellMeasureOp((src, near), i)
+        for i, (src, (near, _)) in enumerate(zip(sources, pairs))
+    )
     if correct:
-        for (a, b), (_, far) in zip(outcomes, pairs):
-            undo = qudit.weyl(state.d, a, b).conj().T
-            cur = qudit.apply_gate(cur, undo, (live.index(far),))
-    return TeleportResult(tuple(outcomes), prob, cur)
+        ops += tuple(
+            engine.PauliCorrectionOp((i,), (far,), hop_undo_rule(d, (i,)))
+            for i, (_, far) in enumerate(pairs)
+        )
+    return ops
 
 
-def teleportation_channel_choi(d: int, correct: bool = True) -> np.ndarray:
+def hop_undo_rule(d: int, labels: tuple):
+    """Correction rule undoing a chain of Bell teleportation hops.
+
+    A hop reading (a, b) leaves X^a Z^b on the far half, so hops read in
+    ``labels`` order leave their product, the last hop leftmost; the rule
+    returns its inverse as a one-qudit ``PauliWord``.
+    """
+
+    def rule(outcomes):
+        err = pauli.PauliWord.identity(d, 1)
+        for label in labels:
+            a, b = outcomes[label]
+            err = pauli.PauliWord(d, 1, (a,), (b,)).mul(err)
+        return err.inverse()
+
+    return rule
+
+
+def teleportation_channel_choi(d: int) -> np.ndarray:
     """Choi matrix of one-qudit Bell teleportation, all outcomes summed."""
-    ref_in = qudit.bell_pair(d)  # (ref, A)
-    resource = qudit.bell_pair(d)  # (L, R)
-    joint = ref_in.tensor(resource)  # regs: ref, A, L, R
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            res = bell_teleport(
-                joint, sources=(1,), pairs=((2, 3),), forced=((a, b),), correct=correct
-            )
-            # remaining regs: (ref, R); Choi index convention is (out, ref)
-            vec = res.state.amplitudes.reshape(d, d).T.reshape(-1)
-            j += res.probability * np.outer(vec, vec.conj())
-    return j
+    from . import engine  # engine imports this module
+
+    ops = (engine.AppendOp((1, 2), qudit.bell_pair(d).amplitudes),)
+    ops += _teleport_ops(d, (0,), ((1, 2),), True)
+    return engine.program_choi(engine.Program(d, (0,), ops, (2,)))
 
 
 # ---------------------------------------------------------------------------

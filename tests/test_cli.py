@@ -1,7 +1,11 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import nlqclab
 from nlqclab import cli, teleport
 
 
@@ -131,3 +135,21 @@ def test_geometry_resolution_below_one_is_a_usage_error(capsys):
         assert capsys.readouterr().err.startswith("usage error: ")
     code, _ = run(capsys, "geometry", "--preset", "delayed", "--resolution", "1")
     assert code == 0
+
+
+def test_suite_checks_survive_python_optimize():
+    # -O strips assert statements; a wrong teleportation channel must still fail
+    code = (
+        "import sys, numpy as np\n"
+        "from nlqclab import cli, teleport\n"
+        "teleport.teleportation_channel_choi = lambda d: np.zeros((d * d, d * d))\n"
+        "sys.exit(cli.main(['suite', '--quick']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlqclab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    checks = json.loads(proc.stdout)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["teleport-identity"]

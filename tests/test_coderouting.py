@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from nlqclab import coderouting as cr
-from nlqclab import qudit
-from nlqclab.errors import AmbiguousSide, DimensionTooSmall, InsufficientShares
+from nlqclab import engine, qudit
+from nlqclab.errors import AmbiguousSide, DimensionTooSmall, InsufficientShares, UsageError
 
 
 def rand_qudit(d, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=d) + 1j * rng.normal(size=d)
     return qudit.DenseState(d, 1, amp / np.linalg.norm(amp))
+
+
+def reduced(state, keep):
+    """Reduced density matrix of a pure state on the kept qudits."""
+    return engine.Wire.from_matrix(state.d, state.amplitudes, range(state.n)).density_keeping(keep)
 
 
 SCHEMES = [(2, 3, 3), (2, 3, 5), (3, 5, 5)]
@@ -41,9 +46,9 @@ def test_any_k_shares_recover_exactly(k, n, d):
         psi = rand_qudit(d, seed)
         enc = scheme.encode(psi)
         for subset in combinations(range(n), k):
-            dec = cr.decode(scheme, enc, subset)
-            red = qudit.reduced_from_pure(dec, (subset[k - 1],))
-            fid = np.real(psi.amplitudes.conj() @ red.matrix @ psi.amplitudes)
+            dec = qudit.apply_gate(enc, scheme.decode_unitary(subset), subset)
+            red = reduced(dec, (subset[k - 1],))
+            fid = np.real(psi.amplitudes.conj() @ red @ psi.amplitudes)
             assert fid > 1 - 1e-10
 
 
@@ -55,24 +60,23 @@ def test_below_threshold_is_maximally_mixed(k, n, d):
     for psi in states:
         enc = scheme.encode(psi)
         for subset in combinations(range(n), k - 1):
-            red = qudit.reduced_from_pure(enc, subset)
-            dist = qudit.trace_distance(red, qudit.maximally_mixed(d, k - 1))
+            red = reduced(enc, subset)
+            dist = qudit.trace_distance_matrices(red, qudit.maximally_mixed(d, k - 1).matrix)
             assert dist < 1e-9
 
 
 def test_decode_plus_state_round_trip():
     scheme = cr.ThresholdScheme(2, 3, 3)
     plus = qudit.DenseState(3, 1, np.ones(3) / np.sqrt(3))
-    dec = cr.decode(scheme, scheme.encode(plus), (1, 2))
-    red = qudit.reduced_from_pure(dec, (2,))
-    assert np.real(plus.amplitudes.conj() @ red.matrix @ plus.amplitudes) > 1 - 1e-10
+    dec = qudit.apply_gate(scheme.encode(plus), scheme.decode_unitary((1, 2)), (1, 2))
+    red = reduced(dec, (2,))
+    assert np.real(plus.amplitudes.conj() @ red @ plus.amplitudes) > 1 - 1e-10
 
 
 def test_insufficient_shares_raises():
     scheme = cr.ThresholdScheme(2, 3, 3)
-    enc = scheme.encode(qudit.DenseState.computational(3, 1, 1))
     with pytest.raises(InsufficientShares):
-        cr.decode(scheme, enc, (0,))
+        scheme.decode_unitary((0,))
 
 
 def test_small_dimension_rejected():
@@ -106,6 +110,13 @@ def test_and_plan_exhaustive_forced_outcomes():
         for o3 in product(range(3), repeat=2):
             rep = cr.code_route(plan, 1, 1, psi, forced={(1, 0): o2, (2, 0): o3})
             assert rep.side == 1 and rep.fidelity > 1 - 1e-9
+
+
+def test_unforced_outcome_without_rng_is_a_usage_error():
+    # the y-owned share's hop is forced, the x-owned share's is not
+    psi = qudit.DenseState.computational(3, 1, 0)
+    with pytest.raises(UsageError):
+        cr.code_route(cr.and_plan(3), 1, 1, psi, forced={(2, 0): (0, 0)})
 
 
 def test_or_plan_bounce_case_forced():

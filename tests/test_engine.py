@@ -193,6 +193,31 @@ def test_bk_reduced_path_reaches_eight_ports_without_a_pgm(monkeypatch):
         assert abs(dist - (1 - teleport.pgm_fidelity(4, 8))) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_port_outcome_weighs_as_its_forced_branch(seed):
+    program = engine.bk_protocol(qudit.cnot(2), (1, 1), 2).program
+    gen = np.random.default_rng(100 + seed)
+    psi = gen.normal(size=4) + 1j * gen.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    sampled = engine.sample_branch(program, psi, rng=np.random.default_rng(seed))
+    forced = engine.sample_branch(program, psi, forced=sampled.outcomes)
+    assert forced.outcomes == sampled.outcomes
+    assert abs(sampled.wire.squared_norm() - forced.wire.squared_norm()) < 1e-12
+
+    # the same draws by hand: one rng.choice per measurement over the Born
+    # weights of its outcomes, the Bell outcome first, then the port
+    def weight(fixed):
+        branches = engine.run_program(program, psi.reshape(-1, 1), forced=fixed)
+        return sum(br.wire.squared_norm() for br in branches)
+
+    rng = np.random.default_rng(seed)
+    bell = [(a, b) for a in range(2) for b in range(2)]
+    p = np.array([weight({"x_0": ab}) for ab in bell])
+    x = bell[rng.choice(4, p=p / p.sum())]
+    p = np.array([weight({"x_0": x, "port": k}) for k in range(2)])
+    assert sampled.outcomes == {"x_0": x, "port": int(rng.choice(2, p=p / p.sum()))}
+
+
 def test_bk_identity_single_port_equals_pbt():
     j = engine.bk_choi(np.eye(4, dtype=complex), (1, 1), 1)
     rep = teleport.pbt_channel(teleport.PBTParams(4, 1))

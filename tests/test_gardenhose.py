@@ -7,7 +7,7 @@ import pytest
 
 from nlqclab import gardenhose as gh
 from nlqclab import qudit
-from nlqclab.errors import MalformedMatching, MalformedProgram
+from nlqclab.errors import MalformedMatching, MalformedProgram, UsageError
 
 
 def rand_qubit(seed):
@@ -92,6 +92,11 @@ def test_quantum_execution_sampled_outcomes():
     run = gh.gh_quantum_execute(gh.or_strategy(), 0, 0, psi, rng=rng)
     assert run.outcome.side == 0
     assert abs(np.vdot(run.terminal_state.amplitudes, psi.amplitudes)) ** 2 > 1 - 1e-10
+
+
+def test_unforced_outcome_without_rng_is_a_usage_error():
+    with pytest.raises(UsageError):
+        gh.gh_quantum_execute(gh.or_strategy(), 0, 0, rand_qubit(5))
 
 
 def test_qutrit_pipes_also_work():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nlqclab import qudit
-from nlqclab.errors import DimensionMismatch, IndexOutOfRange
+from nlqclab import engine, qudit
+from nlqclab.errors import DimensionMismatch, IndexOutOfRange, UsageError
 
 
 def random_state(d, n, seed):
@@ -172,24 +172,38 @@ def test_channel_completeness_enforced():
 # generalized Bell measurements
 # ---------------------------------------------------------------------------
 
+def bell_program(d, n):
+    """Program over qudits 0..n-1 measuring (0, 1) in the Bell basis as "m"."""
+    rest = tuple(range(2, n))
+    return engine.Program(d, tuple(range(n)), (engine.BellMeasureOp((0, 1), "m"),), rest)
+
+
+def bell_probabilities(st):
+    """Born probability of every outcome (a, b) of measuring (0, 1), shape (d, d)."""
+    probs = np.zeros((st.d, st.d))
+    for br in engine.run_program(bell_program(st.d, st.n), st.amplitudes.reshape(-1, 1)):
+        probs[br.outcomes["m"]] = br.wire.squared_norm()
+    return probs
+
+
 def test_bell_measurement_of_bell_pair_is_deterministic():
-    res = qudit.measure_generalized_bell(qudit.bell_pair(2), (0, 1), forced=(0, 0))
-    assert abs(res.probability - 1) < 1e-12
-    got = qudit.bell_outcome_probabilities(qudit.bell_pair(2), (0, 1))
+    br = engine.sample_branch(bell_program(2, 2), qudit.bell_pair(2).amplitudes, {"m": (0, 0)})
+    assert abs(br.wire.squared_norm() - 1) < 1e-12
+    got = bell_probabilities(qudit.bell_pair(2))
     assert abs(got[0, 0] - 1) < 1e-12 and abs(got.sum() - 1) < 1e-12
 
 
 def test_twisted_bell_pair_reads_its_label():
     st = qudit.bell_pair(2)
     twisted = qudit.apply_gate(st, qudit.weyl_x(2), (0,))
-    probs = qudit.bell_outcome_probabilities(twisted, (0, 1))
+    probs = bell_probabilities(twisted)
     assert abs(probs[1, 0] - 1) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_forced_outcomes_sum_to_one(d):
     st = random_state(d, 2, 21 + d)
-    probs = qudit.bell_outcome_probabilities(st, (0, 1))
+    probs = bell_probabilities(st)
     assert abs(probs.sum() - 1) < 1e-9
 
 
@@ -197,20 +211,25 @@ def test_forced_outcomes_sum_to_one(d):
 def test_teleport_correct_for_all_forced_outcomes(d):
     psi = random_state(d, 1, 4)
     st = psi.tensor(qudit.bell_pair(d))
+    program = bell_program(d, 3)
     for a in range(d):
         for b in range(d):
-            res = qudit.measure_generalized_bell(st, (0, 1), forced=(a, b))
+            br = engine.sample_branch(program, st.amplitudes, {"m": (a, b)})
+            post = engine.branch_map(br, program.out_regs)[:, 0] / np.sqrt(br.wire.squared_norm())
             undo = qudit.weyl(d, a, b).conj().T
-            fixed = qudit.apply_gate(res.post_state, undo, (0,))
+            fixed = qudit.apply_gate(qudit.DenseState(d, 1, post), undo, (0,))
             assert np.abs(fixed.amplitudes - psi.amplitudes).max() < 1e-9
 
 
 def test_sampled_measurement_matches_forced_probabilities():
     st = random_state(2, 2, 9)
     rng = np.random.default_rng(0)
-    res = qudit.measure_generalized_bell(st, (0, 1), rng=rng)
-    probs = qudit.bell_outcome_probabilities(st, (0, 1))
-    assert abs(res.probability - probs[res.outcome]) < 1e-12
+    br = engine.sample_branch(bell_program(2, 2), st.amplitudes, rng=rng)
+    probs = bell_probabilities(st)
+    assert abs(br.wire.squared_norm() - probs[br.outcomes["m"]]) < 1e-12
+    # one draw over the outcomes (a, b) in row-major order, by Born weight
+    want = np.random.default_rng(0).choice(4, p=probs.ravel() / probs.sum())
+    assert br.outcomes["m"] == divmod(int(want), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +275,8 @@ def test_entropy_units():
     assert abs(qudit.von_neumann_entropy(rho, "2") - 1.0) < 1e-12
     bell = qudit.bell_pair(3).density()
     assert abs(qudit.mutual_information_bipartite(bell, 1, "2") - 2 * np.log2(3)) < 1e-9
+    with pytest.raises(UsageError):
+        qudit.von_neumann_entropy(rho, base="10")
 
 
 def test_from_choi_rejects_bad_operators():

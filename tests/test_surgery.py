@@ -1,5 +1,7 @@
 """Clifford surgery exactness and PBT surgery trends."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ def test_swap_surgery_footprint_and_exactness():
     assert rep.interaction_gate_count == 4
     assert rep.resource_pairs == 1
     assert rep.footprint_law and rep.gate_bound
+
+
+def test_extra_sewing_gate_breaks_the_gate_bound():
+    lp = surgery.clifford_surgery(surgery.clifford_normal_form(SWAP, (1, 1)))
+    ops = lp.program.ops
+    i = next(i for i, op in enumerate(ops) if isinstance(op, engine.BellMeasureOp))
+    extra = engine.GateOp(qudit.hadamard(2), ("s0_0",))
+    program = dataclasses.replace(lp.program, ops=ops[:i] + (extra,) + ops[i:])
+    rep = surgery.complexity_report(dataclasses.replace(lp, program=program))
+    assert rep.interaction_gate_count == 5 and not rep.gate_bound
+    assert rep.interaction_qudits == 2 and rep.footprint_law
 
 
 def test_zero_pair_surgery_is_identity_transform():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlqclab import engine, qudit, teleport
-from nlqclab.errors import CapExceeded
+from nlqclab.errors import CapExceeded, DimensionMismatch, UsageError
 
 
 def rand_qudit(d, seed):
@@ -62,6 +62,19 @@ def test_two_qudit_teleport_through_two_pairs():
         st, (0, 1), ((2, 3), (4, 5)), forced=((1, 0), (0, 1))
     )
     assert np.abs(res.state.amplitudes - psi.amplitudes).max() < 1e-9
+
+
+def test_unforced_teleport_needs_an_rng():
+    st = rand_qudit(2, 3).tensor(qudit.bell_pair(2))
+    with pytest.raises(UsageError):
+        teleport.bell_teleport(st, (0,), ((1, 2),))
+
+
+def test_zero_probability_outcome_is_rejected():
+    # qudits 0 and 1 form |Phi+>, so their Bell outcome is (0, 0) with certainty
+    st = qudit.bell_pair(2).tensor(qudit.DenseState.computational(2, 1, 0))
+    with pytest.raises(DimensionMismatch):
+        teleport.bell_teleport(st, (0,), ((1, 2),), forced=((1, 0),))
 
 
 # ---------------------------------------------------------------------------
