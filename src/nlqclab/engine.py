@@ -20,6 +20,7 @@ from . import pauli, qudit, teleport
 from .errors import CapExceeded, DimensionMismatch, IOFailure, UsageError
 
 BRANCH_PRUNE = 1e-22  # squared-norm threshold below which a branch is dropped
+BATCH_BUDGET = 2**23  # peak tensor entries a column batch of sweep_branch_maps may reach
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ class Wire:
         m = t.reshape(d ** len(keep), d ** len(drop))
         return m @ m.conj().T
 
-    def factor_out(self, names, atol=1e-9) -> "Wire":
+    def factor_out(self, names) -> "Wire":
         """Drop registers that are in a product state with the rest."""
         if not names:
             return self
@@ -139,7 +140,7 @@ class Wire:
         m = t.reshape(d ** len(names), -1)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         nrm = np.linalg.norm(s)
-        if nrm > 0 and (np.linalg.norm(s[1:]) > atol * nrm):
+        if nrm > 0 and (np.linalg.norm(s[1:]) > qudit.ATOL * nrm):
             raise DimensionMismatch(
                 "discarded registers are entangled with the remainder"
             )
@@ -383,6 +384,11 @@ class Resource:
     @classmethod
     def pairs(cls, d: int, k: int) -> "Resource":
         """k maximally entangled pairs; register order L_1..L_k R_1..R_k."""
+        if d ** (2 * k) > qudit.STATE_ENTRY_CAP:
+            raise CapExceeded(
+                f"{k} pairs at d={d} need {d ** (2 * k)} state entries, cap "
+                f"{qudit.STATE_ENTRY_CAP}"
+            )
         vec = np.ones(1, dtype=complex)
         for _ in range(k):
             vec = np.kron(vec, qudit.bell_pair(d).amplitudes)
@@ -392,31 +398,15 @@ class Resource:
             vec = np.transpose(t, order).reshape(-1)
         return cls(d, k, k, vec, pair_count=k)
 
-    def density(self) -> qudit.DensityOperator:
-        return qudit.DensityOperator(
-            self.d, self.n_l + self.n_r, np.outer(self.state, self.state.conj())
-        )
-
-    def product_replacement(self) -> list:
-        """Eigen-ensemble of rho_L (x) rho_R, as (weight, vector) pairs."""
-        rho = self.density()
-        left = qudit.partial_trace(rho, range(self.n_l))
-        right = qudit.partial_trace(rho, range(self.n_l, self.n_l + self.n_r))
-        wl, vl = np.linalg.eigh(left.matrix)
-        wr, vr = np.linalg.eigh(right.matrix)
-        out = []
-        for pl, ul in zip(wl, vl.T):
-            if pl < 1e-14:
-                continue
-            for pr, ur in zip(wr, vr.T):
-                if pr < 1e-14:
-                    continue
-                out.append((float(pl * pr), np.kron(ul, ur)))
-        return out
-
     def account(self) -> "ResourceAccount":
-        rho = self.density()
-        nats = qudit.mutual_information_bipartite(rho, self.n_l, base="e")
+        """Mutual information I(L:R) = 2 S(rho_L) of the pure resource.
+
+        rho_L = M M^dagger, with M the amplitude vector as a d^n_l x d^n_r
+        matrix, so the full density matrix is never built.
+        """
+        m = self.state.reshape(self.d**self.n_l, self.d**self.n_r)
+        left = qudit.DensityOperator(self.d, self.n_l, m @ m.conj().T)
+        nats = 2.0 * qudit.von_neumann_entropy(left, base="e")
         ebits = nats / np.log(2.0)
         return ResourceAccount(self.pair_count, nats, ebits)
 
@@ -512,14 +502,16 @@ def assemble_protocol(
     The resource halves are named L_i and R_i and enter as the leading
     ``AppendOp`` (none when the resource has no registers); the ops of
     ``stages`` = (b_left, b_right, c_left, c_right) follow in that order.
+    ``meta["pairs"]`` is the resource's pair count.
     """
     halves = tuple(f"L_{i}" for i in range(resource.n_l))
     halves += tuple(f"R_{i}" for i in range(resource.n_r))
     ops = (AppendOp(halves, resource.state),) if halves else ()
     ops += tuple(op for stage in stages for op in stage)
     program = Program(d, input_names(n0, n1), ops, tuple(out_regs))
+    meta = {**(meta or {}), "pairs": resource.pair_count}
     return OneRoundProtocol(
-        d, n0, n1, resource, tuple(stages), program, target=target, meta=dict(meta or {}),
+        d, n0, n1, resource, tuple(stages), program, target=target, meta=meta,
     )
 
 
@@ -549,8 +541,8 @@ def execute(
     return qudit.DensityOperator(d, n_in + n_ref, total)
 
 
-def _auto_batch(program: Program, budget: int = 2**23) -> int:
-    """Column batch size keeping the peak tensor under ``budget`` entries."""
+def _auto_batch(program: Program) -> int:
+    """Column batch size keeping the peak tensor under ``BATCH_BUDGET`` entries."""
     d = program.d
     peak = live = len(program.in_regs)
     for op in program.ops:
@@ -560,10 +552,10 @@ def _auto_batch(program: Program, budget: int = 2**23) -> int:
         elif isinstance(op, BellMeasureOp):
             live -= 2
     dim = d ** len(program.in_regs)
-    return int(max(1, min(dim, budget // max(1, d**peak))))
+    return int(max(1, min(dim, BATCH_BUDGET // max(1, d**peak))))
 
 
-def sweep_branch_maps(program: Program, batch: int | None = None):
+def sweep_branch_maps(program: Program):
     """Assembled (outcomes, M) per forced branch, run in column batches.
 
     M is the unnormalized matrix of the branch map on the program inputs;
@@ -572,8 +564,7 @@ def sweep_branch_maps(program: Program, batch: int | None = None):
     """
     d = program.d
     dim = d ** len(program.in_regs)
-    if batch is None:
-        batch = _auto_batch(program)
+    batch = _auto_batch(program)
     acc: dict = {}
     for start in range(0, dim, batch):
         stop = min(dim, start + batch)
@@ -605,37 +596,21 @@ def program_density(program: Program, input_vec, extra_regs=(), forced=None) -> 
     return total
 
 
-def program_choi(program: Program, *, method: str = "auto") -> np.ndarray:
+def program_choi(program: Program) -> np.ndarray:
     """Trace-1 Choi matrix of the program channel on its input registers.
 
-    ``columns`` sums the rank-1 Chois of the pure branch maps, which needs
-    every discarded register to end in a product state; ``ref`` feeds half
-    of a maximally entangled state beside reference registers and traces
-    everything else out.  ``auto`` takes ``ref`` exactly when the program
-    selects ports, discards registers or port-measures.
+    The inputs are fed one half of a maximally entangled state, the other
+    half sitting on reference registers ``ref_i``; the output and reference
+    registers are kept and everything else is traced out.
     """
-    if method not in ("auto", "columns", "ref"):
-        raise UsageError(f"Choi method {method!r} is not one of 'auto', 'columns', 'ref'")
     n_in = len(program.in_regs)
-    dim = program.d**n_in
-    if method == "auto":
-        traced = any(
-            isinstance(op, (SelectPortOp, DiscardOp, PortMeasureOp)) for op in program.ops
-        )
-        method = "ref" if traced else "columns"
-    if method == "columns":
-        j = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for _, m in sweep_branch_maps(program):
-            v = m.reshape(-1)
-            j += np.outer(v, v.conj()) / dim
-        return j
     ref = [f"ref_{i}" for i in range(n_in)]
-    return program_density(program, qudit.max_entangled_tensor(dim), ref)
+    return program_density(program, qudit.max_entangled_tensor(program.d**n_in), ref)
 
 
-def protocol_choi(protocol: OneRoundProtocol, *, method: str = "auto") -> np.ndarray:
+def protocol_choi(protocol: OneRoundProtocol) -> np.ndarray:
     """Trace-1 Choi matrix of the protocol channel on its input registers."""
-    return program_choi(protocol.program, method=method)
+    return program_choi(protocol.program)
 
 
 @dataclass(frozen=True)
@@ -856,7 +831,7 @@ def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundP
     )
     out_regs = tele_out + a[f] if t == 0 else a[f] + tele_out
 
-    meta = {"decomposition": dec, "pairs": k, "labels": labels, "tele_side": t}
+    meta = {"decomposition": dec, "tele_side": t}
     return assemble_protocol(
         d, n0, n1, Resource.pairs(d, k), stages, out_regs,
         target=circuit.unitary(), meta=meta,
@@ -912,11 +887,9 @@ def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
         SelectPortOp("port", ports_l, out_names),
         DiscardOp(f1 + a1 + tuple(nm for g in ports_r for nm in g)),
     )
-    k_pairs = n0 + n_ports * n
-    meta = {"n_ports": n_ports, "pairs": k_pairs, "d_a": d_a}
     return assemble_protocol(
-        d, n0, n1, Resource.pairs(d, k_pairs), (b_left, b_right, c_left, ()), out_names,
-        target=u, meta=meta,
+        d, n0, n1, Resource.pairs(d, n0 + n_ports * n), (b_left, b_right, c_left, ()), out_names,
+        target=u,
     )
 
 
@@ -983,53 +956,47 @@ def projector_task(target_u: np.ndarray):
     return task
 
 
-def _success_probability(protocol: OneRoundProtocol, task, resource_vecs) -> float:
-    """Exact success probability with the resource replaced by an ensemble.
+def _product_program(protocol: OneRoundProtocol) -> Program:
+    """The protocol's program run on a purification of rho_L (x) rho_R.
 
-    The task is a POVM expectation, hence linear in the density, so it is
-    applied once to the output (x) reference density summed over the
-    ensemble and all branches.
+    The leading resource ``AppendOp`` becomes two copies of the resource
+    state: the first puts its L factor on the L halves and its R factor on
+    purifier registers, the second its L factor on purifiers and its R
+    factor on the R halves.  The purifiers, named ``("purifier", name)`` so
+    that no register can collide with them, are traced out with every other
+    unkept register, which leaves exactly rho_L (x) rho_R on the halves.  A
+    resource with no registers leaves the program unchanged.
     """
-    prog = protocol.program
-    n_in = len(prog.in_regs)
-    ref = [f"ref_{i}" for i in range(n_in)]
-    inp = qudit.max_entangled_tensor(prog.d**n_in)
-    res = protocol.resource
-
-    def with_resource(vec) -> Program:
-        # the leading AppendOp carries the resource whenever it has registers
-        if res.n_l + res.n_r == 0:
-            return prog
-        return replace(prog, ops=(AppendOp(prog.ops[0].names, vec),) + prog.ops[1:])
-
-    rho = sum(
-        weight * program_density(with_resource(vec), inp, ref) for weight, vec in resource_vecs
+    prog, res = protocol.program, protocol.resource
+    if res.n_l + res.n_r == 0:
+        return prog
+    names = prog.ops[0].names
+    left, right = names[: res.n_l], names[res.n_l :]
+    purifiers = lambda regs: tuple(("purifier", nm) for nm in regs)
+    copies = (
+        AppendOp(left + purifiers(right), res.state),
+        AppendOp(purifiers(left) + right, res.state),
     )
-    return task(rho)
+    return replace(prog, ops=copies + prog.ops[1:])
 
 
-def product_replacement_check(
-    protocol: OneRoundProtocol, task=None, *, slack: float = 1e-9
-) -> BoundReport:
+def product_replacement_check(protocol: OneRoundProtocol, task=None) -> BoundReport:
     """Check I(L:R)/2 >= -ln p_suc under product replacement of the resource.
 
-    The task is a POVM expectation on the unnormalized output (x) reference
-    density (defaults to the projector onto the protocol target's Choi
-    state); applied to the density summed over all branches it gives the
-    success probability, computed once with the true resource and once with
-    the product of its marginals.
+    The task is a POVM expectation on the output (x) reference density
+    (defaults to the projector onto the protocol target's Choi state), so
+    applied to the Choi matrix, whose sweep sums all branches, it gives the
+    success probability.  It is computed once with the true resource and
+    once on ``_product_program``, which purifies the product of its
+    marginals: two density sweeps in all.
     """
     if task is None:
         if protocol.target is None:
             raise DimensionMismatch("no target recorded; pass an explicit task")
         task = projector_task(protocol.target)
     account = protocol.resource.account()
-    p_orig = _success_probability(
-        protocol, task, [(1.0, protocol.resource.state)]
-    )
-    p_prod = _success_probability(
-        protocol, task, protocol.resource.product_replacement()
-    )
+    p_orig = task(program_choi(protocol.program))
+    p_prod = task(program_choi(_product_program(protocol)))
     lhs = account.mutual_information_nats / 2.0
     rhs = -np.log(max(p_prod, 1e-300))
     return BoundReport(
@@ -1039,8 +1006,8 @@ def product_replacement_check(
         p_prod,
         lhs,
         float(rhs),
-        bool(lhs >= rhs - slack),
-        bool(account.mutual_information_nats >= rhs - slack),
+        bool(lhs >= rhs - qudit.ATOL),
+        bool(account.mutual_information_nats >= rhs - qudit.ATOL),
     )
 
 

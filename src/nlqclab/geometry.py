@@ -29,6 +29,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyDiamond, EmptyRegion, NotOnQuadric
 
 ETA = np.diag([-1.0, -1.0, 1.0, 1.0])
+REGION_TOL = 1e-7  # a scattering-region margin down to -REGION_TOL still counts as inside
+REGION_REFINEMENTS = 18  # zoom steps of the scattering-region search around its best point
 
 
 def mink(u: np.ndarray, v: np.ndarray) -> float:
@@ -173,9 +175,7 @@ class RegionReport:
     witness: BulkPoint | None
 
 
-def scattering_region_nonempty(
-    cfg: ScatteringConfig, *, tol: float = 1e-7, refinements: int = 18
-) -> RegionReport:
+def scattering_region_nonempty(cfg: ScatteringConfig) -> RegionReport:
     """Search the quadric for a point inside all four cones.
 
     A coarse grid over (t, tanh rho, theta) is refined around the best
@@ -191,7 +191,7 @@ def scattering_region_nonempty(
     th_rng = (0.0, 2 * np.pi)
     best, at = _margin_grid(cfg, t_rng, u_rng, th_rng, 33, 21, 65)
     spans = [t_hi - t_lo, 0.999, 2 * np.pi]
-    for _ in range(refinements):
+    for _ in range(REGION_REFINEMENTS):
         spans = [s * 0.35 for s in spans]
         t_rng = (at[0] - spans[0] / 2, at[0] + spans[0] / 2)
         u_rng = (max(0.0, at[1] - spans[1] / 2), min(0.999, at[1] + spans[1] / 2))
@@ -200,7 +200,7 @@ def scattering_region_nonempty(
         if cand > best:
             best, at = cand, cand_at
     witness = BulkPoint(at[0], float(np.arctanh(min(at[1], 1 - 1e-12))), at[2])
-    return RegionReport(best >= -tol, best, witness if best >= -tol else None)
+    return RegionReport(best >= -REGION_TOL, best, witness if best >= -REGION_TOL else None)
 
 
 # ---------------------------------------------------------------------------

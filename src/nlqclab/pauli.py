@@ -22,6 +22,7 @@ from . import qudit
 from .errors import DimensionMismatch, IndexOutOfRange, NotClifford
 
 CLIFFORD_GATES = ("H", "S", "CNOT", "X", "Z")
+UNITARY_DIM_CAP = 4096  # largest dimension StabilizerTableau.to_unitary builds
 
 
 def _phase_mod(d: int) -> int:
@@ -250,13 +251,10 @@ class StabilizerTableau:
             raise DimensionMismatch("tableau needs n X-rows and n Z-rows")
         self.validate()
 
-    def rows(self):
-        return tuple(self.x_images) + tuple(self.z_images)
-
     def validate(self) -> None:
         d, n = self.d, self.n
-        rows = self.rows()
         # commutation structure must match the generator words'
+        # (a nondegenerate Gram matrix, so the 2n rows are independent over Z_d)
         for i in range(n):
             for j in range(n):
                 want_xz = -1 % d if i == j else 0
@@ -266,8 +264,6 @@ class StabilizerTableau:
                     raise DimensionMismatch("tableau violates X/X commutation")
                 if self.z_images[i].symplectic_product(self.z_images[j]) != 0:
                     raise DimensionMismatch("tableau violates Z/Z commutation")
-        if _rank_mod(np.array([row.x + row.z for row in rows], dtype=np.int64), d) != 2 * n:
-            raise DimensionMismatch("tableau exponent matrix is singular over Z_d")
 
     def conjugate(self, p: PauliWord) -> PauliWord:
         """Image of an arbitrary word, rebuilt from the generator images."""
@@ -284,7 +280,7 @@ class StabilizerTableau:
                 out = out.mul(self.z_images[q])
         return PauliWord(self.d, self.n, out.x, out.z, out.phase + p.phase)
 
-    def to_unitary(self, cap_dim: int = 4096) -> np.ndarray:
+    def to_unitary(self) -> np.ndarray:
         """Dense unitary reproducing the tableau, fixed up to global phase.
 
         The first column is reconstructed as the joint +1 eigenvector of the
@@ -293,8 +289,8 @@ class StabilizerTableau:
         """
         d, n = self.d, self.n
         dim = d**n
-        if dim > cap_dim:
-            raise DimensionMismatch(f"dense reconstruction capped at {cap_dim}")
+        if dim > UNITARY_DIM_CAP:
+            raise DimensionMismatch(f"dense reconstruction capped at {UNITARY_DIM_CAP}")
         proj = np.eye(dim, dtype=complex)
         for zi in self.z_images:
             m = zi.matrix()
@@ -330,30 +326,6 @@ def _digits(k: int, d: int, n: int) -> tuple:
         out.append(k % d)
         k //= d
     return tuple(reversed(out))
-
-
-def _rank_mod(m: np.ndarray, d: int) -> int:
-    a = np.array(m, dtype=np.int64) % d
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c] % d:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), -1, d)
-        a[rank] = (a[rank] * inv) % d
-        for r in range(rows):
-            if r != rank and a[r, c]:
-                a[r] = (a[r] - a[r, c] * a[rank]) % d
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def tableau_simulate(circuit: CliffordCircuit) -> StabilizerTableau:

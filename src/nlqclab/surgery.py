@@ -62,8 +62,7 @@ class CliffordOneRound:
         return engine.Program(self.d, in_regs, ops, self.out_regs)
 
     def choi(self) -> np.ndarray:
-        # the messages end in a product state, which the column path checks
-        return engine.program_choi(self.program(), method="columns")
+        return engine.program_choi(self.program())
 
     def branch_exactness(self, target: np.ndarray):
         return engine.program_exactness(self.program(), target)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlqclab import engine, pauli, qudit, teleport
-from nlqclab.errors import UsageError
+from nlqclab.errors import CapExceeded
 
 
 SWAP_GATES = [("CNOT", (0, 1), 1), ("CNOT", (1, 0), 1), ("CNOT", (0, 1), 1)]
@@ -145,17 +145,14 @@ def test_forced_execution_is_normalized():
 
 
 def test_choi_paths_agree():
+    # oracle: the rank-1 Chois vec(M) vec(M)^dagger / dim of the branch maps
     c = pauli.random_clifford(2, 2, seed=3)
     p = engine.clifford_protocol(c, (1, 1))
-    assert np.abs(
-        engine.protocol_choi(p, method="columns") - engine.protocol_choi(p, method="ref")
-    ).max() < 1e-10
-
-
-def test_program_choi_rejects_unknown_method():
-    p = engine.clifford_protocol(pauli.random_clifford(2, 2, seed=3), (1, 1))
-    with pytest.raises(UsageError, match="'auto', 'columns', 'ref'"):
-        engine.program_choi(p.program, method="column")
+    want = np.zeros((16, 16), dtype=complex)
+    for _, m in engine.sweep_branch_maps(p.program):
+        v = m.reshape(-1)
+        want += np.outer(v, v.conj()) / 4
+    assert np.abs(engine.protocol_choi(p) - want).max() < 1e-10
 
 
 def test_verify_identity_against_swap_distance():
@@ -278,6 +275,55 @@ def test_full_information_bound_holds_on_seeded_protocols(d):
         rep = engine.product_replacement_check(engine.clifford_protocol(c, (1, 1)))
         assert abs(rep.p_suc_original - 1) < 1e-9
         assert rep.passed_full
+
+
+@pytest.mark.parametrize("alpha", [0.3, np.pi / 4, 1.2])
+def test_partially_entangled_resource_matches_eigen_ensemble(alpha):
+    """cos a|00> + sin a|11> spliced into the SWAP protocol.
+
+    Oracle: rho_L (x) rho_R is the ensemble of |ij> with weight w_i w_j,
+    w = (cos^2 a, sin^2 a); each member runs through the protocol and its
+    success probability is weighted.  I(L:R) = 2 h(cos^2 a) nats.
+    """
+    c, s = np.cos(alpha), np.sin(alpha)
+    swap = engine.clifford_protocol(swap_circuit(), (1, 1))
+    resource = engine.Resource(2, 1, 1, np.array([c, 0, 0, s], dtype=complex))
+    p = engine.assemble_protocol(
+        2, 1, 1, resource, swap.stages, swap.program.out_regs, target=swap.target,
+    )
+    task = engine.projector_task(p.target)
+    prog = p.program
+    w = (c**2, s**2)
+    want = 0.0
+    for i in range(2):
+        for j in range(2):
+            vec = np.zeros(4, dtype=complex)
+            vec[2 * i + j] = 1.0
+            ops = (engine.AppendOp(prog.ops[0].names, vec),) + prog.ops[1:]
+            want += w[i] * w[j] * task(engine.program_choi(dataclasses.replace(prog, ops=ops)))
+    rep = engine.product_replacement_check(p)
+    assert abs(rep.p_suc_product - want) < 1e-12
+    # one pair is teleported through: entanglement fidelity |<Phi+|psi>|^2
+    assert abs(rep.p_suc_original - (c + s) ** 2 / 2) < 1e-12
+    h = -(w[0] * np.log(w[0]) + w[1] * np.log(w[1]))
+    assert abs(p.account().mutual_information_nats - 2 * h) < 1e-12
+
+
+def test_bk_resource_account_needs_no_full_density():
+    # 9 pairs: the full density matrix of the resource would have 2^36 entries
+    p = engine.bk_protocol(qudit.cnot(2), (1, 1), 4)
+    account = p.account()
+    assert p.meta["pairs"] == account.ebit_count == 9
+    assert abs(account.mutual_information_ebits - 18) < 1e-9
+
+
+def test_resource_size_is_capped_before_allocating():
+    # N = 6 passes the port-measurement cap (4^7 = 2^14), but its 13 pairs
+    # would need 2^26 amplitudes
+    with pytest.raises(CapExceeded, match="state entries"):
+        engine.bk_protocol(qudit.cnot(2), (1, 1), 6)
+    with pytest.raises(CapExceeded):
+        engine.Resource.pairs(2, 12)
 
 
 def test_resource_account_pairs_consistency():
