@@ -128,7 +128,7 @@ def _named_strategy(name):
     if name == "or":
         return gardenhose.or_strategy()
     with open(name, "r", encoding="utf-8") as fh:
-        return gardenhose.load_strategy_json(fh.read())
+        return gardenhose.load_strategy_json(json.load(fh))
 
 
 def cmd_gh(args) -> int:
@@ -320,12 +320,12 @@ def cmd_suite(args) -> int:
         p = engine.clifford_protocol(c, (2, 1))
         require(p.meta["tele_side"] == 1, "the left side teleports")
         j = surgery.clifford_normal_form(c, (2, 1)).choi()
-        require(np.abs(j - engine.protocol_choi(p)).max() < 1e-12, "the Choi matrices differ")
+        require(np.abs(j - engine.program_choi(p.program)).max() < 1e-12, "the Choi matrices differ")
 
     def _bk_protocol():
         # the closed form against the assembled program with its dense PGM
         u = qudit.cnot(2)
-        j = engine.protocol_choi(engine.bk_protocol(u, (1, 1), 1))
+        j = engine.program_choi(engine.bk_protocol(u, (1, 1), 1).program)
         require(np.abs(engine.bk_choi(u, (1, 1), 1) - j).max() < 1e-9, "the Choi matrices differ")
 
     def _pbt():

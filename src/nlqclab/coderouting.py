@@ -287,8 +287,8 @@ def code_route(
     losers = tuple(i for i in range(n) if sides[i] != side)
     if losers:
         loser_red = wire.density_keeping([regs[i] for i in losers]) / prob
-        mixed = qudit.maximally_mixed(d, len(losers)).matrix
-        hiding = qudit.trace_distance_matrices(loser_red, mixed)
+        dim = d ** len(losers)
+        hiding = qudit.trace_distance_matrices(loser_red, np.eye(dim) / dim)
     else:
         hiding = 0.0
     return RouteReport(side, winning, recovered, fid, hiding, pipes_used)

@@ -11,7 +11,6 @@ outcome sweeps, never by sampling; ``sample_branch`` runs one seeded shot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -381,6 +380,15 @@ class Resource:
     state: np.ndarray = field(repr=False)  # pure amplitude vector
     pair_count: int | None = None
 
+    def __post_init__(self):
+        dim = self.d ** (self.n_l + self.n_r)
+        size = np.size(self.state)
+        if size != dim:
+            raise DimensionMismatch(f"resource state has {size} amplitudes, expected {dim}")
+        nrm = np.linalg.norm(self.state)
+        if abs(nrm - 1.0) > qudit.ATOL:
+            raise DimensionMismatch(f"resource state norm {nrm} deviates from 1")
+
     @classmethod
     def pairs(cls, d: int, k: int) -> "Resource":
         """k maximally entangled pairs; register order L_1..L_k R_1..R_k."""
@@ -405,8 +413,7 @@ class Resource:
         matrix, so the full density matrix is never built.
         """
         m = self.state.reshape(self.d**self.n_l, self.d**self.n_r)
-        left = qudit.DensityOperator(self.d, self.n_l, m @ m.conj().T)
-        nats = 2.0 * qudit.von_neumann_entropy(left, base="e")
+        nats = 2.0 * qudit.von_neumann_entropy(m @ m.conj().T)
         ebits = nats / np.log(2.0)
         return ResourceAccount(self.pair_count, nats, ebits)
 
@@ -448,10 +455,6 @@ class OneRoundProtocol:
     program: Program
     target: np.ndarray | None = field(default=None, repr=False)
     meta: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.n_a0 + self.n_a1
 
     def account(self) -> ResourceAccount:
         return self.resource.account()
@@ -513,32 +516,6 @@ def assemble_protocol(
     return OneRoundProtocol(
         d, n0, n1, resource, tuple(stages), program, target=target, meta=meta,
     )
-
-
-def execute(
-    protocol: OneRoundProtocol,
-    input_state: qudit.DenseState,
-    *,
-    forced=None,
-) -> qudit.DensityOperator:
-    """Run on a state whose first n_a0+n_a1 qudits are the protocol inputs.
-
-    Remaining qudits are treated as an untouched reference.  All unforced
-    measurement outcomes are enumerated and summed, so the result is the
-    exact channel output.
-    """
-    d = protocol.d
-    if input_state.d != d:
-        raise DimensionMismatch("input dimension does not match protocol")
-    n_in = protocol.n_inputs
-    if input_state.n < n_in:
-        raise DimensionMismatch("input state has too few qudits")
-    n_ref = input_state.n - n_in
-    extra = [f"ref_{i}" for i in range(n_ref)]
-    total = program_density(protocol.program, input_state.amplitudes, extra, forced)
-    if forced is not None:
-        total /= np.trace(total).real
-    return qudit.DensityOperator(d, n_in + n_ref, total)
 
 
 def _auto_batch(program: Program) -> int:
@@ -608,17 +585,6 @@ def program_choi(program: Program) -> np.ndarray:
     return program_density(program, qudit.max_entangled_tensor(program.d**n_in), ref)
 
 
-def protocol_choi(protocol: OneRoundProtocol) -> np.ndarray:
-    """Trace-1 Choi matrix of the protocol channel on its input registers."""
-    return program_choi(protocol.program)
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    choi_distance: float
-    passed: bool
-
-
 def rank1_choi_distance(m: np.ndarray, target_u: np.ndarray) -> float:
     """Trace distance between the rank-1 Chois of a pure branch map and U.
 
@@ -635,24 +601,6 @@ def rank1_choi_distance(m: np.ndarray, target_u: np.ndarray) -> float:
     u = u / np.linalg.norm(u)
     w = v - np.vdot(u, v) * u
     return float(min(1.0, np.linalg.norm(w)))
-
-
-def verify_implements(
-    protocol: OneRoundProtocol, target: np.ndarray, tol: float = 1e-9
-) -> VerifyReport:
-    """Choi trace distance between the protocol channel and a target unitary.
-
-    The Choi distance lower-bounds the (half) diamond distance, so "passed"
-    certifies a necessary condition for diamond-norm closeness.
-    """
-    target = np.asarray(target, dtype=complex)
-    dim = protocol.d**protocol.n_inputs
-    if target.shape != (dim, dim):
-        raise DimensionMismatch("target unitary has the wrong dimension")
-    j = protocol_choi(protocol)
-    jt = qudit.choi_of_unitary(target)
-    dist = qudit.trace_distance_matrices(j, jt)
-    return VerifyReport(dist, dist <= tol)
 
 
 def program_exactness(program: Program, target: np.ndarray):
@@ -911,7 +859,7 @@ def bk_choi(u: np.ndarray, split: tuple, n_ports: int) -> np.ndarray:
     leaves U . Delta_F on every branch.  The Choi matrix is therefore
     F Phi_U + (1 - F)/(d_a^2 - 1) (I - Phi_U) at any port count, and its
     trace distance to Phi_U is 1 - F.  The dense oracle at small N is
-    ``protocol_choi(bk_protocol(u, split, n_ports))``.
+    ``program_choi(bk_protocol(u, split, n_ports).program)``.
     """
     u = np.asarray(u, dtype=complex)
     _infer_d(u.shape[0], sum(split))  # the register must split into qudits
@@ -1023,14 +971,14 @@ def load_protocol_json(source) -> OneRoundProtocol:
     Optional ``"d"`` and ``"resource": {"pairs": k}`` entries are checked
     against the constructed protocol for consistency.
     """
-    doc = json.loads(source) if isinstance(source, str) else source
+    doc = qudit.parse_json(source, "protocol")
     try:
         n0, n1 = int(doc["n0"]), int(doc["n1"])
         spec = qudit.load_circuit_json(doc["split_circuit"])
         d = int(doc["d"]) if "d" in doc else None
         declared = doc.get("resource", {}).get("pairs")
         declared = None if declared is None else int(declared)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except qudit.MALFORMED_DOCUMENT as exc:
         raise IOFailure(f"malformed protocol document: {exc}") from exc
     circuit = pauli.CliffordCircuit.from_circuit_spec(spec)
     if n0 + n1 != circuit.n:

@@ -245,7 +245,7 @@ def load_strategy_json(source) -> GHStrategy:
     Matching keys are bit strings of the input value, pairs are node-name
     lists like [["Q", "L1"], ...].
     """
-    doc = json.loads(source) if isinstance(source, str) else source
+    doc = qudit.parse_json(source, "strategy")
     try:
         e = int(doc["E"])
         nx, ny = int(doc["nx"]), int(doc["ny"])
@@ -257,7 +257,7 @@ def load_strategy_json(source) -> GHStrategy:
             int(k, 2): tuple((str(a), str(b)) for a, b in v)
             for k, v in doc.get("right", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except qudit.MALFORMED_DOCUMENT as exc:
         raise IOFailure(f"malformed strategy document: {exc}") from exc
     return GHStrategy(e, nx, ny, left, right)
 

@@ -94,9 +94,6 @@ class PauliWord:
             -self.phase + w * cross,
         )
 
-    def dagger(self) -> "PauliWord":
-        return self.inverse()  # Pauli words are unitary
-
     def symplectic_product(self, other: "PauliWord") -> int:
         """Exponent s with self других: self*other = omega**s other*self."""
         self._check(other)
@@ -177,11 +174,6 @@ class CliffordCircuit:
         if (self.d, self.n) != (other.d, other.n):
             raise DimensionMismatch("cannot concatenate circuits on different registers")
         return CliffordCircuit(self.d, self.n, self.gates + other.gates)
-
-
-def gate_count(circuit: CliffordCircuit) -> int:
-    """Number of generator gates; a powered gate counts once."""
-    return sum(1 for g in circuit.gates if g.power % qudit._gate_order(g.name, circuit.d) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +325,6 @@ def tableau_simulate(circuit: CliffordCircuit) -> StabilizerTableau:
     xs = [conjugate_pauli(circuit, PauliWord.single(d, n, q, 1, 0)) for q in range(n)]
     zs = [conjugate_pauli(circuit, PauliWord.single(d, n, q, 0, 1)) for q in range(n)]
     return StabilizerTableau(d, n, tuple(xs), tuple(zs))
-
-
-def identity_tableau(d: int, n: int) -> StabilizerTableau:
-    return tableau_simulate(CliffordCircuit(d, n, ()))
 
 
 # ---------------------------------------------------------------------------

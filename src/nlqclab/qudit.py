@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure, UsageError
+from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure
 
 ATOL = 1e-9
 STATE_ENTRY_CAP = 2**22  # largest dense state vector we agree to build
@@ -135,7 +135,7 @@ def _gate_order(name: str, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# states and density operators
+# states
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -176,75 +176,12 @@ class DenseState:
             idx = idx * d + int(dig) % d
         return cls.computational(d, len(tuple(digits)), idx)
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
     def tensor(self, other: "DenseState") -> "DenseState":
         if other.d != self.d:
             raise DimensionMismatch("tensor factors must share d")
         return DenseState(
             self.d, self.n + other.n, np.kron(self.amplitudes, other.amplitudes)
         )
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(
-            self.d, self.n, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def overlap(self, other: "DenseState") -> complex:
-        if (self.d, self.n) != (other.d, other.n):
-            raise DimensionMismatch("overlap requires equal registers")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Mixed state of n qudits; Hermitian, unit trace, positive."""
-
-    d: int
-    n: int
-    matrix: np.ndarray = field(repr=False)
-
-    # full positivity checks are skipped above this dimension (cost), the
-    # cheap Hermiticity/trace checks always run
-    _PSD_CHECK_DIM = 512
-
-    def __post_init__(self):
-        _require_prime(self.d)
-        dim = self.d**self.n
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
-            raise DimensionMismatch(f"matrix shape {m.shape}, expected {(dim, dim)}")
-        if np.abs(m - m.conj().T).max() > 1e-8:
-            raise DimensionMismatch("density operator is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-8:
-            raise DimensionMismatch(f"density operator trace {tr} deviates from 1")
-        if dim <= self._PSD_CHECK_DIM:
-            lo = np.linalg.eigvalsh(m)[0]
-            if lo < -1e-8:
-                raise DimensionMismatch(f"density operator has eigenvalue {lo}")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
-    def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        if other.d != self.d:
-            raise DimensionMismatch("tensor factors must share d")
-        return DensityOperator(
-            self.d, self.n + other.n, np.kron(self.matrix, other.matrix)
-        )
-
-
-def maximally_mixed(d: int, n: int) -> DensityOperator:
-    dim = d**n
-    return DensityOperator(d, n, np.eye(dim) / dim)
 
 
 def bell_pair(d: int) -> DenseState:
@@ -285,23 +222,6 @@ def _check_targets(n: int, targets) -> tuple:
     return t
 
 
-def apply_gate(state: DenseState, gate: np.ndarray, targets) -> DenseState:
-    """Apply a unitary on d**k dimensions to the given k qudits."""
-    t = _check_targets(state.n, targets)
-    k = len(t)
-    d, n = state.d, state.n
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (d**k, d**k):
-        raise DimensionMismatch(
-            f"gate shape {gate.shape} does not match {k} qudits of dimension {d}"
-        )
-    psi = state.amplitudes.reshape((d,) * n)
-    psi = np.moveaxis(psi, t, range(k))
-    psi = gate @ psi.reshape(d**k, -1)
-    psi = np.moveaxis(psi.reshape((d,) * n), range(k), t)
-    return DenseState(d, n, psi.reshape(-1))
-
-
 def embed_operator(op: np.ndarray, d: int, n: int, targets) -> np.ndarray:
     """Embed an operator on the target qudits into the full register."""
     t = _check_targets(n, targets)
@@ -319,15 +239,9 @@ def embed_operator(op: np.ndarray, d: int, n: int, targets) -> np.ndarray:
     return big.reshape(d**n, d**n)
 
 
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced operator on the kept qudits, in their original order."""
-    k = _check_targets(rho.n, keep)
-    return DensityOperator(rho.d, len(k), partial_trace_matrix(rho.matrix, rho.d, rho.n, k))
-
-
 def partial_trace_matrix(mat: np.ndarray, d: int, n: int, keep) -> np.ndarray:
-    """partial_trace on a raw matrix (no normalization requirements)."""
-    k = tuple(keep)
+    """Reduced matrix on the kept qudits, in the order given; any trace."""
+    k = _check_targets(n, keep)
     rest = tuple(q for q in range(n) if q not in k)
     m = mat.reshape((d,) * (2 * n))
     perm = k + rest
@@ -342,144 +256,22 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))**2."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch("fidelity requires equal dimensions")
-    s = np.linalg.svd(psd_sqrt(rho.matrix) @ psd_sqrt(sigma.matrix), compute_uv=False)
-    return float(min(1.0, s.sum() ** 2))
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """T = 0.5 * ||rho - sigma||_1 via eigenvalues of the difference."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch("trace distance requires equal dimensions")
-    return trace_distance_matrices(rho.matrix, sigma.matrix)
-
-
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def von_neumann_entropy(rho: DensityOperator, base: str = "e") -> float:
-    """Entropy of rho; base 'e' gives nats, base '2' gives bits/ebits."""
-    vals = np.linalg.eigvalsh(rho.matrix)
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy of the density matrix rho, in nats."""
+    vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 1e-14]
-    s = float(-(vals * np.log(vals)).sum())
-    if base == "e":
-        return s
-    if base == "2":
-        return s / np.log(2.0)
-    raise UsageError(f"unsupported entropy base {base!r}")
+    return float(-(vals * np.log(vals)).sum())
 
 
-def mutual_information_bipartite(rho: DensityOperator, n_left: int, base="e") -> float:
-    """I(L:R) for a declared split of the register after qudit n_left - 1."""
-    left = partial_trace(rho, range(n_left))
-    right = partial_trace(rho, range(n_left, rho.n))
-    return (
-        von_neumann_entropy(left, base)
-        + von_neumann_entropy(right, base)
-        - von_neumann_entropy(rho, base)
-    )
-
-
-# ---------------------------------------------------------------------------
-# channels
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """CPTP map given by a Kraus list; input/output dimensions may differ."""
-
-    dim_in: int
-    dim_out: int
-    kraus: tuple = field(repr=False)
-
-    def __post_init__(self):
-        ks = tuple(_readonly(k) for k in self.kraus)
-        for k in ks:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatch(
-                    f"Kraus shape {k.shape}, expected {(self.dim_out, self.dim_in)}"
-                )
-        comp = sum(k.conj().T @ k for k in ks)
-        if np.abs(comp - np.eye(self.dim_in)).max() > ATOL:
-            raise DimensionMismatch("Kraus operators do not satisfy completeness")
-        object.__setattr__(self, "kraus", ks)
-
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "Channel":
-        u = np.asarray(u, dtype=complex)
-        return cls(u.shape[1], u.shape[0], (u,))
-
-    @classmethod
-    def identity(cls, dim: int) -> "Channel":
-        return cls(dim, dim, (np.eye(dim, dtype=complex),))
-
-    @classmethod
-    def completely_depolarizing(cls, dim: int) -> "Channel":
-        ks = []
-        for i in range(dim):
-            for j in range(dim):
-                m = np.zeros((dim, dim), dtype=complex)
-                m[i, j] = 1.0 / np.sqrt(dim)
-                ks.append(m)
-        return cls(dim, dim, tuple(ks))
-
-    @classmethod
-    def from_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "Channel":
-        """Recover a Kraus list from a trace-normalized Choi operator.
-
-        The Choi must be positive within 1e-9 and its output partial trace
-        must be the maximally mixed state on the input copy.
-        """
-        j = np.asarray(choi, dtype=complex) * dim_in  # unnormalized convention
-        if j.shape != (dim_out * dim_in, dim_out * dim_in):
-            raise DimensionMismatch("Choi matrix has the wrong shape")
-        vals, vecs = np.linalg.eigh(j)
-        if vals[0] < -1e-9 * dim_in:
-            raise DimensionMismatch(f"Choi operator has eigenvalue {vals[0] / dim_in}")
-        marg = np.trace(j.reshape(dim_out, dim_in, dim_out, dim_in), axis1=0, axis2=2)
-        if np.abs(marg - np.eye(dim_in)).max() > 1e-9 * dim_in:
-            raise DimensionMismatch("Choi partial trace is not the identity")
-        ks = []
-        for lam, v in zip(vals, vecs.T):
-            if lam > 1e-12:
-                ks.append(np.sqrt(lam) * v.reshape(dim_out, dim_in))
-        return cls(dim_in, dim_out, tuple(ks))
-
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
-
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        if rho.dim != self.dim_in:
-            raise DimensionMismatch("channel input dimension mismatch")
-        out = self.apply_matrix(rho.matrix)
-        n_out = _log_dim(self.dim_out, rho.d)
-        return DensityOperator(rho.d, n_out, out)
-
-    def choi_matrix(self) -> np.ndarray:
-        """Trace-1 Choi operator (C x I) acting on |Phi+><Phi+|."""
-        vecs = [k.reshape(-1) / np.sqrt(self.dim_in) for k in self.kraus]
-        j = sum(np.outer(v, v.conj()) for v in vecs)
-        return j
-
-
-def _log_dim(dim: int, d: int) -> int:
-    n = 0
-    while d**n < dim:
-        n += 1
-    if d**n != dim:
-        raise DimensionMismatch(f"{dim} is not a power of {d}")
-    return n
-
-
-def choi_of(channel: Channel, d: int) -> DensityOperator:
-    """Choi state of a channel, normalized to trace one."""
-    j = channel.choi_matrix()
-    n = _log_dim(j.shape[0], d)
-    return DensityOperator(d, n, j)
+def mutual_information_bipartite(rho: np.ndarray, d: int, n: int, n_left: int) -> float:
+    """I(L:R) in nats for the split of n qudits after qudit n_left - 1."""
+    left = partial_trace_matrix(rho, d, n, range(n_left))
+    right = partial_trace_matrix(rho, d, n, range(n_left, n))
+    return von_neumann_entropy(left) + von_neumann_entropy(right) - von_neumann_entropy(rho)
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -507,6 +299,24 @@ class CircuitSpec:
     gates: tuple
 
 
+# what indexing or converting a malformed document raises
+MALFORMED_DOCUMENT = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def parse_json(source, kind: str):
+    """A JSON document: a str is parsed, anything else is taken as parsed.
+
+    Every file-format loader reads its document through here, so a syntax
+    error is an ``IOFailure`` naming the ``kind`` of document.
+    """
+    if not isinstance(source, str):
+        return source
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise IOFailure(f"invalid {kind} JSON: {exc}") from exc
+
+
 def load_circuit_json(source) -> CircuitSpec:
     """Parse the JSON circuit format.
 
@@ -514,13 +324,7 @@ def load_circuit_json(source) -> CircuitSpec:
     where ``g`` is one of X, Z, H, S, CNOT or "custom" with a row-major
     ``"matrix"`` of [re, im] pairs.
     """
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise IOFailure(f"invalid circuit JSON: {exc}") from exc
-    else:
-        doc = source
+    doc = parse_json(source, "circuit")
     try:
         d, n = int(doc["d"]), int(doc["n"])
         gates = []
@@ -539,7 +343,7 @@ def load_circuit_json(source) -> CircuitSpec:
                 if len(targets) != GATE_ARITY[name]:
                     raise IOFailure(f"gate {name} expects {GATE_ARITY[name]} targets")
                 gates.append(GateSpec(name, targets, power))
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED_DOCUMENT as exc:
         raise IOFailure(f"malformed circuit document: {exc}") from exc
     return CircuitSpec(d, n, tuple(gates))
 

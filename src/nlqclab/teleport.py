@@ -199,17 +199,6 @@ def build_pgm(params: PBTParams) -> PBTInstance:
     return PBTInstance(params, tuple(povm))
 
 
-def port_permutation(params: PBTParams, i: int, j: int) -> np.ndarray:
-    """Unitary swapping ports i and j on the measured register."""
-    d, n = params.d_a, params.n_ports
-    dim = params.dim
-    perm = list(range(n + 1))
-    perm[i + 1], perm[j + 1] = perm[j + 1], perm[i + 1]
-    m = np.eye(dim).reshape((d,) * (n + 1) + (dim,))
-    m = np.transpose(m, tuple(perm) + (n + 1,))
-    return m.reshape(dim, dim)
-
-
 @dataclass(frozen=True)
 class PBTChannelReport:
     params: PBTParams

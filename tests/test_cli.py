@@ -107,6 +107,18 @@ def test_strategy_file_round_trip(tmp_path, capsys):
     assert sides == ["0", "1", "1", "1"]
 
 
+def test_malformed_strategy_file_exit_codes(tmp_path, capsys):
+    # a JSON syntax error is a usage error (2); a malformed document, an error (1)
+    path = tmp_path / "strategy.json"
+    for text, code in (("{bad", 2), ('{"E": 1, "nx": 1, "ny": 1, "left": []}', 1)):
+        path.write_text(text)
+        assert cli.main(["gh", "--strategy", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: " if code == 2 else "error: ")
+
+
 def test_malformed_protocol_file_is_an_error(tmp_path, capsys):
     circuit = {"d": 2, "n": 2, "gates": [{"g": "CNOT", "q": [0, 1], "pow": 1}]}
     good = {"n0": 1, "n1": 1, "split_circuit": circuit}

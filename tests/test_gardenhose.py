@@ -7,7 +7,7 @@ import pytest
 
 from nlqclab import gardenhose as gh
 from nlqclab import qudit
-from nlqclab.errors import MalformedMatching, MalformedProgram, UsageError
+from nlqclab.errors import IOFailure, MalformedMatching, MalformedProgram, UsageError
 
 
 def rand_qubit(seed):
@@ -114,6 +114,12 @@ def test_strategy_json_round_trip():
     again = gh.load_strategy_json(gh.dump_strategy_json(s))
     assert gh.exhaustive_table(again) == gh.exhaustive_table(s)
     assert again.pipes == s.pipes
+
+
+@pytest.mark.parametrize("doc", ["{bad", '{"E": 1, "nx": 1, "ny": 1, "left": []}'])
+def test_malformed_strategy_document_is_an_io_failure(doc):
+    with pytest.raises(IOFailure):
+        gh.load_strategy_json(doc)
 
 
 # ---------------------------------------------------------------------------

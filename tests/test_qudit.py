@@ -1,10 +1,10 @@
-"""Dense qudit simulation: gates, traces, channels, Bell measurements."""
+"""Dense qudit simulation: gates, traces, entropies, Choi matrices, Bell measurements."""
 
 import numpy as np
 import pytest
 
-from nlqclab import engine, qudit
-from nlqclab.errors import DimensionMismatch, IndexOutOfRange, UsageError
+from nlqclab import engine, qudit, teleport
+from nlqclab.errors import DimensionMismatch, IndexOutOfRange
 
 
 def random_state(d, n, seed):
@@ -13,30 +13,40 @@ def random_state(d, n, seed):
     return qudit.DenseState(d, n, amp / np.linalg.norm(amp))
 
 
+def density(st):
+    return np.outer(st.amplitudes, st.amplitudes.conj())
+
+
+def apply_gate(st, gate, targets):
+    """The state with ``gate`` applied to the ``targets`` qudits."""
+    return qudit.DenseState(st.d, st.n, qudit.embed_operator(gate, st.d, st.n, targets) @ st.amplitudes)
+
+
 def test_x_gate_is_a_shift():
     st = qudit.DenseState.computational(2, 1, 0)
-    out = qudit.apply_gate(st, qudit.weyl_x(2), (0,))
+    out = apply_gate(st, qudit.weyl_x(2), (0,))
     assert np.allclose(out.amplitudes, [0, 1])
 
 
 def test_hadamard_qutrit_on_zero():
     st = qudit.DenseState.computational(3, 1, 0)
-    out = qudit.apply_gate(st, qudit.hadamard(3), (0,))
+    out = apply_gate(st, qudit.hadamard(3), (0,))
     assert np.allclose(out.amplitudes, np.ones(3) / np.sqrt(3))
 
 
 def test_cnot_qutrit_addition():
     st = qudit.DenseState.from_digits(3, (1, 1))
-    out = qudit.apply_gate(st, qudit.cnot(3), (0, 1))
+    out = apply_gate(st, qudit.cnot(3), (0, 1))
     assert np.allclose(out.amplitudes, qudit.DenseState.from_digits(3, (1, 2)).amplitudes)
 
 
 def test_apply_gate_rejects_bad_targets():
-    st = qudit.DenseState.computational(2, 2, 0)
     with pytest.raises(IndexOutOfRange):
-        qudit.apply_gate(st, qudit.weyl_x(2), (5,))
+        qudit.embed_operator(qudit.weyl_x(2), 2, 2, (5,))
+    with pytest.raises(IndexOutOfRange):
+        qudit.embed_operator(qudit.cnot(2), 2, 2, (1, 1))
     with pytest.raises(DimensionMismatch):
-        qudit.apply_gate(st, qudit.weyl_x(2), (0, 1))
+        qudit.embed_operator(qudit.weyl_x(2), 2, 2, (0, 1))
 
 
 def test_gate_preserves_norm_for_random_circuits():
@@ -45,7 +55,7 @@ def test_gate_preserves_norm_for_random_circuits():
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u, _ = np.linalg.qr(g)
-        st = qudit.apply_gate(st, u, (int(rng.integers(3)),))
+        st = apply_gate(st, u, (int(rng.integers(3)),))
     assert abs(np.linalg.norm(st.amplitudes) - 1) < 1e-9
 
 
@@ -87,85 +97,62 @@ def loop_partial_trace(mat, d, n, keep):
 
 
 def test_partial_trace_bell_pair_is_mixed():
-    rho = qudit.bell_pair(2).density()
-    red = qudit.partial_trace(rho, (0,))
-    assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+    red = qudit.partial_trace_matrix(density(qudit.bell_pair(2)), 2, 2, (0,))
+    assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_recovers_factor():
-    a = random_state(3, 1, 0).density()
-    b = random_state(3, 1, 1).density()
-    red = qudit.partial_trace(a.tensor(b), (0,))
-    assert np.abs(red.matrix - a.matrix).max() < 1e-12
+    a = random_state(3, 1, 0)
+    b = random_state(3, 1, 1)
+    red = qudit.partial_trace_matrix(density(a.tensor(b)), 3, 2, (0,))
+    assert np.abs(red - density(a)).max() < 1e-12
 
 
 def test_partial_trace_matches_loop_oracle():
-    rho = random_state(3, 3, 5).density()
-    got = qudit.partial_trace(rho, (0, 2)).matrix
-    want = loop_partial_trace(rho.matrix, 3, 3, (0, 2))
-    assert np.abs(got - want).max() < 1e-12
+    rho = density(random_state(3, 3, 5))
+    for keep in ((0, 2), (2, 0), (1,), ()):
+        got = qudit.partial_trace_matrix(rho, 3, 3, keep)
+        want = loop_partial_trace(rho, 3, 3, keep)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_partial_trace_rejects_bad_targets():
+    rho = np.eye(4) / 4
+    for keep in ((0, 0), (2,), (-1,)):
+        with pytest.raises(IndexOutOfRange):
+            qudit.partial_trace_matrix(rho, 2, 2, keep)
 
 
 # ---------------------------------------------------------------------------
-# fidelity / trace distance
+# trace distance
 # ---------------------------------------------------------------------------
-
-def test_fidelity_extremes():
-    zero = qudit.DenseState.computational(2, 1, 0).density()
-    one = qudit.DenseState.computational(2, 1, 1).density()
-    plus = qudit.DenseState(2, 1, np.array([1, 1]) / np.sqrt(2)).density()
-    assert abs(qudit.fidelity(zero, zero) - 1) < 1e-12
-    assert qudit.fidelity(zero, one) < 1e-12
-    assert abs(qudit.fidelity(zero, plus) - 0.5) < 1e-12
-
 
 def test_trace_distance_values():
-    zero = qudit.DenseState.computational(2, 1, 0).density()
-    one = qudit.DenseState.computational(2, 1, 1).density()
-    assert qudit.trace_distance(zero, zero) < 1e-12
-    assert abs(qudit.trace_distance(zero, one) - 1) < 1e-12
-    assert abs(qudit.trace_distance(zero, qudit.maximally_mixed(2, 1)) - 0.5) < 1e-12
+    zero = density(qudit.DenseState.computational(2, 1, 0))
+    one = density(qudit.DenseState.computational(2, 1, 1))
+    assert qudit.trace_distance_matrices(zero, zero) < 1e-12
+    assert abs(qudit.trace_distance_matrices(zero, one) - 1) < 1e-12
+    assert abs(qudit.trace_distance_matrices(zero, np.eye(2) / 2) - 0.5) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# channels
+# Choi matrices
 # ---------------------------------------------------------------------------
 
 def test_choi_of_identity_and_depolarizing():
-    ident = qudit.Channel.identity(2)
-    j = qudit.choi_of(ident, 2)
-    bell = qudit.bell_pair(2).density()
-    assert np.abs(j.matrix - bell.matrix).max() < 1e-12
-    dep = qudit.Channel.completely_depolarizing(2)
-    jd = qudit.choi_of(dep, 2)
-    assert np.abs(jd.matrix - np.eye(4) / 4).max() < 1e-12
+    j = qudit.choi_of_unitary(np.eye(2))
+    assert np.abs(j - density(qudit.bell_pair(2))).max() < 1e-12
+    # depolarizing at entanglement fidelity 1/d^2 is the completely depolarizing channel
+    jd = teleport.depolarizing_choi(j, 0.25)
+    assert np.abs(jd - np.eye(4) / 4).max() < 1e-12
 
 
 def test_choi_of_x_conjugation():
     x = qudit.weyl_x(2)
-    ch = qudit.Channel.from_unitary(x)
-    j = qudit.choi_of(ch, 2).matrix
+    j = qudit.choi_of_unitary(x)
     bell = qudit.bell_pair(2).amplitudes
     want = np.kron(x, np.eye(2)) @ np.outer(bell, bell.conj()) @ np.kron(x, np.eye(2)).conj().T
     assert np.abs(j - want).max() < 1e-12
-
-
-def test_kraus_choi_round_trip_on_random_states():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-    iso, _ = np.linalg.qr(g)
-    kraus = tuple(iso[3 * i : 3 * i + 3, :] for i in range(3))
-    ch = qudit.Channel(3, 3, kraus)
-    back = qudit.Channel.from_choi(ch.choi_matrix(), 3, 3)
-    for seed in range(20):
-        rho = random_state(3, 1, seed).density()
-        assert np.abs(ch.apply_matrix(rho.matrix) - back.apply_matrix(rho.matrix)).max() < 1e-9
-
-
-def test_channel_completeness_enforced():
-    bad = (np.eye(2) * 0.5,)
-    with pytest.raises(DimensionMismatch):
-        qudit.Channel(2, 2, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +182,7 @@ def test_bell_measurement_of_bell_pair_is_deterministic():
 
 def test_twisted_bell_pair_reads_its_label():
     st = qudit.bell_pair(2)
-    twisted = qudit.apply_gate(st, qudit.weyl_x(2), (0,))
+    twisted = apply_gate(st, qudit.weyl_x(2), (0,))
     probs = bell_probabilities(twisted)
     assert abs(probs[1, 0] - 1) < 1e-12
 
@@ -217,8 +204,7 @@ def test_teleport_correct_for_all_forced_outcomes(d):
             br = engine.sample_branch(program, st.amplitudes, {"m": (a, b)})
             post = engine.branch_map(br, program.out_regs)[:, 0] / np.sqrt(br.wire.squared_norm())
             undo = qudit.weyl(d, a, b).conj().T
-            fixed = qudit.apply_gate(qudit.DenseState(d, 1, post), undo, (0,))
-            assert np.abs(fixed.amplitudes - psi.amplitudes).max() < 1e-9
+            assert np.abs(undo @ post - psi.amplitudes).max() < 1e-9
 
 
 def test_sampled_measurement_matches_forced_probabilities():
@@ -270,19 +256,7 @@ def test_circuit_json_custom_matrix():
 
 
 def test_entropy_units():
-    rho = qudit.maximally_mixed(2, 1)
-    assert abs(qudit.von_neumann_entropy(rho, "e") - np.log(2)) < 1e-12
-    assert abs(qudit.von_neumann_entropy(rho, "2") - 1.0) < 1e-12
-    bell = qudit.bell_pair(3).density()
-    assert abs(qudit.mutual_information_bipartite(bell, 1, "2") - 2 * np.log2(3)) < 1e-9
-    with pytest.raises(UsageError):
-        qudit.von_neumann_entropy(rho, base="10")
-
-
-def test_from_choi_rejects_bad_operators():
-    with pytest.raises(DimensionMismatch):
-        qudit.Channel.from_choi(np.diag([1.0, 0, 0, -0.1]) / 0.9, 2, 2)
-    not_tp = np.zeros((4, 4))
-    not_tp[0, 0] = 1.0  # output trace is |0><0|, not I/2
-    with pytest.raises(DimensionMismatch):
-        qudit.Channel.from_choi(not_tp, 2, 2)
+    # entropies are in nats
+    assert abs(qudit.von_neumann_entropy(np.eye(2) / 2) - np.log(2)) < 1e-12
+    bell = density(qudit.bell_pair(3))
+    assert abs(qudit.mutual_information_bipartite(bell, 3, 2, 1) - 2 * np.log(3)) < 1e-9

@@ -1,0 +1,73 @@
+"""Guard against dead public code: every top-level name in the package is used.
+
+A top-level function, class or assignment of ``src/nlqclab/*.py`` counts as
+used when code in the package outside its own definition names it, as a
+bare name or as an attribute.  Names used only from outside the package
+are listed in ``KEEP`` with the reason they stay.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nlqclab"
+
+KEEP = {
+    "gardenhose.gh_complexity": "acceptance: criterion 5 reads it",
+    "gardenhose.or_program": "acceptance: criterion 6 runs it",
+    "pauli.tableau_simulate": "acceptance: criterion 10 builds tableaus with it",
+    "qudit.dump_circuit_json": "format round trip of load_circuit_json",
+    "gardenhose.dump_strategy_json": "format round trip of load_strategy_json",
+    "geometry.ridge_curve": "traced by perfbench",
+    "qudit.mutual_information_bipartite": "traced by perfbench",
+    "__init__.__version__": "the package version attribute, as in pyproject.toml",
+    "teleport.bell_teleport": "documented API in the README",
+    "teleport.trace_commutation_check": "documented API in the README",
+    "geometry.bulk_causal": "documented API in the README",
+}
+
+
+def _top_level(tree):
+    """(name, node) for each top-level def, class and assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, node
+
+
+def _names_outside(tree, skip) -> set:
+    """Every bare name and attribute named in ``tree``, skipping the ``skip`` subtree."""
+    seen, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return seen
+
+
+def unused_names() -> list:
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _top_level(tree)
+        if not any(name in _names_outside(t, node) for t in trees.values())
+    ]
+
+
+def test_every_top_level_name_is_used_or_kept():
+    unused = [name for name in unused_names() if name not in KEEP]
+    assert not unused, f"no code in src/nlqclab uses {unused}; delete them or keep them with a reason"
+
+
+def test_keep_list_names_exist_and_are_otherwise_unused():
+    # a kept name that the package starts using, or that is deleted, leaves the list
+    assert sorted(KEEP) == sorted(name for name in unused_names() if name in KEEP)

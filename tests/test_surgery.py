@@ -27,7 +27,7 @@ def test_normal_form_matches_measured_protocol_channel():
         assert cnf.pairs == p2.meta["pairs"]
         tele_sides.add(p2.meta["tele_side"])
         j_nf = cnf.choi()
-        j_p2 = engine.protocol_choi(p2)
+        j_p2 = engine.program_choi(p2.program)
         assert np.abs(j_nf - j_p2).max() < 1e-9
     assert tele_sides == {0, 1}
 

@@ -95,6 +95,15 @@ def test_povm_completeness_and_positivity(d_a, n):
         assert np.linalg.eigvalsh(p)[0] > -1e-10
 
 
+def port_permutation(params, i, j):
+    """Unitary swapping ports i and j on the measured register."""
+    d, n, dim = params.d_a, params.n_ports, params.dim
+    perm = list(range(n + 1))
+    perm[i + 1], perm[j + 1] = perm[j + 1], perm[i + 1]
+    m = np.eye(dim).reshape((d,) * (n + 1) + (dim,))
+    return np.transpose(m, tuple(perm) + (n + 1,)).reshape(dim, dim)
+
+
 def test_povm_permutation_covariance():
     params = teleport.PBTParams(2, 3)
     inst = teleport.build_pgm(params)
@@ -102,7 +111,7 @@ def test_povm_permutation_covariance():
         for j in range(3):
             if i == j:
                 continue
-            perm = teleport.port_permutation(params, i, j)
+            perm = port_permutation(params, i, j)
             assert np.abs(perm @ inst.povm[i] @ perm.conj().T - inst.povm[j]).max() < 1e-10
 
 
