@@ -187,8 +187,7 @@ def cmd_surgery(args) -> int:
             with open(args.protocol, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             engine.load_protocol_json(doc)  # IOFailure on a malformed document
-            spec = qudit.load_circuit_json(doc["split_circuit"])
-            circuit = pauli.CliffordCircuit.from_circuit_spec(spec)
+            circuit = pauli.load_circuit_json(doc["split_circuit"])
             split = (int(doc["n0"]), int(doc["n1"]))
         else:
             circuit = pauli.random_clifford(args.n, args.d, seed=args.seed)

@@ -426,12 +426,6 @@ class ResourceAccount:
     mutual_information_nats: float
     mutual_information_ebits: float
 
-    def consistent_with_pairs(self, d: int, atol: float = 1e-6) -> bool:
-        if self.ebit_count is None:
-            return True
-        want = 2.0 * self.ebit_count * np.log2(d)
-        return abs(self.mutual_information_ebits - want) <= atol
-
 
 # ---------------------------------------------------------------------------
 # one-round protocols
@@ -458,38 +452,6 @@ class OneRoundProtocol:
 
     def account(self) -> ResourceAccount:
         return self.resource.account()
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check every stage operation is a channel on its registers.
-
-        Unitary ops must be unitary, measurement ops complete; correction
-        ops are unitary-valued by construction and are exercised by the
-        executor rather than enumerated here.
-        """
-        d = self.d
-        for op in self.program.ops:
-            if isinstance(op, GateOp):
-                m = np.asarray(op.matrix)
-                if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > atol:
-                    raise DimensionMismatch("stage gate is not unitary")
-            elif isinstance(op, CircuitOp):
-                for g in op.circuit.gates:
-                    mat = qudit.gate_matrix(g.name, d, g.power)
-                    if np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max() > atol:
-                        raise DimensionMismatch("circuit gate is not unitary")
-            elif isinstance(op, BellMeasureOp):
-                total = sum(
-                    np.outer(v, v.conj())
-                    for v in (
-                        qudit.bell_basis_vector(d, a, b)
-                        for a in range(d)
-                        for b in range(d)
-                    )
-                )
-                if np.abs(total - np.eye(d * d)).max() > atol:
-                    raise DimensionMismatch("Bell basis is not complete")
-            elif isinstance(op, PortMeasureOp):
-                teleport.build_pgm(op.params)  # POVM invariants checked there
 
 
 def input_names(n0: int, n1: int = 0) -> tuple:
@@ -718,6 +680,8 @@ def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundP
     Consumes min(n0', n1') pairs.
     """
     n0, n1 = split
+    if n0 < 0 or n1 < 0:
+        raise DimensionMismatch(f"split {split} has a negative side")
     if n0 + n1 != circuit.n:
         raise DimensionMismatch("split does not cover the circuit register")
     dec = reduce_circuit(circuit, n0)
@@ -797,10 +761,9 @@ def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
     port-teleports the joint register back; the first applies U(P^x (x) I)
     to every port, and after the round everything but port i* is discarded.
     """
-    u = np.asarray(u, dtype=complex)
     n0, n1 = split
     n = n0 + n1
-    d = _infer_d(u.shape[0], n)
+    u, d = _bk_target(u, n)
     d_a = d**n
     if d_a ** (n_ports + 1) > teleport.POVM_DIM_CAP:
         raise CapExceeded(
@@ -841,11 +804,20 @@ def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
     )
 
 
-def _infer_d(dim: int, n: int) -> int:
+def _bk_target(u, n: int):
+    """The BK target as a complex array, and the d of its n qudits.
+
+    Only a unitary is a target: any other matrix would make a "Choi"
+    matrix that is not a channel's.
+    """
+    u = np.asarray(u, dtype=complex)
+    if not qudit.is_unitary(u):
+        raise DimensionMismatch("BK target is not unitary")
+    dim = u.shape[0]
     d = round(dim ** (1.0 / n))
     for cand in (d - 1, d, d + 1):
         if cand >= 2 and cand**n == dim:
-            return cand
+            return u, cand
     raise DimensionMismatch(f"dimension {dim} is not a {n}-th power")
 
 
@@ -861,8 +833,7 @@ def bk_choi(u: np.ndarray, split: tuple, n_ports: int) -> np.ndarray:
     trace distance to Phi_U is 1 - F.  The dense oracle at small N is
     ``program_choi(bk_protocol(u, split, n_ports).program)``.
     """
-    u = np.asarray(u, dtype=complex)
-    _infer_d(u.shape[0], sum(split))  # the register must split into qudits
+    u, _ = _bk_target(u, sum(split))  # a unitary on whole qudits
     fid = teleport.pgm_fidelity(u.shape[0], n_ports)
     return teleport.depolarizing_choi(qudit.choi_of_unitary(u), fid)
 
@@ -974,13 +945,12 @@ def load_protocol_json(source) -> OneRoundProtocol:
     doc = qudit.parse_json(source, "protocol")
     try:
         n0, n1 = int(doc["n0"]), int(doc["n1"])
-        spec = qudit.load_circuit_json(doc["split_circuit"])
+        circuit = pauli.load_circuit_json(doc["split_circuit"])
         d = int(doc["d"]) if "d" in doc else None
         declared = doc.get("resource", {}).get("pairs")
         declared = None if declared is None else int(declared)
     except qudit.MALFORMED_DOCUMENT as exc:
         raise IOFailure(f"malformed protocol document: {exc}") from exc
-    circuit = pauli.CliffordCircuit.from_circuit_spec(spec)
     if n0 + n1 != circuit.n:
         raise IOFailure("n0 + n1 does not match the circuit register")
     if d is not None and d != circuit.d:

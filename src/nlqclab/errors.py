@@ -53,10 +53,6 @@ class EmptyDiamond(NlqcError):
     pass
 
 
-class NotOnQuadric(NlqcError):
-    pass
-
-
 class UsageError(NlqcError):
     pass
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, pauli, qudit
-from .errors import CapExceeded, DimensionMismatch, IOFailure, MalformedMatching, MalformedProgram
+from .errors import (
+    CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure, MalformedMatching, MalformedProgram,
+)
 
 Q = "Q"
 
@@ -71,6 +73,8 @@ class GHStrategy:
                 raise MalformedMatching(f"pair ({a},{b}) is degenerate")
 
     def matched_pairs(self, x: int, y: int):
+        if not (0 <= x < 2**self.n_x and 0 <= y < 2**self.n_y):
+            raise IndexOutOfRange(f"input ({x}, {y}) outside [0, {2**self.n_x}) x [0, {2**self.n_y})")
         return tuple(self.left_match.get(x, ())) + tuple(self.right_match.get(y, ()))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDiamond, EmptyRegion, NotOnQuadric
+from .errors import DimensionMismatch, EmptyDiamond, EmptyRegion
 
 ETA = np.diag([-1.0, -1.0, 1.0, 1.0])
 REGION_TOL = 1e-7  # a scattering-region margin down to -REGION_TOL still counts as inside
@@ -71,21 +71,6 @@ class BulkPoint:
             ]
         )
 
-    @classmethod
-    def from_embedding(cls, vec, t_hint: float = 0.0) -> "BulkPoint":
-        vec = np.asarray(vec, dtype=float)
-        if abs(mink(vec, vec) + 1.0) > 1e-9:
-            raise NotOnQuadric(f"<X,X> = {mink(vec, vec)} != -1")
-        rho = np.arccosh(max(1.0, np.hypot(vec[0], vec[1])))
-        theta = float(np.arctan2(vec[3], vec[2])) if rho > 1e-12 else 0.0
-        t = float(np.arctan2(vec[1], vec[0]))
-        # lift to the cover branch nearest the hint
-        while t < t_hint - np.pi:
-            t += 2 * np.pi
-        while t > t_hint + np.pi:
-            t -= 2 * np.pi
-        return cls(t, float(rho), theta)
-
 
 def bulk_causal(p: BoundaryPoint, x: BulkPoint, tol: float = 1e-9) -> str:
     """Relation of a bulk point to a boundary point's lightcones.
@@ -121,16 +106,6 @@ class ScatteringConfig:
 
     def outputs(self):
         return (self.r0, self.r1)
-
-    def translated(self, dt: float) -> "ScatteringConfig":
-        return ScatteringConfig(
-            *(BoundaryPoint(p.t + dt, p.theta) for p in (self.c0, self.c1, self.r0, self.r1))
-        )
-
-    def reflected(self) -> "ScatteringConfig":
-        return ScatteringConfig(
-            *(BoundaryPoint(p.t, -p.theta) for p in (self.c0, self.c1, self.r0, self.r1))
-        )
 
 
 def preset_config(name: str, delay: float = 0.2) -> ScatteringConfig:
@@ -325,10 +300,6 @@ class Diamond:
     top: BoundaryPoint
     corner_left: BoundaryPoint
     corner_right: BoundaryPoint
-
-    @property
-    def base_width(self) -> float:
-        return _circle_dist(self.corner_left.theta, self.corner_right.theta)
 
 
 def _past_front(cfg: ScatteringConfig, theta: float) -> float:

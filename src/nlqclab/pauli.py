@@ -9,19 +9,24 @@ Z_d otherwise; omega = tau**2 at d = 2).  The dense operator of a word is
 
 Conjugation by the generator set {CNOT, H, S, X, Z} is closed over these
 words, phases included, which is what the tableau simulation relies on.
+
+Circuits are read from and written to one JSON format,
+``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``,
+whose gate names are the generators.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import qudit
-from .errors import DimensionMismatch, IndexOutOfRange, NotClifford
+from .errors import DimensionMismatch, IndexOutOfRange, IOFailure, NotClifford
 
-CLIFFORD_GATES = ("H", "S", "CNOT", "X", "Z")
+CLIFFORD_GATES = {"H": 1, "S": 1, "CNOT": 2, "X": 1, "Z": 1}  # generator -> target count
 UNITARY_DIM_CAP = 4096  # largest dimension StabilizerTableau.to_unitary builds
 
 
@@ -66,9 +71,6 @@ class PauliWord:
         x[q], z[q] = a, b
         return cls(d, n, tuple(x), tuple(z), phase)
 
-    def is_identity(self) -> bool:
-        return not any(self.x) and not any(self.z) and self.phase == 0
-
     def mul(self, other: "PauliWord") -> "PauliWord":
         """Operator product self @ other with exact phase bookkeeping."""
         self._check(other)
@@ -95,7 +97,7 @@ class PauliWord:
         )
 
     def symplectic_product(self, other: "PauliWord") -> int:
-        """Exponent s with self других: self*other = omega**s other*self."""
+        """Exponent s with self*other = omega**s other*self."""
         self._check(other)
         s = sum(b * a2 - a * b2 for a, b, a2, b2 in zip(self.x, self.z, other.x, other.z))
         return s % self.d
@@ -119,7 +121,7 @@ class CliffordGate:
     def __post_init__(self):
         if self.name not in CLIFFORD_GATES:
             raise NotClifford(f"{self.name!r} is not a generator gate")
-        arity = 2 if self.name == "CNOT" else 1
+        arity = CLIFFORD_GATES[self.name]
         t = tuple(int(q) for q in self.targets)
         if len(t) != arity or len(set(t)) != arity:
             raise IndexOutOfRange(f"gate {self.name} needs {arity} distinct targets")
@@ -146,22 +148,13 @@ class CliffordCircuit:
     def from_gate_list(cls, d: int, n: int, gates) -> "CliffordCircuit":
         return cls(d, n, tuple(CliffordGate(*g) for g in gates))
 
-    @classmethod
-    def from_circuit_spec(cls, spec: qudit.CircuitSpec) -> "CliffordCircuit":
-        gates = []
-        for g in spec.gates:
-            if g.name == "custom":
-                raise NotClifford("custom-matrix gates are not generator gates")
-            gates.append(CliffordGate(g.name, g.targets, g.power))
-        return cls(spec.d, spec.n, tuple(gates))
-
-    def to_circuit_spec(self) -> qudit.CircuitSpec:
-        return qudit.CircuitSpec(
-            self.d, self.n, tuple(qudit.GateSpec(g.name, g.targets, g.power) for g in self.gates)
-        )
-
     def unitary(self) -> np.ndarray:
-        return qudit.circuit_unitary(self.to_circuit_spec())
+        """Dense unitary of the circuit (gates applied in list order)."""
+        u = np.eye(self.d**self.n, dtype=complex)
+        for g in self.gates:
+            m = qudit.gate_matrix(g.name, self.d, g.power)
+            u = qudit.embed_operator(m, self.d, self.n, g.targets) @ u
+        return u
 
     def inverse(self) -> "CliffordCircuit":
         return CliffordCircuit(
@@ -170,10 +163,32 @@ class CliffordCircuit:
             tuple(CliffordGate(g.name, g.targets, -g.power) for g in reversed(self.gates)),
         )
 
-    def then(self, other: "CliffordCircuit") -> "CliffordCircuit":
-        if (self.d, self.n) != (other.d, other.n):
-            raise DimensionMismatch("cannot concatenate circuits on different registers")
-        return CliffordCircuit(self.d, self.n, self.gates + other.gates)
+
+def load_circuit_json(source) -> CliffordCircuit:
+    """Parse the JSON circuit format (see the module docstring).
+
+    An unknown gate name or a wrong number of targets is an ``IOFailure``.
+    """
+    doc = qudit.parse_json(source, "circuit")
+    try:
+        d, n = int(doc["d"]), int(doc["n"])
+        gates = []
+        for g in doc.get("gates", []):
+            name = g["g"]
+            targets = tuple(int(q) for q in g["q"])
+            if name not in CLIFFORD_GATES:
+                raise IOFailure(f"unknown gate name {name!r}")
+            if len(targets) != CLIFFORD_GATES[name]:
+                raise IOFailure(f"gate {name} expects {CLIFFORD_GATES[name]} targets")
+            gates.append(CliffordGate(name, targets, int(g.get("pow", 1))))
+    except qudit.MALFORMED_DOCUMENT as exc:
+        raise IOFailure(f"malformed circuit document: {exc}") from exc
+    return CliffordCircuit(d, n, tuple(gates))
+
+
+def dump_circuit_json(circuit: CliffordCircuit) -> str:
+    gates = [{"g": g.name, "q": list(g.targets), "pow": g.power} for g in circuit.gates]
+    return json.dumps({"d": circuit.d, "n": circuit.n, "gates": gates}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +271,6 @@ class StabilizerTableau:
                     raise DimensionMismatch("tableau violates X/X commutation")
                 if self.z_images[i].symplectic_product(self.z_images[j]) != 0:
                     raise DimensionMismatch("tableau violates Z/Z commutation")
-
-    def conjugate(self, p: PauliWord) -> PauliWord:
-        """Image of an arbitrary word, rebuilt from the generator images."""
-        if (p.d, p.n) != (self.d, self.n):
-            raise DimensionMismatch("word does not match tableau register")
-        # the preimage factorizes exactly as (prod_q X_q^x) (prod_q Z_q^z),
-        # so the image is the same product over generator images
-        out = PauliWord.identity(self.d, self.n)
-        for q in range(self.n):
-            for _ in range(p.x[q]):
-                out = out.mul(self.x_images[q])
-        for q in range(self.n):
-            for _ in range(p.z[q]):
-                out = out.mul(self.z_images[q])
-        return PauliWord(self.d, self.n, out.x, out.z, out.phase + p.phase)
 
     def to_unitary(self) -> np.ndarray:
         """Dense unitary reproducing the tableau, fixed up to global phase.

@@ -113,8 +113,6 @@ GATE_BUILDERS = {
     "CNOT": cnot,
 }
 
-GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "S": 1, "CNOT": 2}
-
 
 def gate_matrix(name: str, d: int, power: int = 1) -> np.ndarray:
     if name not in GATE_BUILDERS:
@@ -162,19 +160,6 @@ class DenseState:
         if abs(nrm - 1.0) > ATOL:
             raise DimensionMismatch(f"state norm {nrm} deviates from 1")
         object.__setattr__(self, "amplitudes", _readonly(amp))
-
-    @classmethod
-    def computational(cls, d: int, n: int, index: int = 0) -> "DenseState":
-        amp = np.zeros(d**n, dtype=complex)
-        amp[index] = 1.0
-        return cls(d, n, amp)
-
-    @classmethod
-    def from_digits(cls, d: int, digits) -> "DenseState":
-        idx = 0
-        for dig in digits:
-            idx = idx * d + int(dig) % d
-        return cls.computational(d, len(tuple(digits)), idx)
 
     def tensor(self, other: "DenseState") -> "DenseState":
         if other.d != self.d:
@@ -250,6 +235,14 @@ def partial_trace_matrix(mat: np.ndarray, d: int, n: int, keep) -> np.ndarray:
     return np.trace(m.reshape(dk, dr, dk, dr), axis1=1, axis2=3)
 
 
+def is_unitary(u: np.ndarray) -> bool:
+    """True iff u is a square matrix with u u^dagger = I to ``ATOL``."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return bool(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= ATOL)
+
+
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
@@ -281,23 +274,8 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# circuit file format
+# JSON documents
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GateSpec:
-    name: str
-    targets: tuple
-    power: int = 1
-    matrix: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class CircuitSpec:
-    d: int
-    n: int
-    gates: tuple
-
 
 # what indexing or converting a malformed document raises
 MALFORMED_DOCUMENT = (AttributeError, KeyError, TypeError, ValueError)
@@ -315,68 +293,3 @@ def parse_json(source, kind: str):
         return json.loads(source)
     except json.JSONDecodeError as exc:
         raise IOFailure(f"invalid {kind} JSON: {exc}") from exc
-
-
-def load_circuit_json(source) -> CircuitSpec:
-    """Parse the JSON circuit format.
-
-    ``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``
-    where ``g`` is one of X, Z, H, S, CNOT or "custom" with a row-major
-    ``"matrix"`` of [re, im] pairs.
-    """
-    doc = parse_json(source, "circuit")
-    try:
-        d, n = int(doc["d"]), int(doc["n"])
-        gates = []
-        for g in doc.get("gates", []):
-            name = g["g"]
-            targets = tuple(int(q) for q in g["q"])
-            power = int(g.get("pow", 1))
-            if name == "custom":
-                m = np.array(
-                    [[complex(re, im) for re, im in row] for row in g["matrix"]]
-                )
-                gates.append(GateSpec("custom", targets, power, m))
-            else:
-                if name not in GATE_BUILDERS:
-                    raise IOFailure(f"unknown gate name {name!r}")
-                if len(targets) != GATE_ARITY[name]:
-                    raise IOFailure(f"gate {name} expects {GATE_ARITY[name]} targets")
-                gates.append(GateSpec(name, targets, power))
-    except MALFORMED_DOCUMENT as exc:
-        raise IOFailure(f"malformed circuit document: {exc}") from exc
-    return CircuitSpec(d, n, tuple(gates))
-
-
-def dump_circuit_json(spec: CircuitSpec) -> str:
-    gates = []
-    for g in spec.gates:
-        if g.name == "custom":
-            gates.append(
-                {
-                    "g": "custom",
-                    "q": list(g.targets),
-                    "pow": g.power,
-                    "matrix": [
-                        [[float(z.real), float(z.imag)] for z in row]
-                        for row in np.asarray(g.matrix)
-                    ],
-                }
-            )
-        else:
-            gates.append({"g": g.name, "q": list(g.targets), "pow": g.power})
-    return json.dumps({"d": spec.d, "n": spec.n, "gates": gates}, sort_keys=True)
-
-
-def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
-    """Dense unitary of a circuit (gates applied in list order)."""
-    _require_prime(spec.d)
-    dim = spec.d**spec.n
-    u = np.eye(dim, dtype=complex)
-    for g in spec.gates:
-        if g.name == "custom":
-            m = np.linalg.matrix_power(g.matrix, g.power) if g.power != 1 else g.matrix
-        else:
-            m = gate_matrix(g.name, spec.d, g.power)
-        u = embed_operator(m, spec.d, spec.n, g.targets) @ u
-    return u

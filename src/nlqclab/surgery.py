@@ -312,8 +312,7 @@ class OneSidedTask:
     def __post_init__(self):
         dim = self.d**self.n_a
         for x, u in self.unitaries.items():
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (dim, dim) or np.abs(u @ u.conj().T - np.eye(dim)).max() > 1e-9:
+            if np.shape(u) != (dim, dim) or not qudit.is_unitary(u):
                 raise DimensionMismatch(f"family member {x!r} is not unitary")
 
 

@@ -132,9 +132,27 @@ def test_malformed_protocol_file_is_an_error(tmp_path, capsys):
         {**good, "d": "two"},
         {**good, "resource": {"pairs": 2}},
         {**good, "resource": 1},
+        {**good, "split_circuit": {**circuit, "gates": [{"g": "custom", "q": [0], "matrix": []}]}},
+        {**good, "n0": 3, "n1": -1},
     ):
         path.write_text(json.dumps(bad))
         assert cli.main(["surgery", "--protocol", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_inputs_outside_the_register_are_errors(capsys):
+    # a split with a negative side, and a garden-hose input outside the
+    # strategy's input range, each end in one error line, not a traceback
+    for argv in (
+        ["clifford-nlqc", "--n", "2", "--split", "5"],
+        ["clifford-nlqc", "--n", "2", "--split", "-1"],
+        ["surgery", "--mode", "clifford", "--n", "2", "--split", "3"],
+        ["gh", "--strategy", "and", "--x", "7", "--y", "3"],
+    ):
+        assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

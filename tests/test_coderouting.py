@@ -33,7 +33,7 @@ def test_encoding_is_an_isometry(k, n, d):
 def test_two_of_three_qutrit_pattern():
     # secret |0> encodes to the uniform repetition pattern
     scheme = cr.ThresholdScheme(2, 3, 3)
-    enc = scheme.encode(qudit.DenseState.computational(3, 1, 0))
+    enc = scheme.encode(qudit.DenseState(3, 1, np.eye(3)[0]))
     want = np.zeros(27)
     want[[0, 13, 26]] = 1 / np.sqrt(3)  # |000>, |111>, |222>
     assert np.abs(enc.amplitudes - want).max() < 1e-12
@@ -56,7 +56,7 @@ def test_any_k_shares_recover_exactly(k, n, d):
 @pytest.mark.parametrize("k,n,d", SCHEMES)
 def test_below_threshold_is_maximally_mixed(k, n, d):
     scheme = cr.ThresholdScheme(k, n, d)
-    states = [qudit.DenseState.computational(d, 1, i) for i in range(min(d, 3))]
+    states = [qudit.DenseState(d, 1, np.eye(d)[i]) for i in range(min(d, 3))]
     states.append(qudit.DenseState(d, 1, np.ones(d) / np.sqrt(d)))
     for psi in states:
         enc = scheme.encode(psi)
@@ -116,7 +116,7 @@ def test_and_plan_exhaustive_forced_outcomes():
 
 def test_unforced_outcome_without_rng_is_a_usage_error():
     # the y-owned share's hop is forced, the x-owned share's is not
-    psi = qudit.DenseState.computational(3, 1, 0)
+    psi = qudit.DenseState(3, 1, np.eye(3)[0])
     with pytest.raises(UsageError):
         cr.code_route(cr.and_plan(3), 1, 1, psi, forced={(2, 0): (0, 0)})
 
@@ -139,7 +139,7 @@ def test_or_plan_bounce_case_forced():
 
 def test_pipe_accounting():
     plan = cr.and_plan(3)
-    psi = qudit.DenseState.computational(3, 1, 0)
+    psi = qudit.DenseState(3, 1, np.eye(3)[0])
     rep = cr.code_route(plan, 1, 1, psi, rng=np.random.default_rng(0))
     # keep: 0 pipes, x-share: 1 pipe, y-share: 2 pipes
     assert rep.pipe_count == 3
@@ -149,7 +149,7 @@ def test_ambiguous_plan_rejected():
     # a 2-2 split of a (3, 4) scheme leaves neither side at threshold
     scheme = cr.ThresholdScheme(3, 4, 5)
     plan = cr.CodeRoutingPlan(scheme, ("keep", "keep", "send", "send"))
-    psi = qudit.DenseState.computational(5, 1, 0)
+    psi = qudit.DenseState(5, 1, np.eye(5)[0])
     with pytest.raises(AmbiguousSide):
         cr.code_route(plan, 0, 0, psi, rng=np.random.default_rng(0))
 

@@ -66,7 +66,15 @@ def test_qutrit_cnot_protocol_and_accounting():
     account = p.account()
     assert account.ebit_count == 1
     assert abs(account.mutual_information_ebits - 2 * np.log2(3)) < 1e-6
-    assert account.consistent_with_pairs(3)
+
+
+def test_clifford_split_sides_are_checked():
+    c = pauli.random_clifford(2, 2, seed=1)
+    for split in ((5, -3), (-1, 3), (3, -1)):
+        with pytest.raises(DimensionMismatch, match="negative side"):
+            engine.clifford_protocol(c, split)
+    with pytest.raises(DimensionMismatch, match="does not cover"):
+        engine.clifford_protocol(c, (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -145,7 +153,7 @@ def test_forced_execution_is_normalized():
     # the forced branch's trace is its probability, and it holds the target's output
     c = swap_circuit()
     p = engine.clifford_protocol(c, (1, 1))
-    st = qudit.DenseState.computational(2, 2, 2)
+    st = qudit.DenseState(2, 2, np.eye(4)[2])
     rho = engine.program_density(p.program, st.amplitudes, forced={"x_0": (1, 1)})
     prob = engine.sample_branch(p.program, st.amplitudes, {"x_0": (1, 1)}).wire.squared_norm()
     assert abs(np.trace(rho).real - prob) < 1e-12 and abs(prob - 0.25) < 1e-9
@@ -372,10 +380,13 @@ def test_bk_error_non_increasing_on_port_grid():
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
-def test_protocol_validate_passes_for_constructors():
-    c = pauli.random_clifford(2, 3, seed=8)
-    engine.clifford_protocol(c, (1, 1)).validate()
-    engine.bk_protocol(np.eye(4, dtype=complex), (1, 1), 2).validate()
+def test_bk_rejects_a_non_unitary_target():
+    # np.ones would give a "Choi" matrix of trace 1.19
+    for build in (engine.bk_choi, engine.bk_protocol):
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            build(np.ones((4, 4)), (1, 1), 2)
+        with pytest.raises(DimensionMismatch, match="not unitary"):
+            build(np.eye(4)[:, :2], (1, 1), 2)
 
 
 def test_bk_identity_two_ports_reduces_to_pbt():
@@ -406,6 +417,10 @@ def test_malformed_protocol_document_rejected():
     with pytest.raises(IOFailure):
         engine.load_protocol_json(
             {"n0": 2, "n1": 1, "split_circuit": {"d": 2, "n": 2, "gates": []}}
+        )
+    with pytest.raises(IOFailure, match="unknown gate name 'custom'"):
+        engine.load_protocol_json(
+            {"n0": 1, "n1": 1, "split_circuit": {"d": 2, "n": 2, "gates": [{"g": "custom", "q": [0]}]}}
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from nlqclab import gardenhose as gh
 from nlqclab import qudit
-from nlqclab.errors import IOFailure, MalformedMatching, MalformedProgram, UsageError
+from nlqclab.errors import IndexOutOfRange, IOFailure, MalformedMatching, MalformedProgram, UsageError
 
 
 def rand_qubit(seed):
@@ -46,6 +46,16 @@ def test_walk_terminates_within_bound():
     for x, y in product((0, 1), repeat=2):
         r = gh.gh_evaluate(s, x, y)
         assert len(r.path) <= 2 * (2 * s.pipes + 1)
+
+
+def test_inputs_outside_the_strategy_are_rejected():
+    # an x with no matching listed is "no measurement" only inside [0, 2^n_x)
+    s = gh.and_strategy()
+    for x, y in ((7, 3), (2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(IndexOutOfRange):
+            gh.gh_evaluate(s, x, y)
+        with pytest.raises(IndexOutOfRange):
+            gh.gh_quantum_execute(s, x, y, qudit.DenseState(2, 1, np.eye(2)[0]), forced={})
 
 
 def test_malformed_matching_rejected():

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from nlqclab import geometry as geo
-from nlqclab.errors import EmptyDiamond, EmptyRegion, NotOnQuadric
+from nlqclab.errors import EmptyDiamond, EmptyRegion
 
 
 def delayed(tau):
     return geo.preset_config("delayed", tau)
+
+
+def mapped(cfg, move):
+    """The config with ``move`` applied to each of its four boundary points."""
+    return geo.ScatteringConfig(*(move(p) for p in cfg.inputs() + cfg.outputs()))
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +47,6 @@ def test_boundary_angle_stays_below_two_pi():
         assert 0.0 <= geo.BoundaryPoint(0, theta).theta < 2 * np.pi
     d0, _ = geo.decision_regions(geo.preset_config("marginal"))
     assert d0.top.theta == 0.0
-
-
-def test_quadric_validation():
-    with pytest.raises(NotOnQuadric):
-        geo.BulkPoint.from_embedding([1.0, 1.0, 0.0, 0.0])
-    x = geo.BulkPoint(0.3, 0.7, 1.1)
-    again = geo.BulkPoint.from_embedding(x.embedding(), t_hint=0.3)
-    assert abs(again.t - x.t) < 1e-9 and abs(again.rho - x.rho) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +101,7 @@ def test_ridge_monotone_in_delay():
 def test_ridge_reflection_symmetry():
     cfg = delayed(0.2)
     a = geo.ridge_curve(cfg, 2048).length
-    b = geo.ridge_curve(cfg.reflected(), 2048).length
+    b = geo.ridge_curve(mapped(cfg, lambda p: geo.BoundaryPoint(p.t, -p.theta)), 2048).length
     assert abs(a - b) < 1e-9
 
 
@@ -159,7 +156,8 @@ def test_marginal_decision_interval():
 def test_delayed_intervals_widen_but_stay_disjoint():
     d0m, _ = geo.decision_regions(geo.preset_config("marginal"))
     d0d, d1d = geo.decision_regions(delayed(0.2))
-    assert d0d.base_width > d0m.base_width
+    widths = [geo._circle_dist(d.corner_left.theta, d.corner_right.theta) for d in (d0m, d0d)]
+    assert widths[1] > widths[0]
     gap = geo._circle_dist(d0d.corner_right.theta, d1d.corner_left.theta)
     assert gap > 1e-3
 
@@ -282,7 +280,8 @@ def test_each_region_is_computed_once(monkeypatch):
 
 def test_translation_invariance():
     a = geo.verify_connected_wedge(delayed(0.2), 2048)
-    b = geo.verify_connected_wedge(delayed(0.2).translated(0.41), 2048)
+    later = mapped(delayed(0.2), lambda p: geo.BoundaryPoint(p.t + 0.41, p.theta))
+    b = geo.verify_connected_wedge(later, 2048)
     assert abs(a.ridge_length - b.ridge_length) < 1e-9
     assert abs(a.mutual_information - b.mutual_information) < 1e-9
 

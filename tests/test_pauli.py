@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nlqclab import pauli, qudit
-from nlqclab.errors import DimensionMismatch, NotClifford
+from nlqclab import pauli
+from nlqclab.errors import DimensionMismatch, IOFailure
 
 
 def test_hadamard_exchanges_x_and_z():
@@ -72,7 +72,8 @@ def test_involution_is_exact():
         p = pauli.PauliWord(
             d, 3, tuple(rng.integers(0, d, 3)), tuple(rng.integers(0, d, 3)), 1
         )
-        roundtrip = pauli.conjugate_pauli(c.then(c.inverse()), p)
+        there_and_back = pauli.CliffordCircuit(d, 3, c.gates + c.inverse().gates)
+        roundtrip = pauli.conjugate_pauli(there_and_back, p)
         assert roundtrip == p
 
 
@@ -99,18 +100,6 @@ def test_tableau_unitary_reconstruction(d, n):
         k = np.argmax(np.abs(u))
         phase = u.flat[k] / v.flat[k]
         assert np.abs(u - phase * v).max() < 1e-9
-
-
-def test_tableau_conjugate_agrees_with_direct():
-    c = pauli.random_clifford(3, 3, seed=2)
-    t = pauli.tableau_simulate(c)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        p = pauli.PauliWord(
-            3, 3, tuple(rng.integers(0, 3, 3)), tuple(rng.integers(0, 3, 3)),
-            int(rng.integers(0, 3)),
-        )
-        assert t.conjugate(p) == pauli.conjugate_pauli(c, p)
 
 
 def test_tableau_validation_rejects_broken_rows():
@@ -147,7 +136,14 @@ def test_random_clifford_tableaux_are_symplectic():
 
 
 def test_circuit_spec_rejects_custom_gates():
-    h = qudit.hadamard(2)
-    spec = qudit.CircuitSpec(2, 1, (qudit.GateSpec("custom", (0,), 1, h),))
-    with pytest.raises(NotClifford):
-        pauli.CliffordCircuit.from_circuit_spec(spec)
+    # a circuit file holds generator gates only: any other name, a
+    # custom matrix included, and a wrong target count fail at load
+    matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    for gate in (
+        {"g": "custom", "q": [0], "matrix": matrix},
+        {"g": "T", "q": [0]},
+        {"g": "CNOT", "q": [0]},
+        {"g": "H", "q": [0, 1]},
+    ):
+        with pytest.raises(IOFailure):
+            pauli.load_circuit_json({"d": 2, "n": 2, "gates": [gate]})

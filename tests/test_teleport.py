@@ -18,7 +18,7 @@ def rand_qudit(d, seed):
 # ---------------------------------------------------------------------------
 
 def test_zero_state_outcome_zero_needs_no_correction():
-    st = qudit.DenseState.computational(2, 1, 0).tensor(qudit.bell_pair(2))
+    st = qudit.DenseState(2, 1, np.eye(2)[0]).tensor(qudit.bell_pair(2))
     res = teleport.bell_teleport(st, (0,), ((1, 2),), forced=((0, 0),), correct=False)
     assert np.abs(res.state.amplitudes - [1, 0]).max() < 1e-12
 
@@ -72,7 +72,7 @@ def test_unforced_teleport_needs_an_rng():
 
 def test_zero_probability_outcome_is_rejected():
     # qudits 0 and 1 form |Phi+>, so their Bell outcome is (0, 0) with certainty
-    st = qudit.bell_pair(2).tensor(qudit.DenseState.computational(2, 1, 0))
+    st = qudit.bell_pair(2).tensor(qudit.DenseState(2, 1, np.eye(2)[0]))
     with pytest.raises(DimensionMismatch):
         teleport.bell_teleport(st, (0,), ((1, 2),), forced=((1, 0),))
 
