@@ -66,13 +66,14 @@ def cmd_clifford_nlqc(args) -> int:
     circuit = pauli.random_clifford(args.n, args.d, seed=args.seed)
     split = (args.split, args.n - args.split)
     protocol = engine.clifford_protocol(circuit, split)
-    maxd, ptot, branches = engine.branch_exactness(protocol, circuit.unitary())
+    maxd, ptot, branches = engine.branch_exactness(protocol, protocol.target)
     account = protocol.account()
     report = {
         "d": args.d,
         "n": args.n,
         "seed": args.seed,
         "pairs": protocol.meta["pairs"],
+        "path": _sweep_path(protocol.program),
         "branches": branches,
         "max_branch_choi_distance": maxd,
         "probability_total": ptot,
@@ -181,20 +182,22 @@ def cmd_code_route(args) -> int:
     return 0 if ok else 1
 
 
+def _sweep_path(program) -> str:
+    """Which exact sweep ``engine.program_exactness`` runs on the program."""
+    return "tableau" if engine.is_clifford_program(program) else "dense"
+
+
 def cmd_surgery(args) -> int:
     if args.mode == "clifford":
         if args.protocol:
             with open(args.protocol, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            engine.load_protocol_json(doc)  # IOFailure on a malformed document
-            circuit = pauli.load_circuit_json(doc["split_circuit"])
-            split = (int(doc["n0"]), int(doc["n1"]))
+                protocol = engine.load_protocol_json(json.load(fh))
         else:
             circuit = pauli.random_clifford(args.n, args.d, seed=args.seed)
-            split = (args.split, args.n - args.split)
-        cnf = surgery.clifford_normal_form(circuit, split)
+            protocol = engine.clifford_protocol(circuit, (args.split, args.n - args.split))
+        cnf = surgery.normal_form(protocol)
         lp = surgery.clifford_surgery(cnf)
-        maxd, ptot, _ = lp.branch_exactness(circuit.unitary())
+        maxd, ptot, _ = lp.branch_exactness(cnf.target)
         rep = surgery.complexity_report(lp)
         out = {
             "mode": "clifford",
@@ -203,6 +206,7 @@ def cmd_surgery(args) -> int:
             "n_prime": rep.interaction_qudits,
             "gate_count": rep.interaction_gate_count,
             "pairs": rep.resource_pairs,
+            "path": _sweep_path(lp.program),
         }
         _emit(args, out)
         return 0 if out["exact"] else 1

@@ -1,12 +1,19 @@
 """One-round non-local computation: representation, execution, constructors.
 
 A protocol is compiled to a flat ``Program`` over named registers.  The
-executor propagates a state tensor (optionally with a column axis carrying
+executor propagates a wire and enumerates, forces or samples measurement
+outcomes; classical outcomes live in a per-branch dict that downstream
+corrections read.  Success probabilities and Choi operators are computed by
+exact outcome sweeps, never by sampling; ``sample_branch`` runs one seeded
+shot.
+
+The wire is a dense state tensor (optionally with a column axis carrying
 basis inputs, which turns a pure branch into the matrix of the induced
-linear map) and enumerates, forces or samples measurement outcomes;
-classical outcomes live in a per-branch dict that downstream corrections
-read.  Success probabilities and Choi operators are computed by exact
-outcome sweeps, never by sampling; ``sample_branch`` runs one seeded shot.
+linear map), or, in ``program_exactness`` on a program whose every op is
+Clifford (``is_clifford_program``), a ``pauli.StabilizerWire`` holding the
+program's Choi state as generator words: the same executor then sweeps the
+branches with no d**n tensor.  The dense sweep is the oracle for that path
+and the path for every other program.
 """
 
 from __future__ import annotations
@@ -535,6 +542,10 @@ def program_density(program: Program, input_vec, extra_regs=(), forced=None) -> 
     return total
 
 
+def _ref_names(program: Program) -> list:
+    return [f"ref_{i}" for i in range(len(program.in_regs))]
+
+
 def program_choi(program: Program) -> np.ndarray:
     """Trace-1 Choi matrix of the program channel on its input registers.
 
@@ -542,9 +553,8 @@ def program_choi(program: Program) -> np.ndarray:
     half sitting on reference registers ``ref_i``; the output and reference
     registers are kept and everything else is traced out.
     """
-    n_in = len(program.in_regs)
-    ref = [f"ref_{i}" for i in range(n_in)]
-    return program_density(program, qudit.max_entangled_tensor(program.d**n_in), ref)
+    dim = program.d ** len(program.in_regs)
+    return program_density(program, qudit.max_entangled_tensor(dim), _ref_names(program))
 
 
 def rank1_choi_distance(m: np.ndarray, target_u: np.ndarray) -> float:
@@ -565,15 +575,57 @@ def rank1_choi_distance(m: np.ndarray, target_u: np.ndarray) -> float:
     return float(min(1.0, np.linalg.norm(w)))
 
 
+def is_clifford_program(program: Program) -> bool:
+    """Whether every op has a stabilizer form, so exactness runs on a tableau.
+
+    Circuits, Pauli corrections, Bell measurements and discards do; an
+    ``AppendOp`` does when its state is |0...0> or ``Resource.pairs``.
+    """
+    return qudit.is_prime(program.d) and all(
+        isinstance(op, (CircuitOp, PauliCorrectionOp, BellMeasureOp, DiscardOp))
+        or (isinstance(op, AppendOp)
+            and pauli.stabilizer_generators(program.d, op.vec, len(op.names)) is not None)
+        for op in program.ops
+    )
+
+
+def tableau_branches(program: Program, target: np.ndarray):
+    """(outcomes, probability, distance) per branch, swept on the Choi stabilizer state.
+
+    The inputs start paired with ``ref_i`` as in ``program_choi``, and the
+    executor runs the program on that ``pauli.StabilizerWire``.  The
+    probability is exact (d**-r), and the distance is
+    ``rank1_choi_distance`` of the branch: ||u - P u|| for the target's
+    Choi vector u over out + reference registers and the branch's
+    projector P.  ``is_clifford_program(program)`` must hold.
+    """
+    ref = _ref_names(program)
+    wire = pauli.StabilizerWire.pairs(program.d, program.in_regs, ref)
+    names = list(program.out_regs) + ref
+    seen = {}  # branches with the same generator words are the same state
+    for br in _run_ops(program.ops, wire, None, {}, None):
+        w = br.wire.factor_out(list(br.pending_discards))
+        key = (tuple(w.regs), tuple(w.gens))
+        if key not in seen:
+            seen[key] = w.distance(target, names)
+        yield br.outcomes, w.squared_norm(), seen[key]
+
+
 def program_exactness(program: Program, target: np.ndarray):
-    """Max per-branch rank-1 Choi distance to target, probability, branches."""
-    dim = program.d ** len(program.in_regs)
-    dists = []
-    ptot = 0.0
-    for _, m in sweep_branch_maps(program):
-        dists.append(rank1_choi_distance(m, target))
-        ptot += float(np.linalg.norm(m) ** 2) / dim
-    return max(dists), ptot, len(dists)
+    """Max per-branch rank-1 Choi distance to target, probability, branches.
+
+    An all-Clifford program is swept on its Choi stabilizer state
+    (``tableau_branches``); any other on dense branch maps.
+    """
+    if is_clifford_program(program):
+        rows = [(p, dist) for _, p, dist in tableau_branches(program, target)]
+    else:
+        dim = program.d ** len(program.in_regs)
+        rows = [
+            (float(np.linalg.norm(m) ** 2) / dim, rank1_choi_distance(m, target))
+            for _, m in sweep_branch_maps(program)
+        ]
+    return max(dist for _, dist in rows), sum(p for p, _ in rows), len(rows)
 
 
 def branch_exactness(protocol: OneRoundProtocol, target: np.ndarray):

@@ -9,6 +9,15 @@ Z_d otherwise; omega = tau**2 at d = 2).  The dense operator of a word is
 
 Conjugation by the generator set {CNOT, H, S, X, Z} is closed over these
 words, phases included, which is what the tableau simulation relies on.
+A circuit's tableau (the images of every X_q and Z_q) is built once per
+circuit and conjugates any word with one product per qudit.
+
+``StabilizerWire`` runs engine programs on a stabilizer state: circuits
+conjugate its generator words, a Bell measurement with a forced outcome is
+two commuting Pauli measurements (Aaronson and Gottesman,
+arXiv:quant-ph/0406196, with the qudit phases of Hostens, Dehaene and De
+Moor, arXiv:quant-ph/0408190), and discarding registers keeps the
+generators that act trivially on them.
 
 Circuits are read from and written to one JSON format,
 ``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``,
@@ -18,8 +27,9 @@ whose gate names are the generators.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -74,15 +84,7 @@ class PauliWord:
     def mul(self, other: "PauliWord") -> "PauliWord":
         """Operator product self @ other with exact phase bookkeeping."""
         self._check(other)
-        w = _omega_units(self.d)
-        cross = sum(b * a2 for b, a2 in zip(self.z, other.x))  # Z^b X^a' reorder
-        return PauliWord(
-            self.d,
-            self.n,
-            tuple(a1 + a2 for a1, a2 in zip(self.x, other.x)),
-            tuple(b1 + b2 for b1, b2 in zip(self.z, other.z)),
-            self.phase + other.phase + w * cross,
-        )
+        return _times_power(self, other, 1)
 
     def inverse(self) -> "PauliWord":
         # (X^a Z^b)^-1 = Z^-b X^-a = omega^(ab) X^-a Z^-b per qudit
@@ -96,12 +98,6 @@ class PauliWord:
             -self.phase + w * cross,
         )
 
-    def symplectic_product(self, other: "PauliWord") -> int:
-        """Exponent s with self*other = omega**s other*self."""
-        self._check(other)
-        s = sum(b * a2 - a * b2 for a, b, a2, b2 in zip(self.x, self.z, other.x, other.z))
-        return s % self.d
-
     def matrix(self) -> np.ndarray:
         facs = [qudit.weyl(self.d, a, b) for a, b in zip(self.x, self.z)]
         m = reduce(np.kron, facs, np.eye(1, dtype=complex))
@@ -110,6 +106,13 @@ class PauliWord:
     def _check(self, other: "PauliWord") -> None:
         if (self.d, self.n) != (other.d, other.n):
             raise DimensionMismatch("Pauli words live on different registers")
+
+
+def _word(d: int, x: tuple, z: tuple, phase: int) -> PauliWord:
+    """A PauliWord from exponents already reduced mod d, without re-checking them."""
+    w = object.__new__(PauliWord)
+    w.__dict__.update(d=d, n=len(x), x=x, z=z, phase=phase % _phase_mod(d))
+    return w
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,20 @@ class CliffordCircuit:
         return cls(d, n, tuple(CliffordGate(*g) for g in gates))
 
     def unitary(self) -> np.ndarray:
-        """Dense unitary of the circuit (gates applied in list order)."""
-        u = np.eye(self.d**self.n, dtype=complex)
+        """Dense unitary of the circuit (gates applied in list order).
+
+        The columns are held as a tensor with one axis per qudit and each
+        gate acts on its target axes, so no gate is embedded at d**n x d**n.
+        """
+        d, n = self.d, self.n
+        u = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
         for g in self.gates:
-            m = qudit.gate_matrix(g.name, self.d, g.power)
-            u = qudit.embed_operator(m, self.d, self.n, g.targets) @ u
-        return u
+            k = len(g.targets)
+            t = np.moveaxis(u, g.targets, range(k))
+            rest = t.shape[k:]
+            t = qudit.gate_matrix(g.name, d, g.power) @ t.reshape(d**k, -1)
+            u = np.moveaxis(t.reshape((d,) * k + rest), range(k), g.targets)
+        return u.reshape(d**n, d**n)
 
     def inverse(self) -> "CliffordCircuit":
         return CliffordCircuit(
@@ -162,6 +173,11 @@ class CliffordCircuit:
             self.n,
             tuple(CliffordGate(g.name, g.targets, -g.power) for g in reversed(self.gates)),
         )
+
+    @cached_property
+    def tableau(self) -> "StabilizerTableau":
+        """The circuit's tableau, built on first use and kept with the circuit."""
+        return tableau_simulate(self)
 
 
 def load_circuit_json(source) -> CliffordCircuit:
@@ -195,49 +211,44 @@ def dump_circuit_json(circuit: CliffordCircuit) -> str:
 # conjugation
 # ---------------------------------------------------------------------------
 
-def _conj_single_step(p: PauliWord, g: CliffordGate) -> PauliWord:
-    d, w = p.d, _omega_units(p.d)
-    x, z = list(p.x), list(p.z)
-    phase = p.phase
-    if g.name == "H":
-        q = g.targets[0]
-        a, b = x[q], z[q]
-        x[q], z[q] = -b % d, a
-        phase += w * (-(a * b))
-    elif g.name == "S":
-        q = g.targets[0]
-        a = x[q]
-        z[q] = (z[q] + a) % d
-        phase += a + w * (a * (a - 1) // 2)
-    elif g.name == "CNOT":
-        c, t = g.targets
-        # X_c -> X_c X_t, Z_t -> Z_c^-1 Z_t, others fixed; no phases
-        z[c] = (z[c] - z[t]) % d
-        x[t] = (x[t] + x[c]) % d
-    elif g.name == "X":
-        q = g.targets[0]
-        phase += w * (-z[q])
-    elif g.name == "Z":
-        q = g.targets[0]
-        phase += w * x[q]
-    return PauliWord(d, p.n, tuple(x), tuple(z), phase)
+def _conjugate_rows(rows, circuit: CliffordCircuit) -> None:
+    """Conjugate raw words [x, z, phase] by the circuit, in place, gate by gate.
 
-
-def _conj_gate(p: PauliWord, g: CliffordGate, d: int) -> PauliWord:
-    k = g.power % qudit._gate_order(g.name, d)
-    step = CliffordGate(g.name, g.targets, 1)
-    for _ in range(k):
-        p = _conj_single_step(p, step)
-    return p
+    ``x`` and ``z`` are lists of exponents; a gate power acts as that many
+    generator steps (CNOT, X and Z steps add up linearly).
+    """
+    d, w = circuit.d, _omega_units(circuit.d)
+    for g in circuit.gates:
+        k = g.power % qudit._gate_order(g.name, d)
+        q = g.targets[0]
+        for r in rows:
+            x, z = r[0], r[1]
+            if g.name == "CNOT":
+                # X_c -> X_c X_t, Z_t -> Z_c^-1 Z_t, others fixed; no phases
+                t = g.targets[1]
+                z[q] = (z[q] - k * z[t]) % d
+                x[t] = (x[t] + k * x[q]) % d
+            elif g.name == "X":
+                r[2] -= w * k * z[q]
+            elif g.name == "Z":
+                r[2] += w * k * x[q]
+            elif g.name == "H":
+                for _ in range(k):
+                    a, b = x[q], z[q]
+                    x[q], z[q] = -b % d, a
+                    r[2] -= w * a * b
+            else:  # S
+                for _ in range(k):
+                    a = x[q]
+                    z[q] = (z[q] + a) % d
+                    r[2] += a + w * (a * (a - 1) // 2)
 
 
 def conjugate_pauli(circuit: CliffordCircuit, p: PauliWord) -> PauliWord:
     """Return C p C^dagger with the phase tracked exactly."""
     if (circuit.d, circuit.n) != (p.d, p.n):
         raise DimensionMismatch("circuit and Pauli word registers differ")
-    for g in circuit.gates:
-        p = _conj_gate(p, g, circuit.d)
-    return p
+    return circuit.tableau.conjugate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +273,40 @@ class StabilizerTableau:
         d, n = self.d, self.n
         # commutation structure must match the generator words'
         # (a nondegenerate Gram matrix, so the 2n rows are independent over Z_d)
-        for i in range(n):
-            for j in range(n):
-                want_xz = -1 % d if i == j else 0
-                if self.x_images[i].symplectic_product(self.z_images[j]) != want_xz:
-                    raise DimensionMismatch("tableau violates X/Z commutation")
-                if self.x_images[i].symplectic_product(self.x_images[j]) != 0:
-                    raise DimensionMismatch("tableau violates X/X commutation")
-                if self.z_images[i].symplectic_product(self.z_images[j]) != 0:
-                    raise DimensionMismatch("tableau violates Z/Z commutation")
+        rows = self.x_images + self.z_images
+        x = np.array([w.x for w in rows], dtype=np.int64).reshape(2 * n, n)
+        z = np.array([w.z for w in rows], dtype=np.int64).reshape(2 * n, n)
+        # gram[i, j] = s with rows[i] rows[j] = omega**s rows[j] rows[i]
+        gram = (z @ x.T - x @ z.T) % d
+        want = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        want[:n, n:] = (d - 1) * np.eye(n, dtype=np.int64)
+        want[n:, :n] = np.eye(n, dtype=np.int64)
+        if not np.array_equal(gram, want):
+            raise DimensionMismatch("tableau rows violate the X/Z commutation relations")
+
+    def _image(self, x, z, phase: int) -> tuple:
+        """Unreduced (x, z, phase) of C w C^dagger, w = tau**phase prod_q X^x[q] Z^z[q].
+
+        One product per qudit: the images of X_q and Z_q raised to the
+        word's exponents, (X^x Z^z)**k = omega**(x.z k(k-1)/2) X^kx Z^kz.
+        """
+        n, w = self.n, _omega_units(self.d)
+        ox, oz = [0] * n, [0] * n
+        for q in range(n):
+            for img, k in ((self.x_images[q], x[q]), (self.z_images[q], z[q])):
+                if k:
+                    cross = k * sum(map(operator.mul, oz, img.x))
+                    if k > 1:
+                        cross += sum(map(operator.mul, img.x, img.z)) * (k * (k - 1) // 2)
+                    phase += k * img.phase + w * cross
+                    ox = [u + k * v for u, v in zip(ox, img.x)]
+                    oz = [u + k * v for u, v in zip(oz, img.z)]
+        return ox, oz, phase
+
+    def conjugate(self, p: PauliWord) -> PauliWord:
+        """C p C^dagger for the circuit C of the tableau."""
+        x, z, phase = self._image(p.x, p.z, p.phase)
+        return _word(self.d, tuple(v % self.d for v in x), tuple(v % self.d for v in z), phase)
 
     def to_unitary(self) -> np.ndarray:
         """Dense unitary reproducing the tableau, fixed up to global phase.
@@ -322,9 +358,264 @@ def _digits(k: int, d: int, n: int) -> tuple:
 
 def tableau_simulate(circuit: CliffordCircuit) -> StabilizerTableau:
     d, n = circuit.d, circuit.n
-    xs = [conjugate_pauli(circuit, PauliWord.single(d, n, q, 1, 0)) for q in range(n)]
-    zs = [conjugate_pauli(circuit, PauliWord.single(d, n, q, 0, 1)) for q in range(n)]
-    return StabilizerTableau(d, n, tuple(xs), tuple(zs))
+    unit = lambda q: [int(i == q) for i in range(n)]
+    rows = [[unit(q), [0] * n, 0] for q in range(n)] + [[[0] * n, unit(q), 0] for q in range(n)]
+    _conjugate_rows(rows, circuit)
+    words = tuple(_word(d, tuple(x), tuple(z), ph) for x, z, ph in rows)
+    # the rows are symplectic by construction, so StabilizerTableau.validate
+    # is not run again here
+    tab = object.__new__(StabilizerTableau)
+    tab.__dict__.update(d=d, n=n, x_images=words[:n], z_images=words[n:])
+    return tab
+
+
+# ---------------------------------------------------------------------------
+# stabilizer wires: the executor's wire on a stabilizer state
+# ---------------------------------------------------------------------------
+
+def _pair_words(d: int, k: int) -> list:
+    """Generators of k pairs |Phi+> on (i, k + i): X (x) X and Z (x) Z^-1."""
+    words, none = [], (0,) * (2 * k)
+    for i in range(k):
+        one = [0] * (2 * k)
+        one[i] = one[k + i] = 1
+        words.append(_word(d, tuple(one), none, 0))
+        one[k + i] = d - 1
+        words.append(_word(d, none, tuple(one), 0))
+    return words
+
+
+def stabilizer_generators(d: int, vec, m: int):
+    """Generator words of ``vec`` on m registers, or None if it has none here.
+
+    Two states are recognized, to 1e-12 per amplitude: |0...0>, and m/2
+    pairs |Phi+> in the register order L_1..L_k R_1..R_k of
+    ``engine.Resource.pairs``.
+    """
+    vec = np.asarray(vec).reshape(-1)
+    if vec.size != d**m:
+        return None
+    zero = np.zeros(d**m)
+    zero[0] = 1.0
+    if np.abs(vec - zero).max() <= 1e-12:
+        return [PauliWord.single(d, m, q, 0, 1) for q in range(m)]
+    half = d ** (m // 2)
+    if m % 2 == 0 and np.abs(vec - (np.eye(half) / np.sqrt(half)).reshape(-1)).max() <= 1e-12:
+        return _pair_words(d, m // 2)
+    return None
+
+
+def _times_power(g: PauliWord, h: PauliWord, m: int) -> PauliWord:
+    """g @ h**m, from (X^x Z^z)**m = omega**(x.z m(m-1)/2) X^(mx) Z^(mz)."""
+    d = g.d
+    xz = sum(a * b for a, b in zip(h.x, h.z))
+    cross = sum(b * a for b, a in zip(g.z, h.x))  # Z^b X^a reorder
+    return _word(
+        d,
+        tuple((a + m * a2) % d for a, a2 in zip(g.x, h.x)),
+        tuple((b + m * b2) % d for b, b2 in zip(g.z, h.z)),
+        g.phase + m * h.phase + _omega_units(d) * (m * cross + xz * (m * (m - 1) // 2)),
+    )
+
+
+def _coord(w: PauliWord, c: int) -> int:
+    # symplectic coordinate c: x[c] for c < n, else z[c - n]
+    return w.x[c] if c < w.n else w.z[c - w.n]
+
+
+def _reduce(words, cols, d: int):
+    """Row-reduce ``words`` over Z_d on the symplectic coordinates ``cols``.
+
+    Returns (pivots, rest): ``pivots`` lists (column, word) in elimination
+    order, each word zero on the columns of the pivots before it, and
+    ``rest`` the words zero on every column of ``cols``.  Rows change only
+    by multiplying in powers of other rows, so pivots and rest generate the
+    group the words generate.
+    """
+    rest, pivots = list(words), []
+    for c in cols:
+        k = next((i for i, w in enumerate(rest) if _coord(w, c)), None)
+        if k is None:
+            continue
+        piv = rest.pop(k)
+        inv = pow(_coord(piv, c), -1, d)
+        rest = [_times_power(w, piv, -_coord(w, c) * inv % d) if _coord(w, c) else w for w in rest]
+        pivots.append((c, piv))
+    return pivots, rest
+
+
+class StabilizerWire:
+    """Stabilizer state over named registers: ``engine.Wire`` on a tableau.
+
+    ``gens`` holds one generator word per register, over ``regs`` in order;
+    the state is the words' joint +1 eigenvector, kept normalized, and
+    ``norm2`` is the squared norm the unnormalized branch would have: the
+    product of its measurement probabilities, d**-r or 0.  The methods are
+    the ones ``engine._run_ops`` and ``engine._children`` call on a wire, so
+    the one executor runs all-Clifford programs on it.
+    """
+
+    __slots__ = ("d", "gens", "regs", "norm2")
+
+    def __init__(self, d: int, gens, regs, norm2: float = 1.0):
+        self.d = d
+        self.gens = list(gens)
+        self.regs = list(regs)
+        self.norm2 = norm2
+
+    @classmethod
+    def pairs(cls, d: int, left, right) -> "StabilizerWire":
+        """Maximally entangled pairs (left[i], right[i]) and nothing else."""
+        return cls(d, [], [])._adjoin(_pair_words(d, len(left)), list(left) + list(right))
+
+    def positions(self, names) -> list:
+        return [self.regs.index(nm) for nm in names]
+
+    def squared_norm(self) -> float:
+        return self.norm2
+
+    def _adjoin(self, words, names) -> "StabilizerWire":
+        n, m = len(self.regs), len(names)
+        pad, lead = (0,) * m, (0,) * n
+        gens = [_word(self.d, g.x + pad, g.z + pad, g.phase) for g in self.gens]
+        gens += [_word(self.d, lead + w.x, lead + w.z, w.phase) for w in words]
+        return StabilizerWire(self.d, gens, self.regs + list(names), self.norm2)
+
+    def append(self, vec, names) -> "StabilizerWire":
+        words = stabilizer_generators(self.d, vec, len(names))
+        if words is None:
+            raise NotClifford("appended state is neither |0...0> nor Bell pairs")
+        return self._adjoin(words, names)
+
+    def apply_circuit(self, circuit: CliffordCircuit, names) -> "StabilizerWire":
+        """Conjugate every generator touching ``names`` by the circuit's tableau."""
+        if not circuit.gates:
+            return self
+        d, tab, pos = self.d, circuit.tableau, self.positions(names)
+        gens = []
+        for g in self.gens:
+            sub_x = [g.x[p] for p in pos]
+            sub_z = [g.z[p] for p in pos]
+            if not any(sub_x) and not any(sub_z):
+                gens.append(g)
+                continue
+            img_x, img_z, phase = tab._image(sub_x, sub_z, g.phase)
+            x, z = list(g.x), list(g.z)
+            for p, a, b in zip(pos, img_x, img_z):
+                x[p], z[p] = a % d, b % d
+            gens.append(_word(d, tuple(x), tuple(z), phase))
+        return StabilizerWire(d, gens, self.regs, self.norm2)
+
+    def apply_pauli(self, word: PauliWord, names) -> "StabilizerWire":
+        """Conjugate by a Pauli word: P g P^-1 = omega**s g, a phase-only update."""
+        d, w, pos = self.d, _omega_units(self.d), self.positions(names)
+        gens = []
+        for g in self.gens:
+            s = sum(word.z[i] * g.x[p] - word.x[i] * g.z[p] for i, p in enumerate(pos)) % d
+            gens.append(_word(d, g.x, g.z, g.phase + w * s) if s else g)
+        return StabilizerWire(d, gens, self.regs, self.norm2)
+
+    def _measure(self, p: PauliWord) -> "StabilizerWire":
+        """Project onto the +1 eigenspace of p (with p**d = I); norm2 takes its probability."""
+        d, gens = self.d, self.gens
+        supp = [q for q in range(p.n) if p.x[q] or p.z[q]]
+        s = [sum(g.z[q] * p.x[q] - g.x[q] * p.z[q] for q in supp) % d for g in gens]
+        j0 = next((j for j, v in enumerate(s) if v), None)
+        if j0 is None:
+            # p commutes with the group, so the state is an eigenvector of p:
+            # reduce p by group elements down to the eigenvalue's phase
+            pivots, _ = _reduce(gens, range(2 * len(self.regs)), d)
+            t = p
+            for c, piv in pivots:
+                if _coord(t, c):
+                    t = _times_power(t, piv, -_coord(t, c) * pow(_coord(piv, c), -1, d) % d)
+            if any(t.x) or any(t.z):
+                raise DimensionMismatch("stabilizer generators do not fix a single state")
+            return StabilizerWire(d, gens, self.regs, self.norm2 if t.phase == 0 else 0.0)
+        # every outcome has probability 1/d; keep the generators commuting with p
+        g0, inv = gens[j0], pow(s[j0], -1, d)
+        new = [_times_power(g, g0, -v * inv % d) if v else g for g, v in zip(gens, s)]
+        new[j0] = p
+        return StabilizerWire(d, new, self.regs, self.norm2 / d)
+
+    def project_bell(self, pair, outcome) -> "StabilizerWire":
+        """Project a register pair onto the Bell vector for ``outcome`` and drop it.
+
+        The vector ((X^a Z^b)^dagger (x) I)|Phi+> is the +1 eigenvector of
+        omega**-b X (x) X and omega**a Z (x) Z^-1, measured in turn.  As on
+        ``engine.Wire``, the result is not renormalized: ``norm2`` carries
+        the outcome's probability.
+        """
+        d, n, w = self.d, len(self.regs), _omega_units(self.d)
+        i, j = self.positions(pair)
+        a, b = outcome
+        xx, zz = [0] * n, [0] * n
+        xx[i] = xx[j] = zz[i] = 1
+        zz[j] = d - 1
+        none = (0,) * n
+        wire = self
+        for s in (_word(d, tuple(xx), none, -w * b), _word(d, none, tuple(zz), w * a)):
+            wire = wire._measure(s)
+            if not wire.norm2:
+                return StabilizerWire(d, [], [nm for nm in self.regs if nm not in pair], 0.0)
+        return wire.factor_out(pair)
+
+    def factor_out(self, names) -> "StabilizerWire":
+        """Drop registers that are in a product state with the rest."""
+        if not names:
+            return self
+        n, pos = len(self.regs), self.positions(names)
+        _, rest = _reduce(self.gens, pos + [n + p for p in pos], self.d)
+        keep = [i for i in range(n) if i not in pos]
+        if len(rest) != len(keep):
+            raise DimensionMismatch("discarded registers are entangled with the remainder")
+        gens = [
+            _word(self.d, tuple(g.x[i] for i in keep), tuple(g.z[i] for i in keep), g.phase)
+            for g in rest
+        ]
+        return StabilizerWire(self.d, gens, [self.regs[i] for i in keep], self.norm2)
+
+    def distance(self, vec, names) -> float:
+        """||u - P u||: u is ``vec`` normalized, over ``names`` in order, P this state's projector.
+
+        P = prod_g (1/d) sum_j g**j over the generators.  Each g acts on u as
+        one index permutation times one phase vector, so no Pauli matrix is
+        built.  For a pure branch this is ``engine.rank1_choi_distance``.
+        """
+        if set(names) != set(self.regs):
+            raise DimensionMismatch(f"output registers {list(names)} do not match wire {self.regs}")
+        d, m, pos = self.d, len(names), self.positions(names)
+        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        if vec.size != d**m:
+            raise DimensionMismatch(f"target has {vec.size} entries, the branch {d**m}")
+        k = len(self.gens)
+        x = np.array([[g.x[p] for p in pos] for g in self.gens], dtype=np.int64).reshape(k, m)
+        z = np.array([[g.z[p] for p in pos] for g in self.gens], dtype=np.int64).reshape(k, m)
+        phase = np.array([g.phase for g in self.gens], dtype=np.int64)
+        # (g u)[j] = tau**phase omega**(z.(j - x)) u[j - x]; both the index of
+        # j - x and the exponent are sums over registers of one digit's term
+        shifted = (np.arange(d) - x[:, :, None]) % d  # digit q of j - x, for j_q = 0..d-1
+        perms = _outer_sum(shifted * (d ** np.arange(m - 1, -1, -1))[:, None])
+        expo = _outer_sum(shifted * z[:, :, None]) % d
+        phases = (tau(d) ** phase)[:, None] * (qudit.omega(d) ** np.arange(d))[expo]
+        u = vec / np.linalg.norm(vec)
+        v = u
+        for perm, ph in zip(perms, phases):
+            acc = cur = v
+            for _ in range(d - 1):
+                cur = ph * cur[perm]
+                acc = acc + cur
+            v = acc / d
+        return float(min(1.0, np.linalg.norm(u - v)))
+
+
+def _outer_sum(terms: np.ndarray) -> np.ndarray:
+    """(k, m, d) per-register terms -> (k, d**m) sums over every index j, register 0 first."""
+    k, m, _ = terms.shape
+    out = np.zeros((k, 1), dtype=terms.dtype)
+    for q in range(m):
+        out = (out[:, :, None] + terms[:, q, None, :]).reshape(k, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -161,13 +161,6 @@ class DenseState:
             raise DimensionMismatch(f"state norm {nrm} deviates from 1")
         object.__setattr__(self, "amplitudes", _readonly(amp))
 
-    def tensor(self, other: "DenseState") -> "DenseState":
-        if other.d != self.d:
-            raise DimensionMismatch("tensor factors must share d")
-        return DenseState(
-            self.d, self.n + other.n, np.kron(self.amplitudes, other.amplitudes)
-        )
-
 
 def bell_pair(d: int) -> DenseState:
     """|Phi+> = d**-0.5 sum_i |ii> on two qudits."""

@@ -144,7 +144,12 @@ def _deferred_stage(d: int, stage: tuple, messages: dict) -> tuple:
 
 
 def clifford_normal_form(circuit: pauli.CliffordCircuit, split: tuple) -> CliffordOneRound:
-    """Deferred-measurement form of ``engine.clifford_protocol(circuit, split)``.
+    """Deferred-measurement form of ``engine.clifford_protocol(circuit, split)``."""
+    return normal_form(engine.clifford_protocol(circuit, split))
+
+
+def normal_form(protocol: engine.OneRoundProtocol) -> CliffordOneRound:
+    """Deferred-measurement form of a protocol built by ``engine.clifford_protocol``.
 
     Each of the protocol's four stages becomes one Clifford circuit on its
     registers (see ``_deferred_stage``): the Bell outcomes ride along as
@@ -152,7 +157,6 @@ def clifford_normal_form(circuit: pauli.CliffordCircuit, split: tuple) -> Cliffo
     and the messages are discarded at the end.  The channel equals the
     measured protocol's exactly.
     """
-    protocol = engine.clifford_protocol(circuit, split)
     messages = {}
     stages = tuple(_deferred_stage(protocol.d, stage, messages) for stage in protocol.stages)
     k = protocol.meta["pairs"]

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import nlqclab
-from nlqclab import cli, teleport
+from nlqclab import cli, engine, pauli, teleport
 
 
 def run(capsys, *argv):
@@ -71,6 +71,35 @@ def test_surgery_report_fields(capsys):
     assert code == 0 and doc["exact"] is True
     assert doc["n_prime"] == 2 * doc["pairs"]
     assert doc["gate_count"] <= 4 * doc["pairs"]
+    assert doc["path"] == "tableau"
+
+
+def test_clifford_report_names_the_sweep_path(capsys):
+    code, out = run(capsys, "clifford-nlqc", "--d", "3", "--n", "3", "--seed", "2")
+    doc = json.loads(out)
+    assert code == 0 and doc["exact"] is True and doc["path"] == "tableau"
+
+
+def test_surgery_protocol_file_builds_the_protocol_once(tmp_path, capsys, monkeypatch):
+    calls = {"protocol": 0, "unitary": 0}
+    build, unitary = engine.clifford_protocol, pauli.CliffordCircuit.unitary
+
+    def counted_protocol(*args, **kwargs):
+        calls["protocol"] += 1
+        return build(*args, **kwargs)
+
+    def counted_unitary(self):
+        calls["unitary"] += 1
+        return unitary(self)
+
+    monkeypatch.setattr(engine, "clifford_protocol", counted_protocol)
+    monkeypatch.setattr(pauli.CliffordCircuit, "unitary", counted_unitary)
+    circuit = {"d": 3, "n": 3, "gates": [{"g": "CNOT", "q": [0, 2], "pow": 1}, {"g": "H", "q": [1]}]}
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps({"n0": 1, "n1": 2, "resource": {"pairs": 1}, "split_circuit": circuit}))
+    code, out = run(capsys, "surgery", "--protocol", str(path))
+    assert code == 0 and json.loads(out)["exact"] is True
+    assert calls == {"protocol": 1, "unitary": 1}
 
 
 def test_usage_error_exit_code(capsys):

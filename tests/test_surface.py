@@ -17,7 +17,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nlqclab"
 KEEP = {
     "gardenhose.gh_complexity": "acceptance: criterion 5 reads it",
     "gardenhose.or_program": "acceptance: criterion 6 runs it",
-    "pauli.tableau_simulate": "acceptance: criterion 10 builds tableaus with it",
     "pauli.dump_circuit_json": "format round trip of load_circuit_json",
     "gardenhose.dump_strategy_json": "format round trip of load_strategy_json",
     "geometry.ridge_curve": "traced by perfbench",

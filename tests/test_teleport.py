@@ -18,7 +18,7 @@ def rand_qudit(d, seed):
 # ---------------------------------------------------------------------------
 
 def test_zero_state_outcome_zero_needs_no_correction():
-    st = qudit.DenseState(2, 1, np.eye(2)[0]).tensor(qudit.bell_pair(2))
+    st = qudit.DenseState(2, 3, np.kron(np.eye(2)[0], qudit.bell_pair(2).amplitudes))
     res = teleport.bell_teleport(st, (0,), ((1, 2),), forced=((0, 0),), correct=False)
     assert np.abs(res.state.amplitudes - [1, 0]).max() < 1e-12
 
@@ -26,7 +26,7 @@ def test_zero_state_outcome_zero_needs_no_correction():
 @pytest.mark.parametrize("d", [2, 3])
 def test_all_outcomes_corrected_reproduce_input(d):
     psi = rand_qudit(d, d)
-    st = psi.tensor(qudit.bell_pair(d))
+    st = qudit.DenseState(d, 3, np.kron(psi.amplitudes, qudit.bell_pair(d).amplitudes))
     total = 0.0
     for a in range(d):
         for b in range(d):
@@ -38,7 +38,7 @@ def test_all_outcomes_corrected_reproduce_input(d):
 
 def test_uncorrected_outcome_carries_weyl_error():
     psi = rand_qudit(3, 1)
-    st = psi.tensor(qudit.bell_pair(3))
+    st = qudit.DenseState(3, 3, np.kron(psi.amplitudes, qudit.bell_pair(3).amplitudes))
     for a in range(3):
         for b in range(3):
             res = teleport.bell_teleport(st, (0,), ((1, 2),), forced=((a, b),), correct=False)
@@ -57,7 +57,8 @@ def test_two_qudit_teleport_through_two_pairs():
     rng = np.random.default_rng(8)
     amp = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = qudit.DenseState(2, 2, amp / np.linalg.norm(amp))
-    st = psi.tensor(qudit.bell_pair(2)).tensor(qudit.bell_pair(2))
+    pairs = np.kron(qudit.bell_pair(2).amplitudes, qudit.bell_pair(2).amplitudes)
+    st = qudit.DenseState(2, 6, np.kron(psi.amplitudes, pairs))
     res = teleport.bell_teleport(
         st, (0, 1), ((2, 3), (4, 5)), forced=((1, 0), (0, 1))
     )
@@ -65,14 +66,14 @@ def test_two_qudit_teleport_through_two_pairs():
 
 
 def test_unforced_teleport_needs_an_rng():
-    st = rand_qudit(2, 3).tensor(qudit.bell_pair(2))
+    st = qudit.DenseState(2, 3, np.kron(rand_qudit(2, 3).amplitudes, qudit.bell_pair(2).amplitudes))
     with pytest.raises(UsageError):
         teleport.bell_teleport(st, (0,), ((1, 2),))
 
 
 def test_zero_probability_outcome_is_rejected():
     # qudits 0 and 1 form |Phi+>, so their Bell outcome is (0, 0) with certainty
-    st = qudit.bell_pair(2).tensor(qudit.DenseState(2, 1, np.eye(2)[0]))
+    st = qudit.DenseState(2, 3, np.kron(qudit.bell_pair(2).amplitudes, np.eye(2)[0]))
     with pytest.raises(DimensionMismatch):
         teleport.bell_teleport(st, (0,), ((1, 2),), forced=((1, 0),))
 
