@@ -67,7 +67,7 @@ def cmd_clifford_nlqc(args) -> int:
     split = (args.split, args.n - args.split)
     protocol = engine.clifford_protocol(circuit, split)
     maxd, ptot, branches = engine.branch_exactness(protocol, protocol.target)
-    account = protocol.account()
+    account = protocol.resource.account()
     report = {
         "d": args.d,
         "n": args.n,
@@ -89,7 +89,6 @@ def cmd_bk(args) -> int:
     u = {"identity": np.eye(4, dtype=complex), "cnot": qudit.cnot(2)}[args.unitary]
     jt = qudit.choi_of_unitary(u)
     rows = []
-    ok = True
     for n_ports in args.N:
         j = engine.bk_choi(u, (1, 1), n_ports)
         rows.append(

@@ -183,12 +183,12 @@ class CodeRoutingPlan:
                 raise DimensionMismatch(f"bad directive {item!r}")
 
 
-def and_plan(d: int = 3) -> CodeRoutingPlan:
+def and_plan(d: int) -> CodeRoutingPlan:
     scheme = ThresholdScheme(2, 3, d)
     return CodeRoutingPlan(scheme, ("keep", ("x", 0), ("y", 0)))
 
 
-def or_plan(d: int = 3) -> CodeRoutingPlan:
+def or_plan(d: int) -> CodeRoutingPlan:
     scheme = ThresholdScheme(2, 3, d)
     return CodeRoutingPlan(scheme, ("send", ("x", 0), ("y", 0)))
 
@@ -216,8 +216,6 @@ def _directive_route(directive, x: int, y: int) -> tuple:
 @dataclass(frozen=True)
 class RouteReport:
     side: int
-    winning_shares: tuple
-    recovered: qudit.DenseState
     fidelity: float
     hiding_distance: float
     pipe_count: int
@@ -281,8 +279,6 @@ def code_route(
 
     red = wire.density_keeping(decoded[-1:]) / prob  # the secret's register
     fid = float(np.real(q_state.amplitudes.conj() @ red @ q_state.amplitudes))
-    vec = red @ q_state.amplitudes
-    recovered = qudit.DenseState(d, 1, vec / np.linalg.norm(vec)) if fid > 1e-9 else q_state
 
     losers = tuple(i for i in range(n) if sides[i] != side)
     if losers:
@@ -291,5 +287,5 @@ def code_route(
         hiding = qudit.trace_distance_matrices(loser_red, np.eye(dim) / dim)
     else:
         hiding = 0.0
-    return RouteReport(side, winning, recovered, fid, hiding, pipes_used)
+    return RouteReport(side, fid, hiding, pipes_used)
 

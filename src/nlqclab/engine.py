@@ -45,10 +45,10 @@ class Wire:
 
     @classmethod
     def from_matrix(cls, d: int, mat: np.ndarray, regs) -> "Wire":
+        """Wire whose tensor is ``mat``, of shape (d**len(regs), cols)."""
         regs = list(regs)
         mat = np.asarray(mat, dtype=complex)
-        cols = mat.shape[1] if mat.ndim == 2 else 1
-        return cls(d, mat.reshape((d,) * len(regs) + (cols,)), regs)
+        return cls(d, mat.reshape((d,) * len(regs) + (mat.shape[1],)), regs)
 
     @property
     def cols(self) -> int:
@@ -162,13 +162,13 @@ class Wire:
 @dataclass(frozen=True, eq=False)
 class GateOp:
     matrix: np.ndarray = field(repr=False)
-    targets: tuple = ()
+    targets: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitOp:
     circuit: pauli.CliffordCircuit
-    targets: tuple = ()
+    targets: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,15 +337,15 @@ def _run_ops(ops, wire, forced, pgm_cache, rng):
             yield Branch(outcomes, wire, pending)
 
 
-def run_program(program: Program, input_mat: np.ndarray, *, extra_regs=(), forced=None):
-    """Yield branches for the given input columns.
+def run_program(program: Program, input_mat: np.ndarray, *, extra_regs=()):
+    """Yield every branch for the given input columns.
 
     ``input_mat`` has shape (d**len(in_regs + extra_regs), cols); extra
     registers (a reference system) ride along untouched.
     """
     regs = list(program.in_regs) + list(extra_regs)
     wire = Wire.from_matrix(program.d, input_mat, regs)
-    yield from _run_ops(program.ops, wire, forced, {}, None)
+    yield from _run_ops(program.ops, wire, None, {}, None)
 
 
 def sample_branch(program: Program, input_vec, forced=None, rng=None) -> Branch:
@@ -365,12 +365,12 @@ def sample_branch(program: Program, input_vec, forced=None, rng=None) -> Branch:
     return next(_run_ops(program.ops, wire, forced, {}, rng))
 
 
-def branch_map(branch: Branch, out_regs, extra_regs=()) -> np.ndarray:
-    """Matrix of a pure branch on (out + extra) registers; discards dropped."""
+def branch_map(branch: Branch, out_regs) -> np.ndarray:
+    """Matrix of a pure branch on the out registers; discards dropped."""
     w = branch.wire
     if branch.pending_discards:
         w = w.factor_out(list(branch.pending_discards))
-    return w.as_matrix(list(out_regs) + list(extra_regs))
+    return w.as_matrix(list(out_regs))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +454,8 @@ class OneRoundProtocol:
     resource: Resource
     stages: tuple
     program: Program
-    target: np.ndarray | None = field(default=None, repr=False)
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def account(self) -> ResourceAccount:
-        return self.resource.account()
+    target: np.ndarray | None = field(repr=False)
+    meta: dict = field(compare=False, repr=False)
 
 
 def input_names(n0: int, n1: int = 0) -> tuple:
@@ -467,7 +464,7 @@ def input_names(n0: int, n1: int = 0) -> tuple:
 
 
 def assemble_protocol(
-    d, n0, n1, resource, stages, out_regs, target=None, meta=None,
+    d, n0, n1, resource, stages, out_regs, target, meta=None,
 ) -> OneRoundProtocol:
     """Wire a resource and four stages into the one-round program.
 
@@ -482,9 +479,7 @@ def assemble_protocol(
     ops += tuple(op for stage in stages for op in stage)
     program = Program(d, input_names(n0, n1), ops, tuple(out_regs))
     meta = {**(meta or {}), "pairs": resource.pair_count}
-    return OneRoundProtocol(
-        d, n0, n1, resource, tuple(stages), program, target=target, meta=meta,
-    )
+    return OneRoundProtocol(d, n0, n1, resource, tuple(stages), program, target, meta)
 
 
 def _auto_batch(program: Program) -> int:
@@ -526,18 +521,17 @@ def sweep_branch_maps(program: Program):
         yield outcomes, m
 
 
-def program_density(program: Program, input_vec, extra_regs=(), forced=None) -> np.ndarray:
-    """Unnormalized density on out_regs + extra_regs, summed over branches.
+def program_density(program: Program, input_vec, extra_regs=()) -> np.ndarray:
+    """Density on out_regs + extra_regs, summed over every branch.
 
     ``input_vec`` is a pure state on in_regs + extra_regs; the extra
-    registers (a reference system) ride along untouched.  Unforced outcomes
-    are all enumerated, so the trace is the probability of the forced ones.
+    registers (a reference system) ride along untouched.
     """
     keep = list(program.out_regs) + list(extra_regs)
     dim = program.d ** len(keep)
     total = np.zeros((dim, dim), dtype=complex)
     inp = np.reshape(input_vec, (-1, 1))
-    for br in run_program(program, inp, extra_regs=extra_regs, forced=forced):
+    for br in run_program(program, inp, extra_regs=extra_regs):
         total += br.wire.density_keeping(keep)
     return total
 
@@ -642,8 +636,6 @@ class InteractionDecomposition:
     """Pre/post local circuits around an interaction core circuit."""
 
     d: int
-    n0: int
-    n1: int
     pre_left: pauli.CliffordCircuit
     pre_right: pauli.CliffordCircuit
     core: pauli.CliffordCircuit  # on core0 + core1 slots, original order
@@ -673,7 +665,6 @@ def reduce_circuit(circuit: pauli.CliffordCircuit, n0: int) -> InteractionDecomp
     touches.  No search is attempted beyond this.
     """
     d, n = circuit.d, circuit.n
-    n1 = n - n0
     side = lambda q: 0 if q < n0 else 1
 
     def one_sided(g):
@@ -705,7 +696,7 @@ def reduce_circuit(circuit: pauli.CliffordCircuit, n0: int) -> InteractionDecomp
         )
 
     return InteractionDecomposition(
-        d, n0, n1,
+        d,
         side_circuit(pre, 0), side_circuit(pre, 1),
         core,
         side_circuit(post, 0), side_circuit(post, 1),
@@ -796,10 +787,7 @@ def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundP
     out_regs = tele_out + a[f] if t == 0 else a[f] + tele_out
 
     meta = {"decomposition": dec, "tele_side": t}
-    return assemble_protocol(
-        d, n0, n1, Resource.pairs(d, k), stages, out_regs,
-        target=circuit.unitary(), meta=meta,
-    )
+    return assemble_protocol(d, n0, n1, Resource.pairs(d, k), stages, out_regs, circuit.unitary(), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +839,7 @@ def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
         DiscardOp(f1 + a1 + tuple(nm for g in ports_r for nm in g)),
     )
     return assemble_protocol(
-        d, n0, n1, Resource.pairs(d, n0 + n_ports * n), (b_left, b_right, c_left, ()), out_names,
-        target=u,
+        d, n0, n1, Resource.pairs(d, n0 + n_ports * n), (b_left, b_right, c_left, ()), out_names, u,
     )
 
 
@@ -898,19 +885,18 @@ def bk_choi(u: np.ndarray, split: tuple, n_ports: int) -> np.ndarray:
 class BoundReport:
     """Product-replacement bound data.
 
-    ``lhs`` is I/2 in nats and ``passed`` compares it against ``rhs`` =
-    -ln p_suc(product).  The relative-entropy argument (I(L:R) equals
-    S(rho_LR || rho_L x rho_R), and data processing on the success POVM)
-    only supports the full-I version, reported as ``passed_full``; exact
-    teleportation protocols saturate -ln p_suc = I, so ``passed`` is
-    genuinely false for them.
+    ``passed`` compares I/2 in nats against ``rhs`` = -ln p_suc(product).
+    The relative-entropy argument (I(L:R) equals S(rho_LR || rho_L x
+    rho_R), and data processing on the success POVM) only supports the
+    full-I version, reported as ``passed_full``; exact teleportation
+    protocols saturate -ln p_suc = I, so ``passed`` is genuinely false for
+    them.
     """
 
     mutual_information_nats: float
     mutual_information_ebits: float
     p_suc_original: float
     p_suc_product: float
-    lhs: float
     rhs: float
     passed: bool
     passed_full: bool
@@ -951,33 +937,30 @@ def _product_program(protocol: OneRoundProtocol) -> Program:
     return replace(prog, ops=copies + prog.ops[1:])
 
 
-def product_replacement_check(protocol: OneRoundProtocol, task=None) -> BoundReport:
+def product_replacement_check(protocol: OneRoundProtocol) -> BoundReport:
     """Check I(L:R)/2 >= -ln p_suc under product replacement of the resource.
 
-    The task is a POVM expectation on the output (x) reference density
-    (defaults to the projector onto the protocol target's Choi state), so
-    applied to the Choi matrix, whose sweep sums all branches, it gives the
-    success probability.  It is computed once with the true resource and
-    once on ``_product_program``, which purifies the product of its
-    marginals: two density sweeps in all.
+    The task is the projector onto the protocol target's Choi state
+    (``projector_task``), a POVM expectation on the output (x) reference
+    density, so applied to the Choi matrix, whose sweep sums all branches,
+    it gives the success probability.  It is computed once with the true
+    resource and once on ``_product_program``, which purifies the product
+    of its marginals: two density sweeps in all.
     """
-    if task is None:
-        if protocol.target is None:
-            raise DimensionMismatch("no target recorded; pass an explicit task")
-        task = projector_task(protocol.target)
+    if protocol.target is None:
+        raise DimensionMismatch("no target recorded")
+    task = projector_task(protocol.target)
     account = protocol.resource.account()
     p_orig = task(program_choi(protocol.program))
     p_prod = task(program_choi(_product_program(protocol)))
-    lhs = account.mutual_information_nats / 2.0
     rhs = -np.log(max(p_prod, 1e-300))
     return BoundReport(
         account.mutual_information_nats,
         account.mutual_information_ebits,
         p_orig,
         p_prod,
-        lhs,
         float(rhs),
-        bool(lhs >= rhs - qudit.ATOL),
+        bool(account.mutual_information_nats / 2.0 >= rhs - qudit.ATOL),
         bool(account.mutual_information_nats >= rhs - qudit.ATOL),
     )
 

@@ -83,7 +83,6 @@ class RoutingOutcome:
     side: int
     terminal: str
     path: tuple
-    correction: pauli.PauliWord  # undo word for the state at the terminal
 
 
 def gh_evaluate(strategy: GHStrategy, x: int, y: int) -> RoutingOutcome:
@@ -97,10 +96,7 @@ def gh_evaluate(strategy: GHStrategy, x: int, y: int) -> RoutingOutcome:
     visited = {Q}
     for _ in range(2 * strategy.pipes + 1):
         if node not in partner:
-            return RoutingOutcome(
-                _node_side(node), node, tuple(path),
-                pauli.PauliWord.identity(2, 1),
-            )
+            return RoutingOutcome(_node_side(node), node, tuple(path))
         mate = partner[node]
         # traverse the matched edge, then the mate's pipe to the other side
         i = _pipe_index(mate)
@@ -144,7 +140,6 @@ def or_strategy() -> GHStrategy:
 @dataclass(frozen=True)
 class QuantumRoute:
     outcome: RoutingOutcome
-    measurements: tuple          # ((pair, (a, b)), ...)
     probability: float
     terminal_state: qudit.DenseState
 
@@ -166,7 +161,7 @@ def gh_quantum_execute(
     checks that it is unentangled with the carrier.  ``forced`` maps
     measured pairs to outcomes; outcomes not given are drawn with ``rng``.
     The returned state has the correction applied, so it reproduces
-    ``q_state`` exactly; the raw correction word is on the routing outcome.
+    ``q_state`` exactly.
     """
     d = q_state.d
     if q_state.n != 1:
@@ -196,16 +191,13 @@ def gh_quantum_execute(
     except DimensionMismatch as exc:
         raise MalformedMatching("terminal state is not pure") from exc
 
-    measurements = tuple((pair, branch.outcomes[pair]) for pair in pairs)
-    correction = _path_correction(d, route.path, branch.outcomes)
-    out = RoutingOutcome(route.side, route.terminal, route.path, correction)
     prob = branch.wire.squared_norm()
     vec = vec / np.linalg.norm(vec)
     vec = vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
     phase = np.vdot(vec, q_state.amplitudes)
     if abs(phase) > 1e-12:
         vec = vec * phase / abs(phase)
-    return QuantumRoute(out, measurements, prob, qudit.DenseState(d, 1, vec))
+    return QuantumRoute(route, prob, qudit.DenseState(d, 1, vec))
 
 
 def _path_correction(d: int, path, outcome_by_pair) -> pauli.PauliWord:
@@ -311,12 +303,11 @@ _PHASE_VISIBILITY = {"left": {"x"}, "right": {"y"}, "interaction": {"x", "y"}}
 
 @dataclass(frozen=True, eq=False)
 class ControlProgram:
-    """Measurement schedule with declared scratch space, split into phases."""
+    """Measurement schedule split into phases."""
 
     pipes: int
     n_x: int
     n_y: int
-    workspace_bits: int
     instructions: tuple
 
     def __post_init__(self):
@@ -347,7 +338,7 @@ class ControlProgram:
 
 def and_program() -> ControlProgram:
     return ControlProgram(
-        pipes=2, n_x=1, n_y=1, workspace_bits=2,
+        pipes=2, n_x=1, n_y=1,
         instructions=(
             Instruction("left", (("x", 0, 1),), (Q, left_node(1))),
             Instruction("right", (("y", 0, 0),), (right_node(1), right_node(2))),
@@ -357,7 +348,7 @@ def and_program() -> ControlProgram:
 
 def or_program() -> ControlProgram:
     return ControlProgram(
-        pipes=3, n_x=1, n_y=1, workspace_bits=2,
+        pipes=3, n_x=1, n_y=1,
         instructions=(
             Instruction("left", (("x", 0, 0),), (Q, left_node(1))),
             Instruction("left", (("x", 0, 1),), (Q, left_node(3))),
@@ -378,11 +369,10 @@ class TrackedProgram:
 
     base: ControlProgram
     tracking_bits: int
-    flag_bits: int = 2
 
     @property
     def added_bits(self) -> int:
-        return self.tracking_bits + self.flag_bits
+        return self.tracking_bits + 2  # the direct-send flag bit and the side bit
 
     def evaluate(self, x: int, y: int) -> int:
         """Walk the schedule keeping only the register as state."""
@@ -416,8 +406,7 @@ def interaction_to_preprocessed(program: ControlProgram) -> TrackedProgram:
 
     The interaction phase of the result only reads the register (plus the
     two flag bits recording a direct send) and emits the side bit.  The
-    register size is ceil(log2(E+2)) + 2 bits.  SPACE here counts declared
-    workspace bits of the measurement schedule, not a Turing-machine tape.
+    register size is ceil(log2(E+2)) + 2 bits.
     """
     bits = int(np.ceil(np.log2(program.pipes + 2))) if program.pipes else 1
     return TrackedProgram(program, tracking_bits=bits)

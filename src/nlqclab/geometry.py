@@ -72,16 +72,15 @@ class BulkPoint:
         )
 
 
-def bulk_causal(p: BoundaryPoint, x: BulkPoint, tol: float = 1e-9) -> str:
+def bulk_causal(p: BoundaryPoint, x: BulkPoint) -> str:
     """Relation of a bulk point to a boundary point's lightcones.
 
-    Returns one of "timelike-future", "null", "spacelike", "past".
+    Returns one of "timelike-future", "null", "spacelike", "past"; a bulk
+    point with |<X, P>| <= 1e-9 inside the time band is null.
     """
     s = mink(x.embedding(), p.null_vector())
     dt = x.t - p.t
-    if abs(s) <= tol and 0 < dt < np.pi:
-        return "null"
-    if abs(s) <= tol and -np.pi < dt < 0:
+    if abs(s) <= 1e-9 and 0 < abs(dt) < np.pi:
         return "null"
     if dt > 0 and (s > 0 or dt >= np.pi):
         return "timelike-future"
@@ -147,7 +146,6 @@ def _margin_grid(cfg: ScatteringConfig, t_rng, u_rng, th_rng, nt, nu, nth):
 class RegionReport:
     nonempty: bool
     margin: float
-    witness: BulkPoint | None
 
 
 def scattering_region_nonempty(cfg: ScatteringConfig) -> RegionReport:
@@ -160,7 +158,7 @@ def scattering_region_nonempty(cfg: ScatteringConfig) -> RegionReport:
     t_lo = max(p.t for p in cfg.inputs())
     t_hi = min(p.t for p in cfg.outputs())
     if t_hi <= t_lo:
-        return RegionReport(False, -np.inf, None)
+        return RegionReport(False, -np.inf)
     t_rng = (t_lo, t_hi)
     u_rng = (0.0, 0.999)
     th_rng = (0.0, 2 * np.pi)
@@ -174,8 +172,7 @@ def scattering_region_nonempty(cfg: ScatteringConfig) -> RegionReport:
         cand, cand_at = _margin_grid(cfg, t_rng, u_rng, th_rng, 9, 9, 9)
         if cand > best:
             best, at = cand, cand_at
-    witness = BulkPoint(at[0], float(np.arctanh(min(at[1], 1 - 1e-12))), at[2])
-    return RegionReport(best >= -REGION_TOL, best, witness if best >= -REGION_TOL else None)
+    return RegionReport(best >= -REGION_TOL, best)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,6 @@ def scattering_region_nonempty(cfg: ScatteringConfig) -> RegionReport:
 class RidgeCurve:
     length: float
     points: np.ndarray = field(repr=False)   # (m, 4) embedding samples
-    s_range: tuple = (0.0, 0.0)
 
 
 def _ridge_frame(cfg: ScatteringConfig):
@@ -263,7 +259,7 @@ def _clipped_ridge(cfg: ScatteringConfig, resolution: int) -> RidgeCurve:
     hi = min(hi for _, hi in spans)
     if lo <= hi:
         s = np.linspace(lo, hi, resolution + 1)[:, None]
-        return RidgeCurve(hi - lo, _ridge_point(f_time, f_space, s), (lo, hi))
+        return RidgeCurve(hi - lo, _ridge_point(f_time, f_space, s))
 
     # nothing survives the clip: the best min-margin sits at a window edge,
     # at a stationary point of one margin or where the two margins cross
@@ -277,7 +273,7 @@ def _clipped_ridge(cfg: ScatteringConfig, resolution: int) -> RidgeCurve:
     smax = max((s for s in cands if abs(s) <= span), key=clip_margin)
     if clip_margin(smax) > -1e-9:
         pt = _ridge_point(f_time, f_space, smax)
-        return RidgeCurve(0.0, pt[None, :], (smax, smax))
+        return RidgeCurve(0.0, pt[None, :])
     raise EmptyRegion("ridge clipped away by the output pasts")
 
 
@@ -392,11 +388,7 @@ def mutual_information(cfg: ScatteringConfig, cutoff: float = 1e-4) -> float:
     the cross pairing of the four diamond corners; the disconnected phase
     clamps I to zero.  Cutoff dependence cancels between the two phases.
     """
-    return _mutual_information(decision_regions(cfg), cutoff)
-
-
-def _mutual_information(diamonds: tuple, cutoff: float) -> float:
-    d0, d1 = diamonds
+    d0, d1 = decision_regions(cfg)
     disc = boundary_geodesic_length(d0.corner_left, d0.corner_right, cutoff)
     disc += boundary_geodesic_length(d1.corner_left, d1.corner_right, cutoff)
     conn = boundary_geodesic_length(d0.corner_right, d1.corner_left, cutoff)
@@ -409,31 +401,26 @@ class GeometryReport:
     region_nonempty: bool
     region_margin: float
     ridge_length: float
-    decision_intervals: tuple
     mutual_information: float
     saturation_residual: float
     inequality_margin: float  # I - 2 * ridge
 
 
-def verify_connected_wedge(
-    cfg: ScatteringConfig, resolution: int = 4096, cutoff: float = 1e-4
-) -> GeometryReport:
+def verify_connected_wedge(cfg: ScatteringConfig, resolution: int = 4096) -> GeometryReport:
     """Mutual information versus twice the ridge length.
 
     In the vacuum the two quantities agree; the report carries the raw
     residual |I - 2 ridge| and the signed inequality margin.  Sub-leading
     corrections are not modelled, so residual interpretation is left to
-    the caller.
+    the caller.  I is cutoff-independent, so the default cutoff is used.
     """
     region = scattering_region_nonempty(cfg)
     ridge_len = _clipped_ridge(cfg, resolution).length if region.nonempty else 0.0
-    d0, d1 = decision_regions(cfg)
-    mi = _mutual_information((d0, d1), cutoff)
+    mi = mutual_information(cfg)
     return GeometryReport(
         region.nonempty,
         region.margin,
         ridge_len,
-        ((d0.corner_left, d0.corner_right), (d1.corner_left, d1.corner_right)),
         mi,
         abs(mi - 2.0 * ridge_len),
         mi - 2.0 * ridge_len,

@@ -75,11 +75,11 @@ class PauliWord:
         return cls(d, n, (0,) * n, (0,) * n, 0)
 
     @classmethod
-    def single(cls, d: int, n: int, q: int, a: int, b: int, phase: int = 0) -> "PauliWord":
+    def single(cls, d: int, n: int, q: int, a: int, b: int) -> "PauliWord":
         x = [0] * n
         z = [0] * n
         x[q], z[q] = a, b
-        return cls(d, n, tuple(x), tuple(z), phase)
+        return cls(d, n, tuple(x), tuple(z))
 
     def mul(self, other: "PauliWord") -> "PauliWord":
         """Operator product self @ other with exact phase bookkeeping."""
@@ -154,9 +154,15 @@ class CliffordCircuit:
     def unitary(self) -> np.ndarray:
         """Dense unitary of the circuit (gates applied in list order).
 
-        The columns are held as a tensor with one axis per qudit and each
-        gate acts on its target axes, so no gate is embedded at d**n x d**n.
+        Built on first call and kept with the circuit, like ``tableau``, so
+        the array is read-only.
         """
+        return self._unitary
+
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        # the columns are held as a tensor with one axis per qudit and each
+        # gate acts on its target axes, so no gate is embedded at d**n x d**n
         d, n = self.d, self.n
         u = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
         for g in self.gates:
@@ -165,14 +171,9 @@ class CliffordCircuit:
             rest = t.shape[k:]
             t = qudit.gate_matrix(g.name, d, g.power) @ t.reshape(d**k, -1)
             u = np.moveaxis(t.reshape((d,) * k + rest), range(k), g.targets)
-        return u.reshape(d**n, d**n)
-
-    def inverse(self) -> "CliffordCircuit":
-        return CliffordCircuit(
-            self.d,
-            self.n,
-            tuple(CliffordGate(g.name, g.targets, -g.power) for g in reversed(self.gates)),
-        )
+        u = u.reshape(d**n, d**n)
+        u.setflags(write=False)
+        return u
 
     @cached_property
     def tableau(self) -> "StabilizerTableau":

@@ -114,7 +114,7 @@ GATE_BUILDERS = {
 }
 
 
-def gate_matrix(name: str, d: int, power: int = 1) -> np.ndarray:
+def gate_matrix(name: str, d: int, power: int) -> np.ndarray:
     if name not in GATE_BUILDERS:
         raise DimensionMismatch(f"unknown gate {name!r}")
     base = GATE_BUILDERS[name](d)

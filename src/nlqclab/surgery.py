@@ -49,7 +49,7 @@ class CliffordOneRound:
     stages: tuple  # ((regs, CliffordCircuit),) * 4
     out_regs: tuple
     discards: tuple
-    target: np.ndarray | None = field(default=None, repr=False)
+    target: np.ndarray | None = field(repr=False)
 
     def program(self) -> engine.Program:
         ops = ()
@@ -186,7 +186,7 @@ class LocalInteractionProtocol:
 
     program: engine.Program
     resource_pairs: int
-    target: np.ndarray | None = field(default=None, repr=False)
+    target: np.ndarray | None = field(repr=False)
 
     @property
     def interaction_qudits(self) -> int:

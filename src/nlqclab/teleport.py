@@ -51,17 +51,15 @@ def bell_teleport(
     *,
     forced=None,
     rng: np.random.Generator | None = None,
-    correct: bool = True,
 ) -> TeleportResult:
     """Teleport source qudits through Bell pairs contained in ``state``.
 
     ``pairs[i] = (near, far)`` names two qudit indices of ``state``; source
-    ``i`` is measured against ``near`` and lands on ``far``.  With
-    ``correct=True`` the outcome-dependent (X^a Z^b)^dagger undo is applied,
-    reproducing the input exactly.  ``forced[i]`` fixes the outcome of
-    source ``i``; the others are drawn with ``rng``.  The run is one
-    ``engine.sample_branch`` of the teleport program over the qudits of
-    ``state``, named by their indices.
+    ``i`` is measured against ``near`` and lands on ``far``, where the
+    outcome-dependent (X^a Z^b)^dagger undo reproduces the input exactly.
+    ``forced[i]`` fixes the outcome of source ``i``; the others are drawn
+    with ``rng``.  The run is one ``engine.sample_branch`` of the teleport
+    program over the qudits of ``state``, named by their indices.
     """
     from . import engine  # engine imports this module
 
@@ -74,7 +72,7 @@ def bell_teleport(
         raise IndexOutOfRange("sources and pair halves must be distinct qudits")
     measured = set(sources) | {near for near, _ in pairs}
     rest = tuple(q for q in range(state.n) if q not in measured)
-    ops = _teleport_ops(state.d, sources, pairs, correct)
+    ops = _teleport_ops(state.d, sources, pairs)
     program = engine.Program(state.d, tuple(range(state.n)), ops, rest)
     forced = None if forced is None else dict(enumerate(forced))
     branch = engine.sample_branch(program, state.amplitudes, forced, rng)
@@ -84,20 +82,18 @@ def bell_teleport(
     return TeleportResult(outcomes, prob, qudit.DenseState(state.d, len(rest), vec))
 
 
-def _teleport_ops(d: int, sources, pairs, correct: bool) -> tuple:
-    """Bell measurement i of (source i, near i); then, if ``correct``, the undos."""
+def _teleport_ops(d: int, sources, pairs) -> tuple:
+    """Bell measurement i of (source i, near i); then the undo on far i."""
     from . import engine  # engine imports this module
 
     ops = tuple(
         engine.BellMeasureOp((src, near), i)
         for i, (src, (near, _)) in enumerate(zip(sources, pairs))
     )
-    if correct:
-        ops += tuple(
-            engine.PauliCorrectionOp((i,), (far,), hop_undo_rule(d, (i,)))
-            for i, (_, far) in enumerate(pairs)
-        )
-    return ops
+    return ops + tuple(
+        engine.PauliCorrectionOp((i,), (far,), hop_undo_rule(d, (i,)))
+        for i, (_, far) in enumerate(pairs)
+    )
 
 
 def hop_undo_rule(d: int, labels: tuple):
@@ -123,7 +119,7 @@ def teleportation_channel_choi(d: int) -> np.ndarray:
     from . import engine  # engine imports this module
 
     ops = (engine.AppendOp((1, 2), qudit.bell_pair(d).amplitudes),)
-    ops += _teleport_ops(d, (0,), ((1, 2),), True)
+    ops += _teleport_ops(d, (0,), ((1, 2),))
     return engine.program_choi(engine.Program(d, (0,), ops, (2,)))
 
 
@@ -170,15 +166,10 @@ class PBTInstance:
         return tuple(qudit.psd_sqrt(p) for p in self.povm)
 
 
-def _phi_projector(d_a: int) -> np.ndarray:
-    v = np.eye(d_a, dtype=complex).reshape(-1) / np.sqrt(d_a)
-    return np.outer(v, v.conj())
-
-
 def _signal(params: PBTParams, i: int) -> np.ndarray:
     """sigma_i on (A, L_1..L_N); slot 0 is A, slot i+1 is L_i."""
     d, n = params.d_a, params.n_ports
-    p = _phi_projector(d)
+    p = qudit.choi_of_unitary(np.eye(d))
     return qudit.embed_operator(p, d, n + 1, (0, i + 1)) / d ** (n - 1)
 
 
@@ -222,7 +213,7 @@ def pbt_channel(params: PBTParams, instance: PBTInstance | None = None) -> PBTCh
         instance = build_pgm(params)
     j = sum(reduced_port_choi(instance))
     j = 0.5 * (j + j.conj().T)
-    target = _phi_projector(params.d_a)
+    target = qudit.choi_of_unitary(np.eye(params.d_a))
     fid = float(np.real(np.trace(target @ j)))
     dist = qudit.trace_distance_matrices(j, target)
     bound = params.diamond_bound()

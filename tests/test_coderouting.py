@@ -18,7 +18,8 @@ def rand_qudit(d, seed):
 
 def reduced(state, keep):
     """Reduced density matrix of a pure state on the kept qudits."""
-    return engine.Wire.from_matrix(state.d, state.amplitudes, range(state.n)).density_keeping(keep)
+    column = state.amplitudes.reshape(-1, 1)
+    return engine.Wire.from_matrix(state.d, column, range(state.n)).density_keeping(keep)
 
 
 SCHEMES = [(2, 3, 3), (2, 3, 5), (3, 5, 5)]

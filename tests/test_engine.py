@@ -63,7 +63,7 @@ def test_qutrit_cnot_protocol_and_accounting():
     p = engine.clifford_protocol(c, (1, 1))
     maxd, ptot, _ = engine.branch_exactness(p, c.unitary())
     assert maxd < 1e-9 and abs(ptot - 1) < 1e-9
-    account = p.account()
+    account = p.resource.account()
     assert account.ebit_count == 1
     assert abs(account.mutual_information_ebits - 2 * np.log2(3)) < 1e-6
 
@@ -154,8 +154,9 @@ def test_forced_execution_is_normalized():
     c = swap_circuit()
     p = engine.clifford_protocol(c, (1, 1))
     st = qudit.DenseState(2, 2, np.eye(4)[2])
-    rho = engine.program_density(p.program, st.amplitudes, forced={"x_0": (1, 1)})
-    prob = engine.sample_branch(p.program, st.amplitudes, {"x_0": (1, 1)}).wire.squared_norm()
+    branch = engine.sample_branch(p.program, st.amplitudes, {"x_0": (1, 1)})
+    rho = branch.wire.density_keeping(p.program.out_regs)
+    prob = branch.wire.squared_norm()
     assert abs(np.trace(rho).real - prob) < 1e-12 and abs(prob - 0.25) < 1e-9
     out = c.unitary() @ st.amplitudes
     assert np.abs(rho / prob - np.outer(out, out.conj())).max() < 1e-9
@@ -217,16 +218,16 @@ def test_sampled_port_outcome_weighs_as_its_forced_branch(seed):
     assert abs(sampled.wire.squared_norm() - forced.wire.squared_norm()) < 1e-12
 
     # the same draws by hand: one rng.choice per measurement over the Born
-    # weights of its outcomes, the Bell outcome first, then the port
-    def weight(fixed):
-        branches = engine.run_program(program, psi.reshape(-1, 1), forced=fixed)
-        return sum(br.wire.squared_norm() for br in branches)
+    # weights of its outcomes, the Bell outcome first, then the port; every
+    # outcome of either has nonzero weight on these inputs
+    def weight(x, k):
+        return engine.sample_branch(program, psi, {"x_0": x, "port": k}).wire.squared_norm()
 
     rng = np.random.default_rng(seed)
     bell = [(a, b) for a in range(2) for b in range(2)]
-    p = np.array([weight({"x_0": ab}) for ab in bell])
+    p = np.array([weight(ab, 0) + weight(ab, 1) for ab in bell])
     x = bell[rng.choice(4, p=p / p.sum())]
-    p = np.array([weight({"x_0": x, "port": k}) for k in range(2)])
+    p = np.array([weight(x, k) for k in range(2)])
     assert sampled.outcomes == {"x_0": x, "port": int(rng.choice(2, p=p / p.sum()))}
 
 
@@ -321,13 +322,13 @@ def test_partially_entangled_resource_matches_eigen_ensemble(alpha):
     # one pair is teleported through: entanglement fidelity |<Phi+|psi>|^2
     assert abs(rep.p_suc_original - (c + s) ** 2 / 2) < 1e-12
     h = -(w[0] * np.log(w[0]) + w[1] * np.log(w[1]))
-    assert abs(p.account().mutual_information_nats - 2 * h) < 1e-12
+    assert abs(p.resource.account().mutual_information_nats - 2 * h) < 1e-12
 
 
 def test_bk_resource_account_needs_no_full_density():
     # 9 pairs: the full density matrix of the resource would have 2^36 entries
     p = engine.bk_protocol(qudit.cnot(2), (1, 1), 4)
-    account = p.account()
+    account = p.resource.account()
     assert p.meta["pairs"] == account.ebit_count == 9
     assert abs(account.mutual_information_ebits - 18) < 1e-9
 

@@ -138,7 +138,7 @@ def test_malformed_strategy_document_is_an_io_failure(doc):
 
 def test_phase_visibility_enforced():
     with pytest.raises(MalformedProgram):
-        gh.ControlProgram(1, 1, 1, 1, (
+        gh.ControlProgram(1, 1, 1, (
             gh.Instruction("left", (("y", 0, 1),), ("Q", "L1")),
         ))
 
@@ -165,7 +165,7 @@ def test_transform_of_empty_interaction_is_semantic_identity():
 
 
 def test_transform_with_interaction_phase_measurements():
-    program = gh.ControlProgram(2, 1, 1, 2, (
+    program = gh.ControlProgram(2, 1, 1, (
         gh.Instruction("left", (("x", 0, 1),), ("Q", "L1")),
         gh.Instruction("interaction", (("y", 0, 0),), ("R1", "R2")),
     ))

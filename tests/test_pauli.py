@@ -39,6 +39,14 @@ def test_conjugation_matches_dense_including_phase(d, n):
         assert np.abs(u @ p.matrix() @ u.conj().T - img.matrix()).max() < 1e-9
 
 
+def test_unitary_is_built_once_and_read_only():
+    c = pauli.random_clifford(2, 3, seed=4)
+    u = c.unitary()
+    assert c.unitary() is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
 def test_word_multiplication_matches_matrices():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
@@ -72,7 +80,8 @@ def test_involution_is_exact():
         p = pauli.PauliWord(
             d, 3, tuple(rng.integers(0, d, 3)), tuple(rng.integers(0, d, 3)), 1
         )
-        there_and_back = pauli.CliffordCircuit(d, 3, c.gates + c.inverse().gates)
+        back = tuple(pauli.CliffordGate(g.name, g.targets, -g.power) for g in reversed(c.gates))
+        there_and_back = pauli.CliffordCircuit(d, 3, c.gates + back)
         roundtrip = pauli.conjugate_pauli(there_and_back, p)
         assert roundtrip == p
 

@@ -17,10 +17,16 @@ def rand_qudit(d, seed):
 # Bell teleportation
 # ---------------------------------------------------------------------------
 
+def uncorrected_teleport(st, outcome):
+    """The far half after the Bell measurement of qudits (0, 1), with no undo."""
+    program = engine.Program(st.d, (0, 1, 2), (engine.BellMeasureOp((0, 1), 0),), (2,))
+    branch = engine.sample_branch(program, st.amplitudes, {0: outcome})
+    return engine.branch_map(branch, (2,))[:, 0] / np.sqrt(branch.wire.squared_norm())
+
+
 def test_zero_state_outcome_zero_needs_no_correction():
     st = qudit.DenseState(2, 3, np.kron(np.eye(2)[0], qudit.bell_pair(2).amplitudes))
-    res = teleport.bell_teleport(st, (0,), ((1, 2),), forced=((0, 0),), correct=False)
-    assert np.abs(res.state.amplitudes - [1, 0]).max() < 1e-12
+    assert np.abs(uncorrected_teleport(st, (0, 0)) - [1, 0]).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -41,9 +47,8 @@ def test_uncorrected_outcome_carries_weyl_error():
     st = qudit.DenseState(3, 3, np.kron(psi.amplitudes, qudit.bell_pair(3).amplitudes))
     for a in range(3):
         for b in range(3):
-            res = teleport.bell_teleport(st, (0,), ((1, 2),), forced=((a, b),), correct=False)
             want = qudit.weyl(3, a, b) @ psi.amplitudes
-            assert np.abs(res.state.amplitudes - want).max() < 1e-9
+            assert np.abs(uncorrected_teleport(st, (a, b)) - want).max() < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
