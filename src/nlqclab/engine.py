@@ -66,7 +66,11 @@ class Wire:
         k = len(pos)
         t = np.moveaxis(self.tensor, pos, range(k))
         rest = t.shape[k:]
-        t = np.asarray(mat, dtype=complex) @ t.reshape(d**k, -1)
+        t = t.reshape(d**k, -1)
+        if np.isrealobj(mat):  # acts alike on both parts: one real GEMM on the float view
+            t = (np.asarray(mat, dtype=float) @ np.ascontiguousarray(t).view(float)).view(complex)
+        else:
+            t = np.asarray(mat, dtype=complex) @ t
         t = np.moveaxis(t.reshape((d,) * k + rest), range(k), pos)
         return Wire(d, t, list(self.regs))
 

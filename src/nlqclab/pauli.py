@@ -34,7 +34,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import qudit
-from .errors import DimensionMismatch, IndexOutOfRange, IOFailure, NotClifford
+from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure, NotClifford
 
 CLIFFORD_GATES = {"H": 1, "S": 1, "CNOT": 2, "X": 1, "Z": 1}  # generator -> target count
 UNITARY_DIM_CAP = 4096  # largest dimension StabilizerTableau.to_unitary builds
@@ -155,7 +155,8 @@ class CliffordCircuit:
         """Dense unitary of the circuit (gates applied in list order).
 
         Built on first call and kept with the circuit, like ``tableau``, so
-        the array is read-only.
+        the array is read-only.  Past ``qudit.STATE_ENTRY_CAP`` entries it
+        raises ``CapExceeded`` before allocating.
         """
         return self._unitary
 
@@ -164,6 +165,8 @@ class CliffordCircuit:
         # the columns are held as a tensor with one axis per qudit and each
         # gate acts on its target axes, so no gate is embedded at d**n x d**n
         d, n = self.d, self.n
+        if d ** (2 * n) > qudit.STATE_ENTRY_CAP:
+            raise CapExceeded(f"unitary of {d ** (2 * n)} entries exceeds cap {qudit.STATE_ENTRY_CAP}")
         u = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
         for g in self.gates:
             k = len(g.targets)

@@ -201,10 +201,10 @@ def _check_targets(n: int, targets) -> tuple:
 
 
 def embed_operator(op: np.ndarray, d: int, n: int, targets) -> np.ndarray:
-    """Embed an operator on the target qudits into the full register."""
+    """Embed an operator on the target qudits into the full register; a real one stays real."""
     t = _check_targets(n, targets)
     k = len(t)
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     if op.shape != (d**k, d**k):
         raise DimensionMismatch("operator does not match target count")
     rest = [q for q in range(n) if q not in t]

@@ -10,12 +10,15 @@ sigma_i``; the completion Delta = I - sum_i Pi_i is spread equally over the
 ports.  The receiver's only correction is discarding all ports but ``i*``,
 so the reproduced state is approximate, improving with N.
 
-The dense PGM is limited to ``POVM_DIM_CAP``.  Beyond it, the channel is
-known in closed form: it is U (x) U* covariant, hence depolarizing, and
-``pgm_fidelity`` gives its entanglement fidelity as a sum over Young
-diagrams, so ``depolarizing_choi`` rebuilds its Choi matrix at any port
-count the diagram cap allows.  The dense path stays as the oracle that
-the closed form is tested against.
+The PGM is real, as |Phi+> and I are, and port covariant: rho and Delta
+are permutation invariant, so ``Pi_i`` and its root are element 0's with
+ports 1 and i+1 exchanged (``port_swap``).  The dense PGM, one real
+``eigh`` and index permutations, is limited to ``POVM_DIM_CAP``.  Beyond
+it, the channel is known in closed form: it is U (x) U* covariant, hence
+depolarizing, and ``pgm_fidelity`` gives its entanglement fidelity as a
+sum over Young diagrams, so ``depolarizing_choi`` rebuilds its Choi
+matrix at any port count the diagram cap allows.  The dense path stays
+as the oracle that the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -148,46 +151,63 @@ class PBTParams:
         return 4.0 * self.d_a**2 / np.sqrt(self.n_ports)
 
 
+def port_swap(mat: np.ndarray, d: int, n: int, i: int) -> np.ndarray:
+    """P mat P^T, P exchanging ports 1 and i+1 of (A, L_1..L_N): a transpose
+    of the (d,)*(2N+2) tensor of ``mat``, with ``n`` = N."""
+    axes = list(range(2 * n + 2))
+    for s in (1, n + 2):  # the row and the column index of port 1
+        axes[s], axes[s + i] = axes[s + i], axes[s]
+    return mat.reshape((d,) * (2 * n + 2)).transpose(axes).reshape(mat.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class PBTInstance:
+    """A real PGM whose ``povm[i]`` is ``port_swap(povm[0], d_a, N, i)``, so that
+    element 0's spectrum and square root cover every element's."""
+
     params: PBTParams
     povm: tuple = field(repr=False)
 
     def __post_init__(self):
-        dim = self.params.dim
+        d, n, dim = self.params.d_a, self.params.n_ports, self.params.dim
         total = sum(self.povm)
         if np.abs(total - np.eye(dim)).max() > 1e-9:
             raise DimensionMismatch("POVM does not sum to the identity")
-        for p in self.povm:
-            if np.linalg.eigvalsh(p)[0] < -1e-10:
-                raise DimensionMismatch("POVM element is not positive")
+        first = self.povm[0]
+        if not all(np.array_equal(p, port_swap(first, d, n, i)) for i, p in enumerate(self.povm)):
+            raise DimensionMismatch("POVM is not the port permutations of its first element")
+        if np.linalg.eigvalsh(first)[0] < -1e-10:
+            raise DimensionMismatch("POVM element is not positive")
 
     def sqrt_povm(self) -> tuple:
-        return tuple(qudit.psd_sqrt(p) for p in self.povm)
-
-
-def _signal(params: PBTParams, i: int) -> np.ndarray:
-    """sigma_i on (A, L_1..L_N); slot 0 is A, slot i+1 is L_i."""
-    d, n = params.d_a, params.n_ports
-    p = qudit.choi_of_unitary(np.eye(d))
-    return qudit.embed_operator(p, d, n + 1, (0, i + 1)) / d ** (n - 1)
+        d, n = self.params.d_a, self.params.n_ports
+        root = qudit.psd_sqrt(self.povm[0])
+        return tuple(port_swap(root, d, n, i) for i in range(n))
 
 
 def build_pgm(params: PBTParams) -> PBTInstance:
-    """Pretty-good-measurement POVM for the port teleportation instance."""
-    dim = params.dim
+    """Pretty-good-measurement POVM for the port teleportation instance.
+
+    One real ``eigh`` of rho gives B = rho^{-1/2} (|Phi+> (x) I)/sqrt(d_a^(N-1)),
+    a D x D/d_a^2 matrix, and Pi_0 = B B^T; every other element, the Delta/N
+    completion included, is a ``port_swap`` of element 0.
+    """
+    d, n, dim = params.d_a, params.n_ports, params.dim
     if dim > POVM_DIM_CAP:
         raise CapExceeded(f"PGM on dimension {dim} exceeds the dense cap {POVM_DIM_CAP}")
-    sigmas = [_signal(params, i) for i in range(params.n_ports)]
-    rho = sum(sigmas)
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    sigma = qudit.embed_operator(np.outer(phi, phi), d, n + 1, (0, 1)) / d ** (n - 1)
+    rho = sum(port_swap(sigma, d, n, i) for i in range(n))
     vals, vecs = np.linalg.eigh(rho)
     tol = vals.max() * 1e-12
     inv_sqrt = np.where(vals > tol, 1.0 / np.sqrt(np.where(vals > tol, vals, 1.0)), 0.0)
-    r_is = (vecs * inv_sqrt) @ vecs.conj().T
-    povm = [r_is @ s @ r_is for s in sigmas]
-    delta = np.eye(dim) - sum(povm)
-    povm = [p + delta / params.n_ports for p in povm]
-    return PBTInstance(params, tuple(povm))
+    # (|Phi+>_{A L_1} (x) I)^T vecs: the trace over the (A, L_1) index pair
+    proj = np.trace(vecs.reshape(d, d, -1, dim), axis1=0, axis2=1) / np.sqrt(d)
+    b = (vecs * inv_sqrt) @ proj.T / np.sqrt(d ** (n - 1))
+    pi = b @ b.T
+    delta = np.eye(dim) - sum(port_swap(pi, d, n, i) for i in range(n))
+    first = pi + delta / n
+    return PBTInstance(params, tuple(port_swap(first, d, n, i) for i in range(n)))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import nlqclab
 from nlqclab import cli, engine, pauli, teleport
@@ -106,6 +107,17 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["geometry"]) == 2
     capsys.readouterr()
     assert cli.main(["no-such-command"]) == 2
+
+
+def test_unitary_past_the_cap_is_one_error_line(capsys):
+    # 2^24 entries at n = 12 is 4x qudit.STATE_ENTRY_CAP: refused before allocating
+    start = time.perf_counter()
+    code = cli.main(["clifford-nlqc", "--d", "2", "--n", "12", "--split", "6", "--seed", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: unitary of 16777216 entries exceeds cap 4194304\n"
+    assert elapsed < 2.0
 
 
 def test_suite_quick_passes(capsys):

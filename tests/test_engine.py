@@ -25,6 +25,24 @@ def choi_distance(protocol, u):
 
 
 # ---------------------------------------------------------------------------
+# wires
+# ---------------------------------------------------------------------------
+
+def test_real_matrix_apply_matches_the_complex_path():
+    # the real path runs one real GEMM on the float view of the complex tensor
+    rng = np.random.default_rng(21)
+    d, regs = 3, ["a", "b", "c", "e"]
+    t = rng.normal(size=(d,) * 4 + (2,)) + 1j * rng.normal(size=(d,) * 4 + (2,))
+    wires = (engine.Wire(d, t, regs), engine.Wire(d, np.moveaxis(t, 0, 3), regs))
+    assert not wires[1].tensor.flags.c_contiguous
+    for names in (["a"], ["a", "b"], ["c", "a"], ["e", "b"]):
+        m = rng.normal(size=(d ** len(names),) * 2)
+        for w in wires:
+            real = w.apply(m, names).tensor
+            assert np.abs(real - w.apply(m.astype(complex), names).tensor).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
 # constructors and exactness
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlqclab import pauli
-from nlqclab.errors import DimensionMismatch, IOFailure
+from nlqclab.errors import CapExceeded, DimensionMismatch, IOFailure
 
 
 def test_hadamard_exchanges_x_and_z():
@@ -45,6 +45,13 @@ def test_unitary_is_built_once_and_read_only():
     assert c.unitary() is u
     with pytest.raises(ValueError):
         u[0, 0] = 0.0
+
+
+def test_unitary_is_capped_at_the_state_entry_cap():
+    # d^(2n) = 2^22 entries at n = 11 is the cap itself; n = 12 is past it
+    assert pauli.CliffordCircuit(2, 11, ()).unitary().shape == (2048, 2048)
+    with pytest.raises(CapExceeded):
+        pauli.CliffordCircuit(2, 12, ()).unitary()
 
 
 def test_word_multiplication_matches_matrices():

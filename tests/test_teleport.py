@@ -121,6 +121,68 @@ def test_povm_permutation_covariance():
             assert np.abs(perm @ inst.povm[i] @ perm.conj().T - inst.povm[j]).max() < 1e-10
 
 
+def per_port_pgm(params):
+    """The PGM port by port: rho^{-1/2} sigma_i rho^{-1/2} + Delta/N for every i."""
+    d, n, dim = params.d_a, params.n_ports, params.dim
+    bell = qudit.choi_of_unitary(np.eye(d))
+    sigmas = [qudit.embed_operator(bell, d, n + 1, (0, i + 1)) / d ** (n - 1) for i in range(n)]
+    vals, vecs = np.linalg.eigh(sum(sigmas))
+    keep = vals > vals.max() * 1e-12
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
+    r_is = (vecs * inv_sqrt) @ vecs.conj().T
+    povm = [r_is @ s @ r_is for s in sigmas]
+    delta = np.eye(dim) - sum(povm)
+    return [p + delta / n for p in povm]
+
+
+COVARIANT_CASES = [(2, 3), (3, 2), (2, 5), (4, 2)]
+
+
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_pgm_matches_the_per_port_construction(d_a, n):
+    params = teleport.PBTParams(d_a, n)
+    inst = teleport.build_pgm(params)
+    for got, want in zip(inst.povm, per_port_pgm(params), strict=True):
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_povm_elements_are_port_permutations_of_the_first(d_a, n):
+    params = teleport.PBTParams(d_a, n)
+    inst = teleport.build_pgm(params)
+    assert all(np.isrealobj(p) for p in inst.povm)
+    for i in range(1, n):
+        perm = port_permutation(params, 0, i)  # a 0/1 matrix: the products are exact
+        assert np.array_equal(perm @ inst.povm[0] @ perm.T, inst.povm[i])
+        assert np.array_equal(teleport.port_swap(inst.povm[0], d_a, n, i), inst.povm[i])
+
+
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_sqrt_povm_squares_to_the_povm(d_a, n):
+    inst = teleport.build_pgm(teleport.PBTParams(d_a, n))
+    for root, p in zip(inst.sqrt_povm(), inst.povm, strict=True):
+        assert np.abs(root @ root - p).max() < 1e-12
+
+
+def test_instance_rejects_a_non_covariant_povm():
+    params = teleport.PBTParams(2, 2)
+    first = np.diag([1.0] + [0.0] * (params.dim - 1))  # sums to I with its complement
+    with pytest.raises(DimensionMismatch, match="permutations"):
+        teleport.PBTInstance(params, (first, np.eye(params.dim) - first))
+
+
+def test_instance_rejects_a_non_positive_povm():
+    params = teleport.PBTParams(2, 2)
+    d, n, dim = params.d_a, params.n_ports, params.dim
+    # A = E - swap(E) is odd under the port swap, so M and swap(M) sum to I
+    e = np.diag([0.0, 1.0] + [0.0] * (dim - 2))
+    first = np.eye(dim) / 2 + e - teleport.port_swap(e, d, n, 1)
+    povm = (first, teleport.port_swap(first, d, n, 1))
+    assert np.abs(sum(povm) - np.eye(dim)).max() == 0
+    with pytest.raises(DimensionMismatch, match="positive"):
+        teleport.PBTInstance(params, povm)
+
+
 def test_cap_is_enforced():
     with pytest.raises(CapExceeded):
         teleport.build_pgm(teleport.PBTParams(2, 20))
