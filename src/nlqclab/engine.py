@@ -14,6 +14,12 @@ Clifford (``is_clifford_program``), a ``pauli.StabilizerWire`` holding the
 program's Choi state as generator words: the same executor then sweeps the
 branches with no d**n tensor.  The dense sweep is the oracle for that path
 and the path for every other program.
+
+A port measurement applies the PGM in factored form
+(``teleport.PBTInstance``): the measured registers move to the front of
+the tensor once, the port-invariant completion is applied once, and each
+port costs two thin real matrix products; no dense POVM element or root is
+formed.
 """
 
 from __future__ import annotations
@@ -73,6 +79,12 @@ class Wire:
             t = np.asarray(mat, dtype=complex) @ t
         t = np.moveaxis(t.reshape((d,) * k + rest), range(k), pos)
         return Wire(d, t, list(self.regs))
+
+    def to_front(self, names) -> "Wire":
+        """The same state with ``names`` as its leading registers, contiguous."""
+        pos = self.positions(names)
+        t = np.ascontiguousarray(np.moveaxis(self.tensor, pos, range(len(pos))))
+        return Wire(self.d, t, list(names) + [nm for nm in self.regs if nm not in names])
 
     def apply_circuit(self, circuit: pauli.CliffordCircuit, names) -> "Wire":
         d = self.d
@@ -270,13 +282,8 @@ def _children(op, wire, outcomes, forced, pgm_cache, rng):
         kind, choices = tuple, [(a, b) for a in range(wire.d) for b in range(wire.d)]
         project = lambda ab: wire.project_bell(op.pair, ab)
     else:
-        key = (op.params.d_a, op.params.n_ports)
-        if key not in pgm_cache:
-            pgm_cache[key] = teleport.build_pgm(op.params).sqrt_povm()
-        sqrts = pgm_cache[key]
-        names = list(op.input_regs) + [nm for g in op.port_groups for nm in g]
         kind, choices = int, list(range(op.params.n_ports))
-        project = lambda i: wire.apply(sqrts[i], names)
+        project = _port_projector(op, wire, pgm_cache)
     if forced is not None and op.label in forced:
         c = kind(forced[op.label])
         w2 = project(c)
@@ -295,6 +302,41 @@ def _children(op, wire, outcomes, forced, pgm_cache, rng):
         if len(choices) > 1 and w2.squared_norm() < BRANCH_PRUNE:
             continue
         yield {**outcomes, op.label: c}, w2
+
+
+def _port_projector(op: PortMeasureOp, wire: Wire, pgm_cache: dict):
+    """Map from port i to the branch wire sqrt(Pi_i) applied to ``wire``.
+
+    The measured registers are moved to the front once, and Delta/sqrt(N),
+    the same for every port, is applied once; each port then adds
+    left_i (right_i^T t), two thin real GEMMs on the float view of the
+    tensor t (``teleport.PBTInstance.sqrt_povm``).  Branch wires keep the
+    measured registers first.
+    """
+    groups = (op.input_regs,) + tuple(op.port_groups)
+    if len(op.port_groups) != op.params.n_ports or any(
+        wire.d ** len(g) != op.params.d_a for g in groups
+    ):
+        raise DimensionMismatch(
+            f"port measurement {op.label!r} on registers {groups} of dimension {wire.d} "
+            f"does not match {op.params}"
+        )
+    key = (op.params.d_a, op.params.n_ports)
+    if key not in pgm_cache:
+        inst = teleport.build_pgm(op.params)
+        pgm_cache[key] = inst, inst.sqrt_povm()
+    inst, roots = pgm_cache[key]
+    front = wire.to_front([nm for g in groups for nm in g])
+    t = front.tensor.reshape(op.params.dim, -1).view(float)
+    null = inst.null_part(t) / np.sqrt(op.params.n_ports)
+
+    def project(i):
+        left, right = roots[i]
+        out = left @ (right.T @ t)
+        out += null
+        return Wire(wire.d, out.view(complex).reshape(front.tensor.shape), front.regs)
+
+    return project
 
 
 def _run_ops(ops, wire, forced, pgm_cache, rng):

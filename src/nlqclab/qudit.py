@@ -237,6 +237,14 @@ def is_unitary(u: np.ndarray) -> bool:
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a positive semidefinite matrix by ``eigh``, negative
+    eigenvalues clipped to 0.
+
+    A null eigenvalue comes out of ``eigh`` as some delta up to about
+    dim * eps * ||m|| in size, and its root sqrt(delta) enters the result, so
+    near a null space the root is accurate only to about
+    sqrt(dim * eps * ||m||) entrywise, not to eps.
+    """
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T

@@ -10,15 +10,19 @@ sigma_i``; the completion Delta = I - sum_i Pi_i is spread equally over the
 ports.  The receiver's only correction is discarding all ports but ``i*``,
 so the reproduced state is approximate, improving with N.
 
-The PGM is real, as |Phi+> and I are, and port covariant: rho and Delta
-are permutation invariant, so ``Pi_i`` and its root are element 0's with
-ports 1 and i+1 exchanged (``port_swap``).  The dense PGM, one real
-``eigh`` and index permutations, is limited to ``POVM_DIM_CAP``.  Beyond
-it, the channel is known in closed form: it is U (x) U* covariant, hence
-depolarizing, and ``pgm_fidelity`` gives its entanglement fidelity as a
-sum over Young diagrams, so ``depolarizing_choi`` rebuilds its Choi
-matrix at any port count the diagram cap allows.  The dense path stays
-as the oracle that the closed form is tested against.
+The PGM is real, as |Phi+> and I are, and is held in factored form
+(``PBTInstance``): rho commutes with conj(U) (x) U^(x)N, so for diagonal U
+it is block diagonal by charge (``charge_labels``) and is diagonalized one
+block at a time; ``Pi_i`` is P_i b b^T P_i^T + Delta/N for one D x D/d_a^2
+factor b and the port exchange P_i (``port_rows``), and each root is thin
+as well.  The port measurement, the channel and the reduced port Chois all
+work on the factors; the dense elements are a view for checks and oracles.
+The build is limited to ``POVM_DIM_CAP``.  Beyond it, the channel is known
+in closed form: it is U (x) U* covariant, hence depolarizing, and
+``pgm_fidelity`` gives its entanglement fidelity as a sum over Young
+diagrams, so ``depolarizing_choi`` rebuilds its Choi matrix at any port
+count the diagram cap allows.  The exact PGM stays as the oracle that the
+closed form is tested against.
 """
 
 from __future__ import annotations
@@ -151,63 +155,160 @@ class PBTParams:
         return 4.0 * self.d_a**2 / np.sqrt(self.n_ports)
 
 
+def port_rows(mat: np.ndarray, d: int, n: int, i: int) -> np.ndarray:
+    """P_i mat, P_i exchanging ports 1 and i+1 of (A, L_1..L_N) on the row
+    index of ``mat``: a transpose of its (d,)*(N+1) row axes, with ``n`` = N."""
+    axes = list(range(n + 2))
+    axes[1], axes[1 + i] = axes[1 + i], axes[1]
+    return mat.reshape((d,) * (n + 1) + (-1,)).transpose(axes).reshape(mat.shape)
+
+
 def port_swap(mat: np.ndarray, d: int, n: int, i: int) -> np.ndarray:
-    """P mat P^T, P exchanging ports 1 and i+1 of (A, L_1..L_N): a transpose
-    of the (d,)*(2N+2) tensor of ``mat``, with ``n`` = N."""
-    axes = list(range(2 * n + 2))
-    for s in (1, n + 2):  # the row and the column index of port 1
-        axes[s], axes[s + i] = axes[s + i], axes[s]
-    return mat.reshape((d,) * (2 * n + 2)).transpose(axes).reshape(mat.shape)
+    """P_i mat P_i^T, with P_i as in ``port_rows``."""
+    return port_rows(port_rows(mat, d, n, i).T, d, n, i).T
+
+
+def charge_labels(d: int, n: int) -> np.ndarray:
+    """Charge block of each basis state |a, l_1..l_N> of (A, L_1..L_N), as 0, 1, ...
+
+    The charge of |a, l> is the count of each value among l_1..l_N less one
+    count of a.  conj(U) (x) U^(x)N multiplies |a, l> by a phase fixed by its
+    charge when U is diagonal, and rho commutes with it, so rho maps each
+    charge to itself.  |0, 0, m> has the charge of m alone.
+    """
+    digits = np.indices((d,) * (n + 1)).reshape(n + 1, -1)
+    values = np.arange(d)
+    counts = (digits[1:, :, None] == values).sum(axis=0) - (digits[0][:, None] == values)
+    return np.unique(counts, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def rho_blocks(params: PBTParams) -> list:
+    """(states, block) for each charge block of rho = sum_i sigma_i.
+
+    ``states`` are the block's basis indices in increasing order and
+    ``block`` is rho on them; rho is zero between blocks.  sigma_i maps
+    |a', l> with l_i = a' to d_a^-N sum_a |a, l with l_i = a>, so the entries
+    come from index arithmetic and the D x D rho is never formed.
+    """
+    d, n, dim = params.d_a, params.n_ports, params.dim
+    labels = charge_labels(d, n)
+    digits = np.indices((d,) * (n + 1)).reshape(n + 1, -1)
+    src, dst = [], []
+    for i in range(n):
+        s = np.flatnonzero(digits[0] == digits[i + 1])
+        for a in range(d):
+            src.append(s)
+            dst.append(s + (a - digits[0, s]) * (d**n + d ** (n - 1 - i)))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    blocks = []
+    for c in range(labels.max() + 1):
+        states = np.flatnonzero(labels == c)
+        size = len(states)
+        hit = labels[src] == c
+        flat = np.searchsorted(states, dst[hit]) * size + np.searchsorted(states, src[hit])
+        blocks.append((states, np.bincount(flat, minlength=size * size).reshape(size, size) / d**n))
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class PBTInstance:
-    """A real PGM whose ``povm[i]`` is ``port_swap(povm[0], d_a, N, i)``, so that
-    element 0's spectrum and square root cover every element's."""
+    """A real PGM held as factors: Pi_i = P_i b b^T P_i^T + Delta/N.
+
+    ``b`` is D x D/d_a^2 with b b^T = rho^-1/2 sigma_1 rho^-1/2, P_i is the
+    port exchange of ``port_rows``, and Delta = I - sum_i P_i b b^T P_i^T is
+    the projector onto ker rho.  ``basis`` is an orthonormal basis of ker rho
+    when ``kernel`` is true, else of supp rho, whichever is smaller, so
+    Delta = basis basis^T or I - basis basis^T.  Covariance and positivity
+    hold by construction.  Every column of b and of basis must lie in one
+    charge block (``charge_labels``); the sum of the elements is then block
+    diagonal, and it is checked against I block by block, to 1e-9.
+    """
 
     params: PBTParams
-    povm: tuple = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    kernel: bool
 
     def __post_init__(self):
         d, n, dim = self.params.d_a, self.params.n_ports, self.params.dim
-        total = sum(self.povm)
-        if np.abs(total - np.eye(dim)).max() > 1e-9:
+        r = dim // d**2
+        if self.b.shape != (dim, r) or self.basis.shape[0] != dim:
+            raise DimensionMismatch(f"PGM factors do not fit dimension {dim}")
+        labels = charge_labels(d, n)
+        for m in (self.b, self.basis):
+            live = m != 0
+            if np.any(live & (labels[:, None] != labels[live.argmax(axis=0)])):
+                raise DimensionMismatch("a PGM factor column spans two charge blocks")
+        rows = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+        cols = [np.flatnonzero(labels[:r] == c) for c in range(labels.max() + 1)]
+        totals = []
+        for s in rows:  # Delta on the block
+            part = self.basis[s] @ self.basis[s].T
+            totals.append(part if self.kernel else np.eye(len(s)) - part)
+        for i in range(n):
+            perm = port_rows(np.arange(dim), d, n, i)  # (P_i m)[x] = m[perm[x]]
+            for total, s, t in zip(totals, rows, cols):
+                part = self.b[np.ix_(perm[s], t)]
+                total += part @ part.T
+        if max(np.abs(t - np.eye(len(t))).max() for t in totals) > 1e-9:
             raise DimensionMismatch("POVM does not sum to the identity")
-        first = self.povm[0]
-        if not all(np.array_equal(p, port_swap(first, d, n, i)) for i, p in enumerate(self.povm)):
-            raise DimensionMismatch("POVM is not the port permutations of its first element")
-        if np.linalg.eigvalsh(first)[0] < -1e-10:
-            raise DimensionMismatch("POVM element is not positive")
+
+    def null_part(self, t: np.ndarray) -> np.ndarray:
+        """Delta t, through the smaller of the bases of ker rho and supp rho."""
+        part = self.basis @ (self.basis.T @ t)
+        return part if self.kernel else t - part
+
+    @property
+    def povm(self) -> tuple:
+        """The dense elements, D x D each: a view for checks and oracles."""
+        d, n, dim = self.params.d_a, self.params.n_ports, self.params.dim
+        first = self.b @ self.b.T + self.null_part(np.eye(dim)) / n
+        return tuple(port_swap(first, d, n, i) for i in range(n))
 
     def sqrt_povm(self) -> tuple:
+        """(left_i, right_i) per port, with sqrt(Pi_i) = left_i right_i^T + Delta/sqrt(N).
+
+        right_i = P_i b and left_i = P_i b G^-1/2 with G = b^T b: for
+        M = P_i b, (M G^-1/2 M^T)^2 = M M^T, and Delta annihilates every
+        P_i b, so the root is exact and no null eigenvalue is clipped.
+        """
         d, n = self.params.d_a, self.params.n_ports
-        root = qudit.psd_sqrt(self.povm[0])
-        return tuple(port_swap(root, d, n, i) for i in range(n))
+        vals, vecs = np.linalg.eigh(self.b.T @ self.b)
+        left = self.b @ ((vecs / np.sqrt(vals)) @ vecs.T)
+        return tuple((port_rows(left, d, n, i), port_rows(self.b, d, n, i)) for i in range(n))
 
 
 def build_pgm(params: PBTParams) -> PBTInstance:
-    """Pretty-good-measurement POVM for the port teleportation instance.
+    """Pretty-good-measurement POVM for the port teleportation instance, as factors.
 
-    One real ``eigh`` of rho gives B = rho^{-1/2} (|Phi+> (x) I)/sqrt(d_a^(N-1)),
-    a D x D/d_a^2 matrix, and Pi_0 = B B^T; every other element, the Delta/N
-    completion included, is a ``port_swap`` of element 0.
+    rho is block diagonal over charges (``rho_blocks``), so it is
+    diagonalized by one real ``eigh`` per block.  In block c,
+    b = rho^-1/2 (|Phi+> (x) I)/sqrt(d_a^(N-1)) on the columns m whose
+    |0, 0, m> has charge c, and the null eigenvectors span ker rho there.
+    No D x D matrix is formed.
     """
     d, n, dim = params.d_a, params.n_ports, params.dim
     if dim > POVM_DIM_CAP:
         raise CapExceeded(f"PGM on dimension {dim} exceeds the dense cap {POVM_DIM_CAP}")
-    phi = np.eye(d).reshape(-1) / np.sqrt(d)
-    sigma = qudit.embed_operator(np.outer(phi, phi), d, n + 1, (0, 1)) / d ** (n - 1)
-    rho = sum(port_swap(sigma, d, n, i) for i in range(n))
-    vals, vecs = np.linalg.eigh(rho)
-    tol = vals.max() * 1e-12
-    inv_sqrt = np.where(vals > tol, 1.0 / np.sqrt(np.where(vals > tol, vals, 1.0)), 0.0)
-    # (|Phi+>_{A L_1} (x) I)^T vecs: the trace over the (A, L_1) index pair
-    proj = np.trace(vecs.reshape(d, d, -1, dim), axis1=0, axis2=1) / np.sqrt(d)
-    b = (vecs * inv_sqrt) @ proj.T / np.sqrt(d ** (n - 1))
-    pi = b @ b.T
-    delta = np.eye(dim) - sum(port_swap(pi, d, n, i) for i in range(n))
-    first = pi + delta / n
-    return PBTInstance(params, tuple(port_swap(first, d, n, i) for i in range(n)))
+    r = dim // d**2
+    spectra = [(states, *np.linalg.eigh(block)) for states, block in rho_blocks(params)]
+    tol = max(vals.max() for _, vals, _ in spectra) * 1e-12
+    n_null = sum(int((vals <= tol).sum()) for _, vals, _ in spectra)
+    kernel = n_null <= dim // 2
+    b = np.zeros((dim, r))
+    basis = np.zeros((dim, n_null if kernel else dim - n_null))
+    start = 0
+    for states, vals, vecs in spectra:
+        keep = vals > tol
+        cols = states[states < r]  # |0, 0, m> is basis state m
+        # rows of (|Phi+>_{A L_1} (x) I)^T vecs: the sum over |a, a, m>
+        proj = sum(vecs[np.searchsorted(states, cols + a * (d**n + d ** (n - 1)))] for a in range(d))
+        proj = proj[:, keep] / np.sqrt(d)
+        b[np.ix_(states, cols)] = (vecs[:, keep] / np.sqrt(vals[keep])) @ proj.T / np.sqrt(d ** (n - 1))
+        span = vecs[:, ~keep if kernel else keep]
+        basis[states, start:start + span.shape[1]] = span
+        start += span.shape[1]
+    return PBTInstance(params, b, basis, kernel)
 
 
 @dataclass(frozen=True)
@@ -231,6 +332,8 @@ def pbt_channel(params: PBTParams, instance: PBTInstance | None = None) -> PBTCh
     """
     if instance is None:
         instance = build_pgm(params)
+    elif instance.params != params:
+        raise DimensionMismatch(f"PGM built for {instance.params}, channel asked for {params}")
     j = sum(reduced_port_choi(instance))
     j = 0.5 * (j + j.conj().T)
     target = qudit.choi_of_unitary(np.eye(params.d_a))
@@ -321,29 +424,24 @@ def depolarizing_choi(target: np.ndarray, fidelity: float) -> np.ndarray:
     return fidelity * target + (1.0 - fidelity) / (dim - 1) * (np.eye(dim) - target)
 
 
-def port_transfer_operators(instance: PBTInstance) -> list:
-    """Partial traces Theta_i = tr_{ports != i}(Pi_i) on (A, port_i).
-
-    These d_a^2-dimensional operators determine the per-port reduced
-    channels when the resource is the product of maximally entangled pairs.
-    """
-    d, n = instance.params.d_a, instance.params.n_ports
-    out = []
-    for i, p in enumerate(instance.povm):
-        out.append(qudit.partial_trace_matrix(p, d, n + 1, (0, i + 1)))
-    return out
-
-
 def reduced_port_choi(instance: PBTInstance) -> list:
     """Trace-normalized Choi contribution of each port's reduced channel.
 
     Summing over ports gives the full PBT channel Choi; indices are ordered
-    (output, input copy).
+    (output, input copy).  With the A slot read as the output copy and the
+    L_i slot as the input copy, port i's contribution is Theta_i/d^(N+1),
+    Theta_i = tr_{ports != i}(Pi_i) on (A, L_i), the same matrix for every
+    port by covariance.  (A, L_1) leads the row index of the factors, so
+    Theta is one product of each factor reshaped to d_a^2 rows.
     """
-    d, n = instance.params.d_a, instance.params.n_ports
-    # with the A slot read as the output copy and the L_i slot as the input
-    # copy, Theta_i/d^(N+1) is exactly the port's Choi contribution
-    return [th / d ** (n + 1) for th in port_transfer_operators(instance)]
+    d, n, dim = instance.params.d_a, instance.params.n_ports, instance.params.dim
+    b = instance.b.reshape(d * d, -1)
+    basis = instance.basis.reshape(d * d, -1)
+    delta = basis @ basis.T
+    if not instance.kernel:
+        delta = dim // (d * d) * np.eye(d * d) - delta
+    theta = b @ b.T + delta / n
+    return [theta / d ** (n + 1)] * n
 
 
 def trace_commutation_check(u: np.ndarray, n_ports: int) -> bool:

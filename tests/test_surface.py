@@ -35,6 +35,10 @@ KEEP = {
     "geometry.bulk_causal": "documented API in the README",
     "gardenhose.TrackedProgram.added_bits": "acceptance: criterion 6 bounds it",
     "pauli.StabilizerTableau.to_unitary": "acceptance: criterion 10 compares it to the dense unitary",
+    "teleport.PBTInstance.povm": "acceptance: criterion 3 sums the dense elements and checks each is positive",
+    "qudit.psd_sqrt": "oracle of test_teleport for the thin PGM roots; traced by perfbench",
+    "qudit.embed_operator": "dense gate embedding the tests build oracles with (test_qudit, test_engine, "
+    "test_coderouting, test_teleport)",
     # dataclass fields
     "gardenhose.QuantumRoute.outcome": "acceptance: criterion 5 and the perfbench garden-hose items check the side",
     "gardenhose.QuantumRoute.probability": "test_gardenhose: the forced outcomes' probabilities sum to 1",

@@ -1,5 +1,7 @@
 """Bell teleportation and the PGM port-teleportation channel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,11 +123,17 @@ def test_povm_permutation_covariance():
             assert np.abs(perm @ inst.povm[i] @ perm.conj().T - inst.povm[j]).max() < 1e-10
 
 
+def dense_sigmas(params):
+    """The signals sigma_i = |Phi+><Phi+|_{A L_i} (x) (I/d_a)^(N-1), as dense matrices."""
+    d, n = params.d_a, params.n_ports
+    bell = qudit.choi_of_unitary(np.eye(d))
+    return [qudit.embed_operator(bell, d, n + 1, (0, i + 1)) / d ** (n - 1) for i in range(n)]
+
+
 def per_port_pgm(params):
     """The PGM port by port: rho^{-1/2} sigma_i rho^{-1/2} + Delta/N for every i."""
-    d, n, dim = params.d_a, params.n_ports, params.dim
-    bell = qudit.choi_of_unitary(np.eye(d))
-    sigmas = [qudit.embed_operator(bell, d, n + 1, (0, i + 1)) / d ** (n - 1) for i in range(n)]
+    n, dim = params.n_ports, params.dim
+    sigmas = dense_sigmas(params)
     vals, vecs = np.linalg.eigh(sum(sigmas))
     keep = vals > vals.max() * 1e-12
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
@@ -157,35 +165,81 @@ def test_povm_elements_are_port_permutations_of_the_first(d_a, n):
         assert np.array_equal(teleport.port_swap(inst.povm[0], d_a, n, i), inst.povm[i])
 
 
+def dense_roots(inst):
+    """Each port's thin root left_i right_i^T + Delta/sqrt(N), made dense."""
+    delta = inst.null_part(np.eye(inst.params.dim))
+    return [left @ right.T + delta / np.sqrt(inst.params.n_ports) for left, right in inst.sqrt_povm()]
+
+
 @pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
 def test_sqrt_povm_squares_to_the_povm(d_a, n):
     inst = teleport.build_pgm(teleport.PBTParams(d_a, n))
-    for root, p in zip(inst.sqrt_povm(), inst.povm, strict=True):
+    for root, p in zip(dense_roots(inst), inst.povm, strict=True):
         assert np.abs(root @ root - p).max() < 1e-12
 
 
-def test_instance_rejects_a_non_covariant_povm():
-    params = teleport.PBTParams(2, 2)
-    first = np.diag([1.0] + [0.0] * (params.dim - 1))  # sums to I with its complement
-    with pytest.raises(DimensionMismatch, match="permutations"):
-        teleport.PBTInstance(params, (first, np.eye(params.dim) - first))
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_thin_roots_match_the_eigh_square_root(d_a, n):
+    inst = teleport.build_pgm(teleport.PBTParams(d_a, n))
+    # psd_sqrt's stated accuracy near a null space; every element has norm <= 1
+    tol = np.sqrt(inst.params.dim * np.finfo(float).eps)
+    for root, p in zip(dense_roots(inst), inst.povm, strict=True):
+        assert np.abs(root - qudit.psd_sqrt(p)).max() < tol
 
 
-def test_instance_rejects_a_non_positive_povm():
-    params = teleport.PBTParams(2, 2)
-    d, n, dim = params.d_a, params.n_ports, params.dim
-    # A = E - swap(E) is odd under the port swap, so M and swap(M) sum to I
-    e = np.diag([0.0, 1.0] + [0.0] * (dim - 2))
-    first = np.eye(dim) / 2 + e - teleport.port_swap(e, d, n, 1)
-    povm = (first, teleport.port_swap(first, d, n, 1))
-    assert np.abs(sum(povm) - np.eye(dim)).max() == 0
-    with pytest.raises(DimensionMismatch, match="positive"):
-        teleport.PBTInstance(params, povm)
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_rho_is_zero_between_charge_blocks(d_a, n):
+    params = teleport.PBTParams(d_a, n)
+    rho = sum(dense_sigmas(params))
+    labels = teleport.charge_labels(d_a, n)
+    assert np.all(rho[labels[:, None] != labels[None, :]] == 0)
+    blocks = teleport.rho_blocks(params)
+    assert sorted(s for states, _ in blocks for s in states) == list(range(params.dim))
+    for states, block in blocks:
+        assert np.abs(block - rho[np.ix_(states, states)]).max() < 1e-15
+
+
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_blocked_spectrum_is_the_spectrum_of_rho(d_a, n):
+    params = teleport.PBTParams(d_a, n)
+    blocked = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in teleport.rho_blocks(params)]))
+    assert np.abs(blocked - np.linalg.eigvalsh(sum(dense_sigmas(params)))).max() < 1e-12
+
+
+@pytest.mark.parametrize("d_a,n", [(2, 8), (3, 5)])
+def test_charge_blocks_at_the_benchmark_sizes(d_a, n):
+    sizes = [len(states) for states, _ in teleport.rho_blocks(teleport.PBTParams(d_a, n))]
+    assert (len(sizes), max(sizes)) == {(2, 8): (10, 126), (3, 5): (33, 80)}[(d_a, n)]
+
+
+def test_instance_rejects_factors_whose_ports_do_not_sum_to_identity():
+    inst = teleport.build_pgm(teleport.PBTParams(2, 3))
+    with pytest.raises(DimensionMismatch, match="identity"):
+        teleport.PBTInstance(inst.params, 1.01 * inst.b, inst.basis, inst.kernel)
+    with pytest.raises(DimensionMismatch, match="identity"):
+        teleport.PBTInstance(inst.params, inst.b, inst.basis[:, 1:], inst.kernel)
+    with pytest.raises(DimensionMismatch, match="charge"):
+        mixed = inst.basis.copy()
+        mixed[:, 0] = inst.basis[:, 0] + inst.basis[:, 1]
+        teleport.PBTInstance(inst.params, inst.b, mixed, inst.kernel)
 
 
 def test_cap_is_enforced():
     with pytest.raises(CapExceeded):
         teleport.build_pgm(teleport.PBTParams(2, 20))
+
+
+def test_cap_raises_at_the_next_size_before_allocating():
+    # d_a = 2 is the largest factor b (D x D/4) at a given D
+    n = int(np.log2(teleport.POVM_DIM_CAP))  # d_a^(n+1) = 2 POVM_DIM_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            teleport.build_pgm(teleport.PBTParams(2, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +288,33 @@ def _port_program(m, n_ports):
     return engine.Program(2, a, ops, out)
 
 
+def test_port_measurement_on_registers_of_another_dimension_is_rejected():
+    # two one-qubit ports and a one-qubit input, labelled as two-qubit ports
+    a = engine.input_names(1)
+    ops = (
+        engine.AppendOp(("L_0", "L_1", "R_0", "R_1"), engine.Resource.pairs(2, 2).state),
+        engine.PortMeasureOp("port", a, (("L_0",), ("L_1",)), teleport.PBTParams(4, 2)),
+        engine.SelectPortOp("port", (("R_0",), ("R_1",)), ("B_0",)),
+        engine.DiscardOp(a + ("L_0", "L_1")),
+    )
+    with pytest.raises(DimensionMismatch, match="port measurement 'port'"):
+        engine.program_choi(engine.Program(2, a, ops, ("B_0",)))
+
+
+def test_channel_rejects_an_instance_built_for_other_params():
+    inst = teleport.build_pgm(teleport.PBTParams(2, 3))
+    with pytest.raises(DimensionMismatch):
+        teleport.pbt_channel(teleport.PBTParams(2, 5), inst)
+
+
+@pytest.mark.parametrize("d_a,n", COVARIANT_CASES)
+def test_reduced_port_choi_is_the_partial_trace_of_each_element(d_a, n):
+    inst = teleport.build_pgm(teleport.PBTParams(d_a, n))
+    for i, (p, got) in enumerate(zip(inst.povm, teleport.reduced_port_choi(inst), strict=True)):
+        theta = qudit.partial_trace_matrix(p, d_a, n + 1, (0, i + 1))
+        assert np.abs(got - theta / d_a ** (n + 1)).max() < 1e-14
+
+
 @pytest.mark.parametrize("d_a,n", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2)])
 def test_reduced_port_channel_matches_direct(d_a, n):
     # d_a = 4 runs as two qubits per port, as bk_protocol does
@@ -244,8 +325,7 @@ def test_reduced_port_channel_matches_direct(d_a, n):
     assert np.abs(teleport.pbt_channel(inst.params, inst).choi - reduced).max() < 1e-14
 
 
-# the dense oracle stops at dimension 2^10: at POVM_DIM_CAP = 2^14 one dense
-# operator takes 4 GB and the PGM holds 2N of them
+# the PGM channel meets the closed form up to dimension 2^10
 ORACLE_CASES = [
     (d_a, n) for d_a in (2, 3, 4) for n in range(1, 14) if d_a ** (n + 1) <= 2**10
 ]
