@@ -270,7 +270,7 @@ def code_route(
                 engine.BellMeasureOp((regs[i], near), label),
             )
             regs[i] = far
-        ops += (engine.PauliCorrectionOp(labels, (regs[i],), teleport.hop_undo_rule(d, labels)),)
+        ops += (engine.PauliCorrectionOp(labels, (regs[i],), teleport.hop_frame(hops)),)
     decoded = tuple(regs[i] for i in winning[: scheme.k])
     ops += (engine.GateOp(scheme.decode_unitary(winning), decoded),)
     program = engine.Program(d, shares, ops, tuple(regs))

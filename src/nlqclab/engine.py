@@ -7,6 +7,10 @@ corrections read.  Success probabilities and Choi operators are computed by
 exact outcome sweeps, never by sampling; ``sample_branch`` runs one seeded
 shot.
 
+A Pauli correction is data: its integer frame over Z_d maps the Bell
+outcomes it reads linearly to the Pauli word the outcomes leave on its
+targets, and the op applies that word's inverse.
+
 The wire is a dense state tensor (optionally with a column axis carrying
 basis inputs, which turns a pure branch into the matrix of the induced
 linear map), or, in ``program_exactness`` on a program whose every op is
@@ -207,14 +211,26 @@ class CorrectionOp:
 
 @dataclass(frozen=True, eq=False)
 class PauliCorrectionOp:
-    """Pauli-word correction chosen by a rule reading recorded outcomes."""
+    """Undo of the Pauli frame that recorded Bell outcomes leave on targets.
+
+    The outcomes (a_j, b_j) of ``labels`` leave X^x Z^z on ``targets``, with
+    (x, z) = frame . (a_1, b_1, ..., a_k, b_k) mod d; the op applies its
+    exact inverse.  Every correction is linear in the outcomes, so there is
+    no constant column.
+    """
 
     labels: tuple
     targets: tuple
-    rule: object = field(repr=False)  # outcomes dict -> PauliWord
+    frame: np.ndarray = field(repr=False)  # int, (2 len(targets), 2 len(labels))
 
-    def word(self, outcomes) -> pauli.PauliWord:
-        return self.rule({k: outcomes[k] for k in self.labels})
+    def __post_init__(self):
+        if np.shape(self.frame) != (2 * len(self.targets), 2 * len(self.labels)):
+            raise DimensionMismatch(f"frame of shape {np.shape(self.frame)} does not fit {self}")
+
+    def word(self, d: int, outcomes) -> pauli.PauliWord:
+        xz = self.frame @ [c for label in self.labels for c in outcomes[label]]
+        m = len(self.targets)
+        return pauli.PauliWord(d, m, tuple(xz[:m]), tuple(xz[m:])).inverse()
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +381,7 @@ def _run_ops(ops, wire, forced, pgm_cache, rng):
             elif isinstance(op, CorrectionOp):
                 wire = wire.apply(op.matrix(outcomes), op.targets)
             elif isinstance(op, PauliCorrectionOp):
-                wire = wire.apply_pauli(op.word(outcomes), op.targets)
+                wire = wire.apply_pauli(op.word(wire.d, outcomes), op.targets)
             elif isinstance(op, (BellMeasureOp, PortMeasureOp)):
                 stack.append((i, pending, _children(op, wire, outcomes, forced, pgm_cache, rng)))
                 break
@@ -750,16 +766,6 @@ def reduce_circuit(circuit: pauli.CliffordCircuit, n0: int) -> InteractionDecomp
     )
 
 
-def _teleport_error_word(core: pauli.CliffordCircuit, tele_slots, outcomes_list):
-    """Pauli word X^a Z^b on the teleported core slots for given outcomes."""
-    d, n = core.d, core.n
-    x = [0] * n
-    z = [0] * n
-    for slot, (a, b) in zip(tele_slots, outcomes_list):
-        x[slot], z[slot] = a, b
-    return pauli.PauliWord(d, n, tuple(x), tuple(z))
-
-
 def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundProtocol:
     """One-round protocol implementing a Clifford exactly.
 
@@ -793,19 +799,9 @@ def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundP
     pre = (dec.pre_left, dec.pre_right)
     post = (dec.post_left, dec.post_right)
 
-    def correction_rule(which):
-        tele_slots = [slots[q] for q in cores[t]]
-        own_slots = [slots[q] for q in cores[which]]
-
-        def rule(outcomes):
-            err = _teleport_error_word(core, tele_slots, [outcomes[l] for l in labels])
-            img = pauli.conjugate_pauli(core, err).inverse()
-            sub_x = tuple(img.x[s] for s in own_slots)
-            sub_z = tuple(img.z[s] for s in own_slots)
-            ph = img.phase if which == t else 0
-            return pauli.PauliWord(d, len(own_slots), sub_x, sub_z, ph)
-
-        return rule
+    # the core carries the teleported slots' frame onto the core slots of side s
+    tele_slots = [slots[q] for q in cores[t]]
+    frame = lambda s: pauli.conjugation_frame(core, tele_slots, [slots[q] for q in cores[s]])
 
     tele_regs = [side_regs[t][q] for q in cores[t]]
     # the far side runs the core with the teleported qudits on its pair halves
@@ -823,11 +819,11 @@ def clifford_protocol(circuit: pauli.CliffordCircuit, split: tuple) -> OneRoundP
     )
     stages[f] = (CircuitOp(pre[f], a[f]), CircuitOp(core, tuple(core_targets)))
     stages[2 + t] = (
-        PauliCorrectionOp(labels, tuple(pairs[f]), correction_rule(t)),
+        PauliCorrectionOp(labels, tuple(pairs[f]), frame(t)),
         CircuitOp(post[t], tele_out),
     )
     stages[2 + f] = (
-        PauliCorrectionOp(labels, tuple(side_regs[f][q] for q in cores[f]), correction_rule(f)),
+        PauliCorrectionOp(labels, tuple(side_regs[f][q] for q in cores[f]), frame(f)),
         CircuitOp(post[f], a[f]),
     )
     out_regs = tele_out + a[f] if t == 0 else a[f] + tele_out

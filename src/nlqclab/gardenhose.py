@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, pauli, qudit
+from . import engine, qudit
 from .errors import (
     CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure, MalformedMatching, MalformedProgram,
 )
@@ -179,9 +179,7 @@ def gh_quantum_execute(
     ops = (engine.AppendOp(halves, engine.Resource.pairs(d, strategy.pipes).state),)
     ops += tuple(engine.BellMeasureOp(pair, pair) for pair in pairs)
     ops += (
-        engine.PauliCorrectionOp(
-            pairs, (route.terminal,), lambda outcomes: _path_correction(d, route.path, outcomes)
-        ),
+        engine.PauliCorrectionOp(pairs, (route.terminal,), _path_frame(route.path, pairs)),
         engine.DiscardOp(untouched),
     )
     program = engine.Program(d, (Q,), ops, (route.terminal,))
@@ -200,26 +198,21 @@ def gh_quantum_execute(
     return QuantumRoute(route, prob, qudit.DenseState(d, 1, vec))
 
 
-def _path_correction(d: int, path, outcome_by_pair) -> pauli.PauliWord:
-    """Undo word for the teleport chain along the walk.
+def _path_frame(path, pairs) -> np.ndarray:
+    """Pauli frame that the teleport chain along the walk leaves on the terminal.
 
     Each hop measures (carrier, pipe-near-end); with the measured pair in
     that order the far end picks up X^a Z^b, but the recorded pair may be
-    oriented either way, in which case the error is the transpose variant
-    X^-a Z^b.  The composition is inverted to give the correction.
+    oriented either way, in which case the hop leaves X^-a Z^b.  Columns
+    follow ``pairs``, the measurement labels.
     """
-    err = pauli.PauliWord.identity(d, 1)
-    hops = [(path[i], path[i + 1]) for i in range(0, len(path) - 1, 2)]
-    for carrier, mate in hops:
-        pair = (carrier, mate)
-        if pair in outcome_by_pair:
-            a, b = outcome_by_pair[pair]
-            hop = pauli.PauliWord(d, 1, (a,), (b,))
-        else:
-            a, b = outcome_by_pair[(mate, carrier)]
-            hop = pauli.PauliWord(d, 1, (-a,), (b,))
-        err = hop.mul(err)
-    return err.inverse()
+    frame = np.zeros((2, 2 * len(pairs)), dtype=np.int64)
+    for i in range(0, len(path) - 1, 2):
+        carrier, mate = path[i], path[i + 1]
+        sign = 1 if (carrier, mate) in pairs else -1
+        j = pairs.index((carrier, mate) if sign == 1 else (mate, carrier))
+        frame[0, 2 * j], frame[1, 2 * j + 1] = sign, 1
+    return frame
 
 
 def exhaustive_table(strategy: GHStrategy):

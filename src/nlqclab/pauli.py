@@ -71,20 +71,11 @@ class PauliWord:
         object.__setattr__(self, "phase", int(self.phase) % _phase_mod(self.d))
 
     @classmethod
-    def identity(cls, d: int, n: int) -> "PauliWord":
-        return cls(d, n, (0,) * n, (0,) * n, 0)
-
-    @classmethod
     def single(cls, d: int, n: int, q: int, a: int, b: int) -> "PauliWord":
         x = [0] * n
         z = [0] * n
         x[q], z[q] = a, b
         return cls(d, n, tuple(x), tuple(z))
-
-    def mul(self, other: "PauliWord") -> "PauliWord":
-        """Operator product self @ other with exact phase bookkeeping."""
-        self._check(other)
-        return _times_power(self, other, 1)
 
     def inverse(self) -> "PauliWord":
         # (X^a Z^b)^-1 = Z^-b X^-a = omega^(ab) X^-a Z^-b per qudit
@@ -102,10 +93,6 @@ class PauliWord:
         facs = [qudit.weyl(self.d, a, b) for a, b in zip(self.x, self.z)]
         m = reduce(np.kron, facs, np.eye(1, dtype=complex))
         return tau(self.d) ** self.phase * m
-
-    def _check(self, other: "PauliWord") -> None:
-        if (self.d, self.n) != (other.d, other.n):
-            raise DimensionMismatch("Pauli words live on different registers")
 
 
 def _word(d: int, x: tuple, z: tuple, phase: int) -> PauliWord:
@@ -253,6 +240,20 @@ def conjugate_pauli(circuit: CliffordCircuit, p: PauliWord) -> PauliWord:
     if (circuit.d, circuit.n) != (p.d, p.n):
         raise DimensionMismatch("circuit and Pauli word registers differ")
     return circuit.tableau.conjugate(p)
+
+
+def conjugation_frame(circuit: CliffordCircuit, sources, targets) -> np.ndarray:
+    """Pauli frame on qudits ``targets`` of C (prod_j X^a_j Z^b_j on sources[j]) C^dagger.
+
+    Conjugation is linear in the exponents, phases aside, so column pair j
+    holds the exponents of the images of X and Z on ``sources[j]``: the
+    (2 len(targets), 2 len(sources)) frame with rows x then z on the
+    targets and columns (a_1, b_1, ..., a_k, b_k).
+    """
+    tab, targets = circuit.tableau, list(targets)
+    images = [img for s in sources for img in (tab.x_images[s], tab.z_images[s])]
+    cols = [[img.x[t] for t in targets] + [img.z[t] for t in targets] for img in images]
+    return np.array(cols, dtype=np.int64).reshape(len(images), 2 * len(targets)).T
 
 
 # ---------------------------------------------------------------------------

@@ -77,33 +77,17 @@ def _cz_gates(control: int, target: int, power: int) -> list:
     ]
 
 
-def _controlled_word_gates(d, coeffs_x, coeffs_z) -> list:
-    """Gates applying X^(c*cx) Z^(c*cz) on targets controlled by registers.
-
-    ``coeffs_x[(ctrl, tgt)]`` holds the X exponent multiplier for the value
-    of control slot ``ctrl`` acting on target slot ``tgt``; likewise for Z.
-    Phases of the controlled word are not reproduced; the controls are
-    message registers that end up discarded, so the channel is unchanged.
-    """
-    gates = []
-    for (ctrl, tgt), c in sorted(coeffs_x.items()):
-        if c % d:
-            gates.append(pauli.CliffordGate("CNOT", (ctrl, tgt), c % d))
-    for (ctrl, tgt), c in sorted(coeffs_z.items()):
-        if c % d:
-            gates.extend(_cz_gates(ctrl, tgt, c % d))
-    return gates
-
-
 def _deferred_stage(d: int, stage: tuple, messages: dict) -> tuple:
     """(registers, circuit) running a protocol stage with measurements deferred.
 
     A Bell measurement of (src, half) becomes CNOT^-1(src, half), H^-1(src)
     and leaves (src, half) as message registers holding (u, v); its outcome
     would be (a, b) = (v, -u), and ``messages`` records the pair under the
-    label.  A Pauli correction becomes controlled gates: Clifford
-    conjugation is linear in the exponents, so v controls the word of the
-    rule at a = 1 and u the inverse of its word at b = 1.
+    label.  A Pauli correction becomes controlled gates read off its frame
+    columns: it undoes frame . (a, b), so u_j controls the exponents of
+    column b_j and v_j minus those of column a_j, X parts first.  The
+    controlled word's phases are not reproduced; the controls are message
+    registers that end up discarded, so the channel is unchanged.
     """
     regs = []
 
@@ -124,20 +108,20 @@ def _deferred_stage(d: int, stage: tuple, messages: dict) -> tuple:
             messages[op.label] = op.pair
             gates += [pauli.CliffordGate("CNOT", (src, half), -1), pauli.CliffordGate("H", (src,), -1)]
         elif isinstance(op, engine.PauliCorrectionOp):
-            # all u, then all v, then the targets: the sorted gate order
-            # below then runs the u-controlled gates first
             us = at([messages[label][0] for label in op.labels])
             vs = at([messages[label][1] for label in op.labels])
             tgt = at(op.targets)
-            zero = {label: (0, 0) for label in op.labels}
-            cx, cz = {}, {}
-            for label, u, v in zip(op.labels, us, vs):
-                for ctrl, unit, sign in ((v, (1, 0), 1), (u, (0, 1), -1)):
-                    word = op.word({**zero, label: unit})
-                    for i, t in enumerate(tgt):
-                        cx[(ctrl, t)] = sign * word.x[i]
-                        cz[(ctrl, t)] = sign * word.z[i]
-            gates += _controlled_word_gates(d, cx, cz)
+            m = len(tgt)
+            controls = [(u, op.frame[:, 2 * j + 1] % d) for j, u in enumerate(us)]
+            controls += [(v, -op.frame[:, 2 * j] % d) for j, v in enumerate(vs)]
+            gates += [
+                pauli.CliffordGate("CNOT", (c, t), col[i])
+                for c, col in controls for i, t in enumerate(tgt) if col[i]
+            ]
+            gates += [
+                g for c, col in controls for i, t in enumerate(tgt) if col[m + i]
+                for g in _cz_gates(c, t, col[m + i])
+            ]
         else:
             raise DimensionMismatch(f"no deferred form for {op!r}")
     return tuple(regs), pauli.CliffordCircuit(d, len(regs), tuple(gates))
@@ -250,15 +234,6 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
     stage_ops = [engine.CircuitOp(circ, regs) for regs, circ in cnf.stages]
     regs_right, v_right = cnf.stages[1]  # the V stage holding the v1 halves
 
-    def correction_rule(outcomes):
-        x = [0] * len(regs_right)
-        z = [0] * len(regs_right)
-        for j in range(k):
-            s = regs_right.index(cnf.v1[j])
-            x[s], z[s] = outcomes[labels[j]]
-        word = pauli.PauliWord(d, len(regs_right), tuple(x), tuple(z))
-        return pauli.conjugate_pauli(v_right, word).inverse()
-
     # sew first: the interaction measurements commute with the V stages and
     # collapsing the inner halves early keeps the working tensor small
     ops = ()
@@ -269,7 +244,9 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
         ops += tuple(engine.BellMeasureOp((s0[j], s1[j]), labels[j]) for j in range(k))
     ops += tuple(stage_ops[:2])
     if k:
-        ops += (engine.PauliCorrectionOp(labels, regs_right, correction_rule),)
+        sewn = [regs_right.index(v) for v in cnf.v1]
+        frame = pauli.conjugation_frame(v_right, sewn, range(len(regs_right)))
+        ops += (engine.PauliCorrectionOp(labels, regs_right, frame),)
     ops += tuple(stage_ops[2:]) + (engine.DiscardOp(cnf.discards),)
     program = engine.Program(d, engine.input_names(cnf.n_a0, cnf.n_a1), ops, cnf.out_regs)
     return LocalInteractionProtocol(program, resource_pairs=k, target=cnf.target)

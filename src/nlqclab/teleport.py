@@ -33,7 +33,7 @@ from math import exp, fsum, lgamma, log
 
 import numpy as np
 
-from . import pauli, qudit
+from . import qudit
 from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange
 
 POVM_DIM_CAP = 2**14  # largest dense dimension for PGM operator matrices
@@ -79,7 +79,7 @@ def bell_teleport(
         raise IndexOutOfRange("sources and pair halves must be distinct qudits")
     measured = set(sources) | {near for near, _ in pairs}
     rest = tuple(q for q in range(state.n) if q not in measured)
-    ops = _teleport_ops(state.d, sources, pairs)
+    ops = _teleport_ops(sources, pairs)
     program = engine.Program(state.d, tuple(range(state.n)), ops, rest)
     forced = None if forced is None else dict(enumerate(forced))
     branch = engine.sample_branch(program, state.amplitudes, forced, rng)
@@ -89,7 +89,7 @@ def bell_teleport(
     return TeleportResult(outcomes, prob, qudit.DenseState(state.d, len(rest), vec))
 
 
-def _teleport_ops(d: int, sources, pairs) -> tuple:
+def _teleport_ops(sources, pairs) -> tuple:
     """Bell measurement i of (source i, near i); then the undo on far i."""
     from . import engine  # engine imports this module
 
@@ -98,27 +98,18 @@ def _teleport_ops(d: int, sources, pairs) -> tuple:
         for i, (src, (near, _)) in enumerate(zip(sources, pairs))
     )
     return ops + tuple(
-        engine.PauliCorrectionOp((i,), (far,), hop_undo_rule(d, (i,)))
+        engine.PauliCorrectionOp((i,), (far,), hop_frame(1))
         for i, (_, far) in enumerate(pairs)
     )
 
 
-def hop_undo_rule(d: int, labels: tuple):
-    """Correction rule undoing a chain of Bell teleportation hops.
+def hop_frame(hops: int) -> np.ndarray:
+    """Pauli frame of a chain of Bell teleportation hops on the qudit it carries.
 
-    A hop reading (a, b) leaves X^a Z^b on the far half, so hops read in
-    ``labels`` order leave their product, the last hop leftmost; the rule
-    returns its inverse as a one-qudit ``PauliWord``.
+    A hop reading (a, b) leaves X^a Z^b on the far half, so a chain leaves
+    X^(sum a) Z^(sum b), up to a global phase.
     """
-
-    def rule(outcomes):
-        err = pauli.PauliWord.identity(d, 1)
-        for label in labels:
-            a, b = outcomes[label]
-            err = pauli.PauliWord(d, 1, (a,), (b,)).mul(err)
-        return err.inverse()
-
-    return rule
+    return np.tile(np.eye(2, dtype=np.int64), hops)
 
 
 def teleportation_channel_choi(d: int) -> np.ndarray:
@@ -126,7 +117,7 @@ def teleportation_channel_choi(d: int) -> np.ndarray:
     from . import engine  # engine imports this module
 
     ops = (engine.AppendOp((1, 2), qudit.bell_pair(d).amplitudes),)
-    ops += _teleport_ops(d, (0,), ((1, 2),))
+    ops += _teleport_ops((0,), ((1, 2),))
     return engine.program_choi(engine.Program(d, (0,), ops, (2,)))
 
 

@@ -26,6 +26,7 @@ KEEP = {
     "gardenhose.gh_complexity": "acceptance: criterion 5 reads it",
     "gardenhose.or_program": "acceptance: criterion 6 runs it",
     "pauli.dump_circuit_json": "format round trip of load_circuit_json",
+    "pauli.conjugate_pauli": "test_pauli checks conjugation with it; traced by perfbench",
     "gardenhose.dump_strategy_json": "format round trip of load_strategy_json",
     "geometry.ridge_curve": "traced by perfbench",
     "qudit.mutual_information_bipartite": "traced by perfbench",

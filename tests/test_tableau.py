@@ -113,24 +113,51 @@ def test_target_missing_its_last_gate(d, n, n0, seed):
         assert assert_paths_agree(program, short) > 0.5
 
 
-def _off_by_one_x(op):
-    def rule(outcomes):
-        word = op.rule(outcomes)
-        return word.mul(pauli.PauliWord.single(word.d, word.n, 0, 1, 0))
-
-    return dataclasses.replace(op, rule=rule)
+OFF_BY_ONE_CELLS = [(2, 2, 1, 7), (3, 3, 2, 8), (5, 2, 1, 9)]
 
 
-@pytest.mark.parametrize("d,n,n0,seed", [(2, 2, 1, 7), (3, 3, 2, 8), (5, 2, 1, 9)])
+def _x_before_first_correction(program):
+    """The program with an X on the first correction's first target just before it."""
+    i = next(i for i, op in enumerate(program.ops) if isinstance(op, engine.PauliCorrectionOp))
+    x = pauli.CliffordCircuit.from_gate_list(program.d, 1, [("X", (0,))])
+    ops = program.ops[:i] + (engine.CircuitOp(x, program.ops[i].targets[:1]),) + program.ops[i:]
+    return dataclasses.replace(program, ops=ops)
+
+
+@pytest.mark.parametrize("d,n,n0,seed", OFF_BY_ONE_CELLS)
 def test_correction_off_by_one_x(d, n, n0, seed):
     circuit = pauli.random_clifford(n, d, seed=seed)
     u = circuit.unitary()
-    _, cnf_program, local = three_programs(circuit, (n0, n - n0))
-    protocol = engine.clifford_protocol(circuit, (n0, n - n0))
-    for program in (protocol.program, local):
-        i = next(i for i, op in enumerate(program.ops) if isinstance(op, engine.PauliCorrectionOp))
-        ops = program.ops[:i] + (_off_by_one_x(program.ops[i]),) + program.ops[i + 1:]
-        assert assert_paths_agree(dataclasses.replace(program, ops=ops), u) > 0.5
+    protocol, _, local = three_programs(circuit, (n0, n - n0))
+    for program in (protocol, local):
+        assert assert_paths_agree(_x_before_first_correction(program), u) > 0.5
+
+
+def _first_frame_plus_one(protocol):
+    """The protocol with 1 added to entry (0, 0) of its first correction's frame."""
+    first = next(op for op in protocol.program.ops if isinstance(op, engine.PauliCorrectionOp))
+    frame = first.frame.copy()
+    frame[0, 0] += 1
+    mutant = dataclasses.replace(first, frame=frame)
+    swap = lambda ops: tuple(mutant if op is first else op for op in ops)
+    return dataclasses.replace(
+        protocol,
+        stages=tuple(swap(stage) for stage in protocol.stages),
+        program=dataclasses.replace(protocol.program, ops=swap(protocol.program.ops)),
+    )
+
+
+@pytest.mark.parametrize("d,n,n0,seed", OFF_BY_ONE_CELLS)
+def test_correction_frame_off_by_one(d, n, n0, seed):
+    circuit = pauli.random_clifford(n, d, seed=seed)
+    u = circuit.unitary()
+    mutant = _first_frame_plus_one(engine.clifford_protocol(circuit, (n0, n - n0)))
+    assert assert_paths_agree(mutant.program, u) > 0.5
+    # the normal form reads the frame columns, so it inherits the mutation: a
+    # Pauli error on the (d - 1)/d of outcomes with a_1 != 0, left entangled
+    # with the discarded messages, so its Choi matrix is that far from U's
+    choi = surgery.normal_form(mutant).choi()
+    assert abs(qudit.trace_distance_matrices(choi, qudit.choi_of_unitary(u)) - (d - 1) / d) < 1e-9
 
 
 def test_discarding_an_entangled_register_raises_on_both_paths():

@@ -31,7 +31,7 @@ def test_zero_state_outcome_zero_needs_no_correction():
     assert np.abs(uncorrected_teleport(st, (0, 0)) - [1, 0]).max() < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_all_outcomes_corrected_reproduce_input(d):
     psi = rand_qudit(d, d)
     st = qudit.DenseState(d, 3, np.kron(psi.amplitudes, qudit.bell_pair(d).amplitudes))
