@@ -104,12 +104,24 @@ class Wire:
             a, b = word.x[q], word.z[q]
             if a or b:
                 w = w.apply(qudit.weyl(self.d, a, b), [nm])
-        w = Wire(self.d, w.tensor * pauli.tau(self.d) ** word.phase, w.regs)
+        if word.phase:  # reduced mod the phase order, so 0 is the identity
+            w = Wire(self.d, w.tensor * pauli.tau(self.d) ** word.phase, w.regs)
         return w
 
     def append(self, vec: np.ndarray, names) -> "Wire":
+        """Adjoin registers ``names`` in the pure state ``vec``.
+
+        Raises ``CapExceeded`` before allocating when one column of the
+        result would hold more than ``qudit.STATE_ENTRY_CAP`` entries.
+        """
         d = self.d
         names = list(names)
+        size = d ** (len(self.regs) + len(names))
+        if size > qudit.STATE_ENTRY_CAP:
+            raise CapExceeded(
+                f"appending {len(names)} registers to {len(self.regs)} at d={d} gives "
+                f"columns of {size} entries, cap {qudit.STATE_ENTRY_CAP}"
+            )
         add = np.asarray(vec, dtype=complex).reshape((d,) * len(names))
         t = np.multiply.outer(self.tensor, add)
         # move the column axis back to the end

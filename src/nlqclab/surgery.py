@@ -181,6 +181,10 @@ class LocalInteractionProtocol:
         return _interaction(self.program)[1]
 
     def choi(self) -> np.ndarray:
+        """Choi matrix of the program, every branch run on dense tensors.
+
+        The oracle for ``pbt_surgery_choi``, whose closed form builds no PGM.
+        """
         return engine.program_choi(self.program)
 
     def branch_exactness(self, target: np.ndarray):
@@ -389,5 +393,25 @@ def pbt_surgery(
 
 
 def pbt_surgery_choi(lp: LocalInteractionProtocol) -> np.ndarray:
-    """Choi of a localized one-sided protocol via the referenced input."""
-    return lp.choi()
+    """Choi matrix of a protocol built by ``pbt_surgery``, in closed form.
+
+    Bell branch x hands the port measurement W_x psi.  The PGM port channel
+    is the depolarizing channel Delta_F with F = ``teleport.pgm_fidelity``
+    at the ``PortMeasureOp``'s (d_a, N), Delta_F commutes with W_x, and the
+    correction U W_x^dagger U^dagger leaves U . Delta_F on every branch; see
+    ``engine.bk_choi``.  No PGM is built.  ``lp.choi()`` is the dense oracle.
+    Raises ``DimensionMismatch`` unless the program has exactly one port
+    measurement and ``lp.target`` is a unitary on its d_a.
+    """
+    ports = [op for op in lp.program.ops if isinstance(op, engine.PortMeasureOp)]
+    if len(ports) != 1:
+        raise DimensionMismatch(f"need one port measurement, the program has {len(ports)}")
+    if lp.target is None:
+        raise DimensionMismatch("the protocol has no target unitary")
+    params = ports[0].params
+    if np.shape(lp.target) != (params.d_a, params.d_a):
+        raise DimensionMismatch(
+            f"target of shape {np.shape(lp.target)} does not act on d_a = {params.d_a}"
+        )
+    fid = teleport.pgm_fidelity(params.d_a, params.n_ports)
+    return teleport.depolarizing_choi(qudit.choi_of_unitary(lp.target), fid)

@@ -15,14 +15,16 @@ The PGM is real, as |Phi+> and I are, and is held in factored form
 it is block diagonal by charge (``charge_labels``) and is diagonalized one
 block at a time; ``Pi_i`` is P_i b b^T P_i^T + Delta/N for one D x D/d_a^2
 factor b and the port exchange P_i (``port_rows``), and each root is thin
-as well.  The port measurement, the channel and the reduced port Chois all
-work on the factors; the dense elements are a view for checks and oracles.
-The build is limited to ``POVM_DIM_CAP``.  Beyond it, the channel is known
-in closed form: it is U (x) U* covariant, hence depolarizing, and
-``pgm_fidelity`` gives its entanglement fidelity as a sum over Young
-diagrams, so ``depolarizing_choi`` rebuilds its Choi matrix at any port
-count the diagram cap allows.  The exact PGM stays as the oracle that the
-closed form is tested against.
+as well.  The port measurement, the oracle channel and the reduced port
+Chois all work on the factors; the dense elements are a view for checks
+and oracles.  The build is limited to ``POVM_DIM_CAP``.
+
+The channel path is the closed form: the channel is U (x) U* covariant,
+hence depolarizing, and ``pgm_fidelity`` gives its entanglement fidelity as
+a sum over Young diagrams, so ``depolarizing_choi`` gives its Choi matrix at
+any port count the diagram cap allows.  The PGM is built only where a port
+measurement is executed (``engine.PortMeasureOp``) and in the oracles that
+check the closed form against a built instance.
 """
 
 from __future__ import annotations
@@ -318,18 +320,22 @@ class PBTChannelReport:
 def pbt_channel(params: PBTParams, instance: PBTInstance | None = None) -> PBTChannelReport:
     """Exact Choi operator of the PGM port-teleportation channel.
 
-    The sum over ports of ``reduced_port_choi``: every outcome is summed,
-    nothing is sampled.
+    Without an instance, the closed form: the depolarizing channel with
+    F = ``pgm_fidelity(d_a, N)``, at trace distance 1 - F from the identity;
+    no PGM is built.  With one, the oracle: the sum over ports of
+    ``reduced_port_choi`` of that instance, every outcome summed.
     """
+    target = qudit.choi_of_unitary(np.eye(params.d_a))
     if instance is None:
-        instance = build_pgm(params)
+        fid = pgm_fidelity(params.d_a, params.n_ports)
+        j, dist = depolarizing_choi(target, fid), 1.0 - fid
     elif instance.params != params:
         raise DimensionMismatch(f"PGM built for {instance.params}, channel asked for {params}")
-    j = sum(reduced_port_choi(instance))
-    j = 0.5 * (j + j.conj().T)
-    target = qudit.choi_of_unitary(np.eye(params.d_a))
-    fid = float(np.real(np.trace(target @ j)))
-    dist = qudit.trace_distance_matrices(j, target)
+    else:
+        j = sum(reduced_port_choi(instance))
+        j = 0.5 * (j + j.conj().T)
+        fid = float(np.real(np.trace(target @ j)))
+        dist = qudit.trace_distance_matrices(j, target)
     bound = params.diamond_bound()
     return PBTChannelReport(params, j, fid, dist, bound, min(1.0, bound / 2.0))
 

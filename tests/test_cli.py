@@ -51,6 +51,36 @@ def test_bk_reaches_eight_ports(capsys):
     assert abs(row["choi_trace_distance"] - (1 - teleport.pgm_fidelity(4, 8))) < 1e-12
 
 
+def test_pbt_answers_past_the_dense_cap(capsys):
+    # D = 2^21 is past teleport.POVM_DIM_CAP; the channel is the closed form
+    start = time.perf_counter()
+    code, out = run(capsys, "pbt", "--dA", "2", "--N", "20")
+    assert time.perf_counter() - start < 2.0
+    row = json.loads(out)[0]
+    assert code == 0 and row["N"] == 20
+    assert abs(row["choi_trace_distance"] - (1 - teleport.pgm_fidelity(2, 20))) < 1e-12
+
+
+def test_pbt_surgery_answers_past_the_dense_cap(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "surgery", "--mode", "pbt", "--N", "20")
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(out)
+    assert code == 0 and doc["N"] == 20
+    want = 1 - teleport.pgm_fidelity(2, 20)
+    assert sorted(doc["choi_distance_by_label"]) == ["0", "1"]
+    for dist in doc["choi_distance_by_label"].values():
+        assert abs(dist - want) < 1e-12
+
+
+def test_pbt_past_the_diagram_cap_is_one_error_line(capsys):
+    code = cli.main(["pbt", "--dA", "4", "--N", "520"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(teleport.PGM_DIAGRAM_CAP) in captured.err
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     _, first = run(capsys, "clifford-nlqc", "--d", "2", "--n", "2", "--seed", "5")
     _, second = run(capsys, "clifford-nlqc", "--d", "2", "--n", "2", "--seed", "5")

@@ -251,7 +251,8 @@ def test_sampled_port_outcome_weighs_as_its_forced_branch(seed):
 
 def test_bk_identity_single_port_equals_pbt():
     j = engine.bk_choi(np.eye(4, dtype=complex), (1, 1), 1)
-    rep = teleport.pbt_channel(teleport.PBTParams(4, 1))
+    params = teleport.PBTParams(4, 1)
+    rep = teleport.pbt_channel(params, teleport.build_pgm(params))
     assert np.abs(j - rep.choi).max() < 1e-9
 
 
@@ -412,7 +413,8 @@ def test_bk_identity_two_ports_reduces_to_pbt():
     # with the target trivial, the whole protocol is teleport-and-return,
     # so its channel coincides with the bare port channel
     j = engine.bk_choi(np.eye(4, dtype=complex), (1, 1), 2)
-    rep = teleport.pbt_channel(teleport.PBTParams(4, 2))
+    params = teleport.PBTParams(4, 2)
+    rep = teleport.pbt_channel(params, teleport.build_pgm(params))
     assert np.abs(j - rep.choi).max() < 1e-9
 
 

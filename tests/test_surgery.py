@@ -1,12 +1,13 @@
 """Clifford surgery exactness and PBT surgery trends."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
-from nlqclab import engine, pauli, qudit, surgery
-from nlqclab.errors import NotOneSided
+from nlqclab import engine, pauli, qudit, surgery, teleport
+from nlqclab.errors import CapExceeded, DimensionMismatch, NotOneSided
 
 
 SWAP = pauli.CliffordCircuit.from_gate_list(
@@ -183,6 +184,77 @@ def test_pbt_surgery_hadamard_family():
     for x in (0, 1):
         j = surgery.pbt_surgery_choi(lps[x])
         assert qudit.trace_distance_matrices(j, proto.choi(x)) < 0.35
+
+
+def haar_task(d, n_a, seed):
+    """Two-label task of seeded Haar unitaries on n_a qudits."""
+    rng = np.random.default_rng(seed)
+    dim = d**n_a
+    family = {}
+    for x in (0, 1):
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        family[x] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return surgery.OneSidedTask(d, n_a, family)
+
+
+# (d, n_a, N) cells the dense program reaches in under a second each
+PBT_SURGERY_CELLS = (
+    [(2, 1, n) for n in range(1, 5)]
+    + [(3, 1, n) for n in range(1, 4)]
+    + [(2, 2, n) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("d,n_a,n_ports", PBT_SURGERY_CELLS)
+def test_pbt_surgery_choi_matches_the_program(d, n_a, n_ports):
+    task = haar_task(d, n_a, seed=10 * d + n_a)
+    lps = surgery.pbt_surgery(task, surgery.OneSidedProtocol(task, n_a), n_ports)
+    for x in (0, 1):
+        assert np.abs(surgery.pbt_surgery_choi(lps[x]) - lps[x].choi()).max() < 1e-12
+
+
+def test_closed_form_pbt_channels_build_no_pgm(monkeypatch):
+    def no_pgm(*args, **kwargs):
+        raise AssertionError("the closed form built a dense PGM")
+
+    monkeypatch.setattr(teleport, "build_pgm", no_pgm)
+    rep = teleport.pbt_channel(teleport.PBTParams(2, 20))
+    assert abs(rep.choi_trace_distance - (1 - teleport.pgm_fidelity(2, 20))) < 1e-12
+    task = phase_task()
+    lps = surgery.pbt_surgery(task, surgery.OneSidedProtocol(task, 1), 20)
+    for x in (0, 1):
+        want = qudit.choi_of_unitary(task.unitaries[x])
+        dist = qudit.trace_distance_matrices(surgery.pbt_surgery_choi(lps[x]), want)
+        assert abs(dist - rep.choi_trace_distance) < 1e-12
+
+
+def test_pbt_surgery_program_past_the_state_cap_raises_before_allocating():
+    task = phase_task()
+    lp = surgery.pbt_surgery(task, surgery.OneSidedProtocol(task, 1), 20)[0]
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        lp.choi()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_pbt_surgery_choi_needs_one_port_measurement():
+    task = phase_task()
+    lp = surgery.pbt_surgery(task, surgery.OneSidedProtocol(task, 1), 2)[0]
+    ops = lp.program.ops
+    port = next(op for op in ops if isinstance(op, engine.PortMeasureOp))
+    for changed in (tuple(op for op in ops if op is not port), ops + (port,)):
+        program = dataclasses.replace(lp.program, ops=changed)
+        with pytest.raises(DimensionMismatch, match="port measurement"):
+            surgery.pbt_surgery_choi(dataclasses.replace(lp, program=program))
+
+
+def test_pbt_surgery_choi_needs_a_target_on_the_ported_dimension():
+    task = phase_task()
+    lp = surgery.pbt_surgery(task, surgery.OneSidedProtocol(task, 1), 2)[0]
+    with pytest.raises(DimensionMismatch, match="no target"):
+        surgery.pbt_surgery_choi(dataclasses.replace(lp, target=None))
+    with pytest.raises(DimensionMismatch, match="d_a = 2"):
+        surgery.pbt_surgery_choi(dataclasses.replace(lp, target=np.eye(4)))
 
 
 def test_balanced_four_qudit_qutrit_normal_form():

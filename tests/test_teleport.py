@@ -333,12 +333,17 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("d_a,n", ORACLE_CASES)
 def test_closed_form_fidelity_matches_dense_channel(d_a, n):
-    rep = teleport.pbt_channel(teleport.PBTParams(d_a, n))
+    params = teleport.PBTParams(d_a, n)
+    rep = teleport.pbt_channel(params, teleport.build_pgm(params))
     fid = teleport.pgm_fidelity(d_a, n)
     assert abs(fid - rep.choi_fidelity) < 1e-12
     # the channel is depolarizing, so F fixes its whole Choi matrix
     phi = qudit.choi_of_unitary(np.eye(d_a))
     assert np.abs(rep.choi - teleport.depolarizing_choi(phi, fid)).max() < 1e-12
+    # the channel path without an instance is that closed form
+    closed = teleport.pbt_channel(params)
+    assert np.abs(closed.choi - rep.choi).max() < 1e-12
+    assert abs(closed.choi_trace_distance - rep.choi_trace_distance) < 1e-12
 
 
 def test_closed_form_fidelity_at_large_port_counts():
@@ -376,7 +381,8 @@ def test_channel_unitary_covariance():
     # conjugating the channel by U matches twirling its Choi by U x U*
     rng = np.random.default_rng(13)
     for n in (2, 3):
-        j = teleport.pbt_channel(teleport.PBTParams(2, n)).choi
+        params = teleport.PBTParams(2, n)
+        j = teleport.pbt_channel(params, teleport.build_pgm(params)).choi
         for _ in range(3):
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             u, _ = np.linalg.qr(g)
