@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", default=None)
     p.add_argument("--r1", default=None)
     p.add_argument("--resolution", type=int, default=4096,
-                   help="segments of the sampled ridge points (the length is exact)")
+                   help="accepted and checked (>= 1); the report is exact and samples no ridge points")
     common(p)
     p.set_defaults(func=cmd_geometry)
 

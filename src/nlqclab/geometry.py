@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, EmptyDiamond, EmptyRegion
 
 ETA = np.diag([-1.0, -1.0, 1.0, 1.0])
 REGION_TOL = 1e-7  # a scattering-region margin down to -REGION_TOL still counts as inside
-REGION_REFINEMENTS = 18  # zoom steps of the scattering-region search around its best point
+REGION_TANH_MAX = 0.999  # the scattering-region search stops at tanh(rho) = 0.999
 
 
 def mink(u: np.ndarray, v: np.ndarray) -> float:
@@ -123,23 +123,156 @@ def preset_config(name: str, delay: float = 0.2) -> ScatteringConfig:
     raise DimensionMismatch(f"unknown preset {name!r}")
 
 
-def _margin_grid(cfg: ScatteringConfig, t_rng, u_rng, th_rng, nt, nu, nth):
-    ts = np.linspace(*t_rng, nt)
-    us = np.linspace(*u_rng, nu)        # u = tanh(rho)
-    ths = np.linspace(*th_rng, nth, endpoint=False) if th_rng[1] - th_rng[0] >= 2 * np.pi - 1e-12 else np.linspace(*th_rng, nth)
-    tg, ug, thg = np.meshgrid(ts, us, ths, indexing="ij")
-    rho = np.arctanh(np.clip(ug, 0.0, 1.0 - 1e-12))
-    x0 = np.cosh(rho) * np.cos(tg)
-    x1 = np.cosh(rho) * np.sin(tg)
-    x2 = np.sinh(rho) * np.cos(thg)
-    x3 = np.sinh(rho) * np.sin(thg)
-    margin = None
-    for p in (cfg.c0, cfg.c1, cfg.r0, cfg.r1):
-        pv = p.null_vector()
-        s = -x0 * pv[0] - x1 * pv[1] + x2 * pv[2] + x3 * pv[3]
-        margin = s if margin is None else np.minimum(margin, s)
-    idx = np.unravel_index(np.argmax(margin), margin.shape)
-    return float(margin[idx]), (float(tg[idx]), float(ug[idx]), float(thg[idx]))
+def _window(cfg: ScatteringConfig) -> tuple:
+    """(t_lo, t_hi): the times after both inputs and before both outputs."""
+    return max(p.t for p in cfg.inputs()), min(p.t for p in cfg.outputs())
+
+
+def _subsets(n: int, size: int) -> np.ndarray:
+    """The subsets of range(n) with ``size`` elements, one index row each."""
+    return np.array([[i for i in range(n) if mask >> i & 1]
+                     for mask in range(1, 1 << n) if bin(mask).count("1") == size])
+
+
+def _rot(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` turned a quarter circle."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def _span_points(ps: np.ndarray, sizes) -> np.ndarray:
+    """Points where min_i <X, P_i> is stationary in the span of rows of ``ps``.
+
+    On a subset S of the rows (null vectors, or their projections onto a
+    face) with eta-Gram matrix G, c = G^-1 1 makes every <sum_j c_j P_j, P_i>
+    equal on S, and where q = -1^T c > 0 the points +-(sum_j c_j P_j) / sqrt(q)
+    lie on the quadric with margins +-1 / sqrt(q).  The points come back
+    unnormalized, for ``_region_witness`` to put on the quadric.
+    """
+    points = []
+    for size in sizes:
+        sub = ps[_subsets(len(ps), size)]
+        gram = sub @ ETA @ sub.transpose(0, 2, 1)
+        regular = np.abs(np.linalg.det(gram)) > 1e-12  # a singular G has no isolated point
+        sub, gram = sub[regular], gram[regular]
+        c = np.linalg.solve(gram, np.ones((len(sub), size, 1)))
+        x = (c * sub).sum(axis=1)
+        points += [x, -x]
+    return np.concatenate(points)
+
+
+def _torus_directions(a: np.ndarray, b: np.ndarray, ch: float, sh: float) -> tuple:
+    """(a, b) rows where min_i m_i is stationary on the face rho = rho_max.
+
+    There m_i = -ch a.a_i + sh b.b_i for unit a = (cos t, sin t) and
+    b = (cos theta, sin theta).  No margin is the minimum alone at its peak
+    ch + sh, which no margin exceeds.  Two balance at a ~ l a_i + (1 - l) a_j,
+    b ~ l b_i + (1 - l) b_j with any signs, where l = 1/2 (directions normal
+    to a_i - a_j and b_i - b_j) or
+    l (1 - l) = (ch^2 al^2 - sh^2 be^2) / (2 al be (ch^2 al - sh^2 be)),
+    al = 1 - a_i.a_j and be = 1 - b_i.b_j.  Three are equal where the two
+    linear equations ch a.(a_i - a_m) = sh b.(b_i - b_m) hold: (a, b) lies
+    in a 2-plane, on which |a| = |b| is a quadratic form, solved by one eigh.
+    The rows come back unnormalized.
+    """
+    i, j = _subsets(len(a), 2).T
+    # for unit a_i, a_j the sum and the turned difference are parallel, and
+    # the longer of the two is the safe one when either vanishes
+    halves = [np.where((s * s).sum(1)[:, None] >= (d * d).sum(1)[:, None], s, _rot(d))
+              for s, d in ((a[i] + a[j], a[i] - a[j]), (b[i] + b[j], b[i] - b[j]))]
+    al, be = 1 - (a[i] * a[j]).sum(1), 1 - (b[i] * b[j]).sum(1)
+    den = 2 * al * be * (ch**2 * al - sh**2 * be)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = 1 - 4 * (ch**2 * al**2 - sh**2 * be**2) / den
+    keep = np.isfinite(disc) & (disc >= 0)
+    lams = np.concatenate([(1 + np.sqrt(disc[keep])) / 2, (1 - np.sqrt(disc[keep])) / 2])[:, None]
+    ii, jj = np.tile(i[keep], 2), np.tile(j[keep], 2)
+    pa = np.concatenate([halves[0], lams * a[ii] + (1 - lams) * a[jj]])
+    pb = np.concatenate([halves[1], lams * b[ii] + (1 - lams) * b[jj]])
+    pa = np.concatenate([pa, pa, -pa, -pa])
+    pb = np.concatenate([pb, -pb, pb, -pb])
+
+    i, j, k = _subsets(len(a), 3).T
+    eqs = np.stack([np.concatenate([ch * (a[i] - a[m]), -sh * (b[i] - b[m])], axis=1)
+                    for m in (j, k)], axis=1)
+    null = np.linalg.svd(eqs)[2][:, 2:]  # two null vectors of each triple's equations
+    na, nb = null[..., :2], null[..., 2:]
+    w, v = np.linalg.eigh(na @ na.transpose(0, 2, 1) - nb @ nb.transpose(0, 2, 1))
+    real = (w[:, 0] <= 0) & (w[:, 1] >= 0)
+    w, v, null = w[real], v[real], null[real]
+    zs = [np.sqrt(w[:, 1:]) * v[..., 0] + sign * np.sqrt(-w[:, :1]) * v[..., 1] for sign in (1, -1)]
+    triples = np.concatenate([(z[:, :, None] * null).sum(axis=1) for z in zs])
+    triples = np.concatenate([triples, -triples])
+    return np.concatenate([pa, triples[:, :2]]), np.concatenate([pb, triples[:, 2:]])
+
+
+def _edge_directions(a0: np.ndarray, a: np.ndarray, b: np.ndarray, ch: float, sh: float) -> np.ndarray:
+    """b rows where min_i m_i is stationary on the circle t = t0, rho = rho_max.
+
+    There m_i = k_i + sh b.b_i with k_i = -ch a0.a_i: one margin peaks at
+    b = b_i, and two cross where b.w = r, w = sh (b_i - b_j), r = k_j - k_i.
+    """
+    k = -ch * (a @ a0)
+    i, j = _subsets(len(a), 2).T
+    w, r = sh * (b[i] - b[j]), (k[j] - k[i])[:, None]
+    ww = (w * w).sum(1)[:, None]
+    cross = (ww > 0) & (r * r <= ww)
+    w, r, ww = w[cross[:, 0]], r[cross[:, 0]], ww[cross[:, 0]]
+    h = np.sqrt(ww - r * r) * _rot(w)
+    return np.concatenate([b, (r * w + h) / ww, (r * w - h) / ww])
+
+
+def _region_witness(cfg: ScatteringConfig) -> tuple:
+    """(margin, X): the maximum of min_i <X, P_i> over the search domain and
+    a point of the quadric that attains it.
+
+    The domain is t in [t_lo, t_hi], tanh(rho) in [0, REGION_TANH_MAX] and
+    any theta.  Its strata are the interior, the faces t = t_lo and t = t_hi,
+    the torus rho = rho_max and the two circles where they meet; the
+    maximum sits at a stationary point of one of them, with at most
+    (dimension + 1) equal margins active.  Every such point that can be the
+    maximum is enumerated in closed form, and so is the line rho = 0, where a
+    zero margin (active null vectors summing to zero) has no Gram-matrix
+    point.  Each candidate is scored by its own four inner products, so the
+    margin is one a domain point attains.
+    """
+    t_lo, t_hi = _window(cfg)
+    ps = np.array([p.null_vector() for p in cfg.inputs() + cfg.outputs()])
+    ts = np.array([p.t for p in cfg.inputs() + cfg.outputs()])
+    a, b = ps[:, :2], ps[:, 2:]
+    u = REGION_TANH_MAX
+    ch, sh = 1 / np.sqrt(1 - u * u), u / np.sqrt(1 - u * u)
+
+    gram_points = [_span_points(ps, (2, 3, 4))]
+    dir_a, dir_b = _torus_directions(a, b, ch, sh)
+    dirs_a, dirs_b = [dir_a], [dir_b]
+    for t0 in (t_lo, t_hi):
+        a0 = np.array([np.cos(t0), np.sin(t0)])
+        n = np.array([-a0[1], a0[0], 0.0, 0.0])
+        # the P projected off n; one of them alone is spacelike and has no point
+        gram_points.append(_span_points(ps + np.outer(ps @ ETA @ n, n), (2, 3)))
+        edge_b = _edge_directions(a0, a, b, ch, sh)
+        dirs_a.append(np.broadcast_to(a0, edge_b.shape))
+        dirs_b.append(edge_b)
+
+    gram_points = np.concatenate(gram_points)
+    norms = np.einsum("ij,jk,ik->i", gram_points, ETA, gram_points)
+    gram_points = gram_points[norms < 0] / np.sqrt(-norms[norms < 0])[:, None]
+    dir_a, dir_b = np.concatenate(dirs_a), np.concatenate(dirs_b)
+    len_a, len_b = np.hypot(*dir_a.T)[:, None], np.hypot(*dir_b.T)[:, None]
+    sized = (len_a[:, 0] > 1e-12) & (len_b[:, 0] > 1e-12)
+    torus = np.concatenate([ch * dir_a[sized] / len_a[sized], sh * dir_b[sized] / len_b[sized]], axis=1)
+    i, j = _subsets(len(ts), 2).T
+    line_ts = np.concatenate([[t_lo, t_hi], ts + np.pi, (ts[i] + ts[j]) / 2, (ts[i] + ts[j]) / 2 + np.pi])
+    zeros = np.zeros_like(line_ts)
+    line = np.stack([np.cos(line_ts), np.sin(line_ts), zeros, zeros], axis=1)
+
+    xs = np.concatenate([gram_points, torus, line])
+    margins = (xs @ ETA @ ps.T).min(axis=1)
+    t_shift = (np.arctan2(xs[:, 1], xs[:, 0]) - t_lo) % (2 * np.pi)
+    inside = ((t_shift <= t_hi - t_lo + 1e-12) | (t_shift >= 2 * np.pi - 1e-12)) & (
+        np.hypot(xs[:, 2], xs[:, 3]) <= (u + 1e-12) * np.hypot(xs[:, 0], xs[:, 1]))
+    best = int(np.argmax(np.where(inside, margins, -np.inf)))
+    return float(margins[best]), xs[best]
 
 
 @dataclass(frozen=True)
@@ -149,30 +282,18 @@ class RegionReport:
 
 
 def scattering_region_nonempty(cfg: ScatteringConfig) -> RegionReport:
-    """Search the quadric for a point inside all four cones.
+    """Whether some bulk point lies inside all four cones, and by how much.
 
-    A coarse grid over (t, tanh rho, theta) is refined around the best
-    point; the reported margin is the maximized minimum of the four cone
-    inner products (positive inside, zero on the boundary).
+    The margin is the exact maximum of min_i <X, P_i> (positive inside,
+    zero on the boundary) over the quadric with t in the causal window
+    [t_lo, t_hi] and tanh(rho) <= REGION_TANH_MAX, from a closed-form
+    enumeration of stationary points (``_region_witness``).
     """
-    t_lo = max(p.t for p in cfg.inputs())
-    t_hi = min(p.t for p in cfg.outputs())
+    t_lo, t_hi = _window(cfg)
     if t_hi <= t_lo:
         return RegionReport(False, -np.inf)
-    t_rng = (t_lo, t_hi)
-    u_rng = (0.0, 0.999)
-    th_rng = (0.0, 2 * np.pi)
-    best, at = _margin_grid(cfg, t_rng, u_rng, th_rng, 33, 21, 65)
-    spans = [t_hi - t_lo, 0.999, 2 * np.pi]
-    for _ in range(REGION_REFINEMENTS):
-        spans = [s * 0.35 for s in spans]
-        t_rng = (at[0] - spans[0] / 2, at[0] + spans[0] / 2)
-        u_rng = (max(0.0, at[1] - spans[1] / 2), min(0.999, at[1] + spans[1] / 2))
-        th_rng = (at[2] - spans[2] / 2, at[2] + spans[2] / 2)
-        cand, cand_at = _margin_grid(cfg, t_rng, u_rng, th_rng, 9, 9, 9)
-        if cand > best:
-            best, at = cand, cand_at
-    return RegionReport(best >= -REGION_TOL, best)
+    margin, _ = _region_witness(cfg)
+    return RegionReport(margin >= -REGION_TOL, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +343,7 @@ def ridge_curve(cfg: ScatteringConfig, resolution: int = 4096) -> RidgeCurve:
     region = scattering_region_nonempty(cfg)
     if not region.nonempty:
         raise EmptyRegion("scattering region is empty")
-    return _clipped_ridge(cfg, resolution)
+    return _clipped_ridge(cfg, resolution + 1)
 
 
 def _clip_interval(a: float, b: float, span: float) -> tuple:
@@ -236,10 +357,15 @@ def _clip_interval(a: float, b: float, span: float) -> tuple:
     return (max(-span, bound), span) if b > 0 else (-span, min(span, bound))
 
 
-def _clipped_ridge(cfg: ScatteringConfig, resolution: int) -> RidgeCurve:
+def _clipped_ridge(cfg: ScatteringConfig, samples: int) -> RidgeCurve:
+    """The ridge branch inside the causal window, clipped to the output pasts,
+    with its exact length and ``samples`` evenly spaced points.
+
+    When the pasts clip the whole branch but touch it, the ridge is the
+    touching point, of length 0, sampled at most once.
+    """
     f_time, f_space = _ridge_frame(cfg)
-    t_lo = max(p.t for p in cfg.inputs())
-    t_hi = min(p.t for p in cfg.outputs())
+    t_lo, t_hi = _window(cfg)
 
     # pick the hyperbola branch sitting inside the causal window
     mid = _ridge_point(f_time, f_space, 0.0)
@@ -258,7 +384,7 @@ def _clipped_ridge(cfg: ScatteringConfig, resolution: int) -> RidgeCurve:
     lo = max(lo for lo, _ in spans)
     hi = min(hi for _, hi in spans)
     if lo <= hi:
-        s = np.linspace(lo, hi, resolution + 1)[:, None]
+        s = np.linspace(lo, hi, samples)[:, None]
         return RidgeCurve(hi - lo, _ridge_point(f_time, f_space, s))
 
     # nothing survives the clip: the best min-margin sits at a window edge,
@@ -272,8 +398,7 @@ def _clipped_ridge(cfg: ScatteringConfig, resolution: int) -> RidgeCurve:
 
     smax = max((s for s in cands if abs(s) <= span), key=clip_margin)
     if clip_margin(smax) > -1e-9:
-        pt = _ridge_point(f_time, f_space, smax)
-        return RidgeCurve(0.0, pt[None, :])
+        return RidgeCurve(0.0, _ridge_point(f_time, f_space, np.full((min(samples, 1), 1), smax)))
     raise EmptyRegion("ridge clipped away by the output pasts")
 
 
@@ -413,9 +538,11 @@ def verify_connected_wedge(cfg: ScatteringConfig, resolution: int = 4096) -> Geo
     residual |I - 2 ridge| and the signed inequality margin.  Sub-leading
     corrections are not modelled, so residual interpretation is left to
     the caller.  I is cutoff-independent, so the default cutoff is used.
+    The ridge length is exact and no ridge point is sampled, so
+    ``resolution`` is accepted for callers that pass it and changes nothing.
     """
     region = scattering_region_nonempty(cfg)
-    ridge_len = _clipped_ridge(cfg, resolution).length if region.nonempty else 0.0
+    ridge_len = _clipped_ridge(cfg, 0).length if region.nonempty else 0.0
     mi = mutual_information(cfg)
     return GeometryReport(
         region.nonempty,

@@ -78,6 +78,124 @@ def test_marginal_region_is_a_single_point():
     assert abs(rep.margin) < 1e-6
 
 
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.2, 0.3, 0.4])
+def test_delayed_margin_is_exact(tau):
+    assert abs(geo.scattering_region_nonempty(delayed(tau)).margin - np.sin(tau / 2)) < 1e-12
+
+
+def _grid_margin(cfg, t_rng, u_rng, th_rng, nt, nu, nth):
+    ts = np.linspace(*t_rng, nt)
+    us = np.linspace(*u_rng, nu)        # u = tanh(rho)
+    ths = np.linspace(*th_rng, nth, endpoint=False) if th_rng[1] - th_rng[0] >= 2 * np.pi - 1e-12 else np.linspace(*th_rng, nth)
+    tg, ug, thg = np.meshgrid(ts, us, ths, indexing="ij")
+    rho = np.arctanh(np.clip(ug, 0.0, 1.0 - 1e-12))
+    x0 = np.cosh(rho) * np.cos(tg)
+    x1 = np.cosh(rho) * np.sin(tg)
+    x2 = np.sinh(rho) * np.cos(thg)
+    x3 = np.sinh(rho) * np.sin(thg)
+    margin = None
+    for p in (cfg.c0, cfg.c1, cfg.r0, cfg.r1):
+        pv = p.null_vector()
+        s = -x0 * pv[0] - x1 * pv[1] + x2 * pv[2] + x3 * pv[3]
+        margin = s if margin is None else np.minimum(margin, s)
+    idx = np.unravel_index(np.argmax(margin), margin.shape)
+    return float(margin[idx]), (float(tg[idx]), float(ug[idx]), float(thg[idx]))
+
+
+def window_grid_margin(cfg):
+    """Oracle: a lower bound on the region margin from grid points of the domain.
+
+    A 33 x 21 x 65 grid over (t, tanh rho, theta) is refined by 9^3 grids
+    around its best point, each round clamped to the causal window in t and
+    to [0, 0.999] in tanh rho, so every point it scores lies in the domain.
+    """
+    t_lo = max(p.t for p in cfg.inputs())
+    t_hi = min(p.t for p in cfg.outputs())
+    best, at = _grid_margin(cfg, (t_lo, t_hi), (0.0, 0.999), (0.0, 2 * np.pi), 33, 21, 65)
+    spans = [t_hi - t_lo, 0.999, 2 * np.pi]
+    for _ in range(18):
+        spans = [s * 0.35 for s in spans]
+        t_rng = (max(t_lo, at[0] - spans[0] / 2), min(t_hi, at[0] + spans[0] / 2))
+        u_rng = (max(0.0, at[1] - spans[1] / 2), min(0.999, at[1] + spans[1] / 2))
+        th_rng = (at[2] - spans[2] / 2, at[2] + spans[2] / 2)
+        cand, cand_at = _grid_margin(cfg, t_rng, u_rng, th_rng, 9, 9, 9)
+        if cand > best:
+            best, at = cand, cand_at
+    return best
+
+
+def torus_grid_margin(cfg):
+    """Oracle: a lower bound on the region margin from the face tanh rho = 0.999.
+
+    A 128 x 128 grid over (t, theta) on that face is refined 12 times by
+    17 x 17 grids, each four steps of the one before wide and clamped to the
+    causal window.
+    """
+    t_lo = max(p.t for p in cfg.inputs())
+    t_hi = min(p.t for p in cfg.outputs())
+    ps = np.array([p.null_vector() for p in cfg.inputs() + cfg.outputs()])
+    ch, sh = np.cosh(np.arctanh(0.999)), np.sinh(np.arctanh(0.999))
+
+    def best_of(ts, ths):
+        tg, thg = np.meshgrid(ts, ths, indexing="ij")
+        x = np.stack([ch * np.cos(tg), ch * np.sin(tg), sh * np.cos(thg), sh * np.sin(thg)], -1)
+        margin = (x @ geo.ETA @ ps.T).min(axis=-1)
+        idx = np.unravel_index(np.argmax(margin), margin.shape)
+        return float(margin[idx]), float(tg[idx]), float(thg[idx])
+
+    best, t, th = best_of(np.linspace(t_lo, t_hi, 128), np.linspace(0, 2 * np.pi, 128, endpoint=False))
+    dt, dth = (t_hi - t_lo) / 128, 2 * np.pi / 128
+    for _ in range(12):
+        cand = best_of(np.linspace(max(t_lo, t - 2 * dt), min(t_hi, t + 2 * dt), 17),
+                       np.linspace(th - 2 * dth, th + 2 * dth, 17))
+        if cand[0] > best:
+            best, t, th = cand
+        dt, dth = dt / 4, dth / 4
+    return best
+
+
+def random_configs(seed, n=200):
+    """Four boundary points at random angles, inputs near t = 0 and outputs later."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        t_in, t_out = rng.uniform(0.0, 0.5, 2), rng.uniform(2.0, 4.5, 2)
+        th = rng.uniform(0, 2 * np.pi, 4)
+        out.append(geo.ScatteringConfig(
+            geo.BoundaryPoint(t_in[0], th[0]), geo.BoundaryPoint(t_in[1], th[1]),
+            geo.BoundaryPoint(t_out[0], th[2]), geo.BoundaryPoint(t_out[1], th[3]),
+        ))
+    return out
+
+
+def test_region_margin_is_attained_and_beats_the_window_grid():
+    for cfg in grid_configs() + peak_test_configs() + random_configs(11):
+        margin, x = geo._region_witness(cfg)
+        assert margin >= max(window_grid_margin(cfg), torus_grid_margin(cfg)) - 1e-12
+        assert geo.scattering_region_nonempty(cfg).margin == margin
+        # the witness is a domain point of the quadric with that margin
+        ps = [p.null_vector() for p in cfg.inputs() + cfg.outputs()]
+        assert abs(min(geo.mink(x, p) for p in ps) - margin) < 1e-12
+        assert abs(geo.mink(x, x) + 1) < 1e-9
+        assert np.hypot(x[2], x[3]) <= (0.999 + 1e-12) * np.hypot(x[0], x[1])
+        t_lo = max(p.t for p in cfg.inputs())
+        t_hi = min(p.t for p in cfg.outputs())
+        after = (np.arctan2(x[1], x[0]) - t_lo + 1e-12) % (2 * np.pi) - 1e-12
+        assert -1e-12 <= after <= t_hi - t_lo + 1e-12
+
+
+@pytest.mark.parametrize("index", [45, 49, 67, 72])
+def test_outputs_pasts_without_a_common_point_have_no_region(index):
+    # points past the causal window, in the future of one output, have all
+    # four inner products positive; every point of the window has one negative
+    cfg = peak_test_configs()[index]
+    rep = geo.scattering_region_nonempty(cfg)
+    assert not rep.nonempty
+    assert rep.margin < -0.1
+    with pytest.raises(EmptyRegion, match="scattering region is empty"):
+        geo.ridge_curve(cfg)
+
+
 # ---------------------------------------------------------------------------
 # ridge
 # ---------------------------------------------------------------------------
