@@ -7,9 +7,11 @@ corrections read.  Success probabilities and Choi operators are computed by
 exact outcome sweeps, never by sampling; ``sample_branch`` runs one seeded
 shot.
 
-A Pauli correction is data: its integer frame over Z_d maps the Bell
-outcomes it reads linearly to the Pauli word the outcomes leave on its
-targets, and the op applies that word's inverse.
+Every op is data, corrections included.  A Pauli correction's integer frame
+over Z_d maps the Bell outcomes it reads linearly to the Pauli word the
+outcomes leave on its targets, and the op applies that word's inverse; a
+correction that is not Pauli, such as the BK undo U P_x^dagger, is Pauli
+corrections followed or framed by ``GateOp``s.
 
 The wire is a dense state tensor (optionally with a column axis carrying
 basis inputs, which turns a pure branch into the matrix of the induced
@@ -210,18 +212,6 @@ class BellMeasureOp:
 
 
 @dataclass(frozen=True, eq=False)
-class CorrectionOp:
-    """Unitary on targets chosen by a rule reading recorded outcomes."""
-
-    labels: tuple
-    targets: tuple
-    rule: object = field(repr=False)  # outcomes dict -> matrix
-
-    def matrix(self, outcomes) -> np.ndarray:
-        return self.rule({k: outcomes[k] for k in self.labels})
-
-
-@dataclass(frozen=True, eq=False)
 class PauliCorrectionOp:
     """Undo of the Pauli frame that recorded Bell outcomes leave on targets.
 
@@ -243,6 +233,12 @@ class PauliCorrectionOp:
         xz = self.frame @ [c for label in self.labels for c in outcomes[label]]
         m = len(self.targets)
         return pauli.PauliWord(d, m, tuple(xz[:m]), tuple(xz[m:])).inverse()
+
+
+def hop_undos(labels, targets) -> tuple:
+    """One single-hop Pauli undo per teleported qudit: outcome ``labels[j]``
+    left X^a Z^b on ``targets[j]``."""
+    return tuple(PauliCorrectionOp((lb,), (t,), teleport.hop_frame(1)) for lb, t in zip(labels, targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +386,6 @@ def _run_ops(ops, wire, forced, pgm_cache, rng):
                 wire = wire.apply(op.matrix, op.targets)
             elif isinstance(op, CircuitOp):
                 wire = wire.apply_circuit(op.circuit, op.targets)
-            elif isinstance(op, CorrectionOp):
-                wire = wire.apply(op.matrix(outcomes), op.targets)
             elif isinstance(op, PauliCorrectionOp):
                 wire = wire.apply_pauli(op.word(wire.d, outcomes), op.targets)
             elif isinstance(op, (BellMeasureOp, PortMeasureOp)):
@@ -852,8 +846,9 @@ def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
     """Approximate one-round protocol for an arbitrary unitary.
 
     One party Bell-measures its input against shared pairs; the other
-    port-teleports the joint register back; the first applies U(P^x (x) I)
-    to every port, and after the round everything but port i* is discarded.
+    port-teleports the joint register back; the first applies
+    U (P_x^dagger (x) I) to every port, as ``hop_undos`` and a ``GateOp``,
+    and after the round everything but port i* is discarded.
     """
     n0, n1 = split
     n = n0 + n1
@@ -874,18 +869,11 @@ def bk_protocol(u: np.ndarray, split: tuple, n_ports: int) -> OneRoundProtocol:
 
     labels = tuple(f"x_{j}" for j in range(n0))
 
-    def gx_rule(outcomes):
-        # undo the teleportation Weyl (its own inverse up to phase at d=2),
-        # then apply the target on every port
-        px = np.eye(1, dtype=complex)
-        for j in range(n0):
-            a, b = outcomes[labels[j]]
-            px = np.kron(px, qudit.weyl(d, a, b))
-        px = np.kron(px, np.eye(d**n1))
-        return u @ px.conj().T
-
+    # on every port: undo the teleportation Paulis on the first n0 qudits,
+    # then apply the target, U P_x^dagger
     b_left = tuple(BellMeasureOp((a0[j], f0[j]), labels[j]) for j in range(n0))
-    b_left += tuple(CorrectionOp(labels, g, gx_rule) for g in ports_l)
+    for g in ports_l:
+        b_left += hop_undos(labels, g[:n0]) + (GateOp(u, g),)
     b_right = (PortMeasureOp("port", f1 + a1, ports_r, teleport.PBTParams(d_a, n_ports)),)
     out_names = tuple(f"B_{i}" for i in range(n))
     c_left = (

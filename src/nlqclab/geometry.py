@@ -367,14 +367,15 @@ def _clipped_ridge(cfg: ScatteringConfig, samples: int) -> RidgeCurve:
     f_time, f_space = _ridge_frame(cfg)
     t_lo, t_hi = _window(cfg)
 
-    # pick the hyperbola branch sitting inside the causal window
-    mid = _ridge_point(f_time, f_space, 0.0)
-    t_mid = np.arctan2(mid[1], mid[0])
-    if not (t_lo - 1e-9 <= t_mid <= t_hi + 1e-9):
+    # pick the hyperbola branch sitting inside the causal window; the time
+    # of its midpoint is read modulo 2 pi from t_lo, as in _region_witness
+    def in_window(f):
+        mid = _ridge_point(f, f_space, 0.0)
+        return (np.arctan2(mid[1], mid[0]) - t_lo + 1e-9) % (2 * np.pi) <= t_hi - t_lo + 2e-9
+
+    if not in_window(f_time):
         f_time = -f_time
-        mid = _ridge_point(f_time, f_space, 0.0)
-        t_mid = np.arctan2(mid[1], mid[0])
-        if not (t_lo - 1e-9 <= t_mid <= t_hi + 1e-9):
+        if not in_window(f_time):
             raise EmptyRegion("no ridge branch inside the causal window")
 
     span = 15.0

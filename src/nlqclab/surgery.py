@@ -327,24 +327,15 @@ class OneSidedProtocol:
         labels = tuple(f"x_{j}" for j in range(n))
         ops = (engine.AppendOp(v0 + v1, engine.Resource.pairs(d, n).state), engine.GateOp(u, v1))
         ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(n))
-        ops += (engine.CorrectionOp(labels, v1, _undo_rule(d, u, labels)),)
-        return engine.Program(d, a, ops, v1)
+        return engine.Program(d, a, ops + _undo(u, labels, v1), v1)
 
     def choi(self, x) -> np.ndarray:
         return engine.program_choi(self.program(x))
 
 
-def _undo_rule(d: int, u: np.ndarray, labels: tuple):
-    """Correction rule U W^dag U^dag undoing the Bell outcomes' Weyls W after U."""
-
-    def rule(outcomes):
-        w = np.eye(1, dtype=complex)
-        for label in labels:
-            a, b = outcomes[label]
-            w = np.kron(w, qudit.weyl(d, a, b))
-        return u @ w.conj().T @ u.conj().T
-
-    return rule
+def _undo(u: np.ndarray, labels: tuple, regs: tuple) -> tuple:
+    """Ops for U W^dag U^dag on ``regs``, undoing the Bell outcomes' Paulis W after U."""
+    return (engine.GateOp(u.conj().T, regs),) + engine.hop_undos(labels, regs) + (engine.GateOp(u, regs),)
 
 
 def pbt_surgery(
@@ -364,29 +355,28 @@ def pbt_surgery(
             raise NotOneSided("protocol does not implement the given task")
     d, n = task.d, task.n_a
     e = protocol.e_pairs
-    d_a = d**e
-    out = {}
-    for x in task.unitaries:
-        u = np.asarray(task.unitaries[x], dtype=complex)
-        a = engine.input_names(n)
-        v0 = tuple(f"V0_{j}" for j in range(e))
-        vl = tuple(f"VL_{j}" for j in range(e))
-        ports_c = tuple(tuple(f"C{i}_{j}" for j in range(e)) for i in range(n_ports))
-        ports_y = tuple(tuple(f"Y{i}_{j}" for j in range(e)) for i in range(n_ports))
-        labels = tuple(f"x_{j}" for j in range(e))
+    a = engine.input_names(n)
+    v0 = tuple(f"V0_{j}" for j in range(e))
+    vl = tuple(f"VL_{j}" for j in range(e))
+    ports_c = tuple(tuple(f"C{i}_{j}" for j in range(e)) for i in range(n_ports))
+    ports_y = tuple(tuple(f"Y{i}_{j}" for j in range(e)) for i in range(n_ports))
+    labels = tuple(f"x_{j}" for j in range(e))
+    out_names = tuple(f"B_{j}" for j in range(e))
 
-        pair_state = engine.Resource.pairs(d, e).state
-        ops = (engine.AppendOp(v0 + vl, pair_state),)
-        ops += tuple(engine.AppendOp(c + y, pair_state) for c, y in zip(ports_c, ports_y))
-        out_names = tuple(f"B_{j}" for j in range(e))
-        ops += tuple(engine.GateOp(u, y) for y in ports_y)
-        ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(e))
-        ops += (
-            engine.PortMeasureOp("port", vl, ports_c, teleport.PBTParams(d_a, n_ports)),
-            engine.SelectPortOp("port", ports_y, out_names),
-            engine.DiscardOp(vl + tuple(nm for g in ports_c for nm in g)),
-            engine.CorrectionOp(labels, out_names, _undo_rule(d, u, labels)),
-        )
+    # everything but the label's unitary is the same program for every label
+    pair_state = engine.Resource.pairs(d, e).state
+    appends = (engine.AppendOp(v0 + vl, pair_state),)
+    appends += tuple(engine.AppendOp(c + y, pair_state) for c, y in zip(ports_c, ports_y))
+    measures = tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(e))
+    measures += (
+        engine.PortMeasureOp("port", vl, ports_c, teleport.PBTParams(d**e, n_ports)),
+        engine.SelectPortOp("port", ports_y, out_names),
+        engine.DiscardOp(vl + tuple(nm for g in ports_c for nm in g)),
+    )
+    out = {}
+    for x, u in task.unitaries.items():
+        u = np.asarray(u, dtype=complex)
+        ops = appends + tuple(engine.GateOp(u, y) for y in ports_y) + measures + _undo(u, labels, out_names)
         program = engine.Program(d, a, ops, out_names)
         out[x] = LocalInteractionProtocol(program, resource_pairs=e, target=u)
     return out

@@ -99,10 +99,7 @@ def _teleport_ops(sources, pairs) -> tuple:
         engine.BellMeasureOp((src, near), i)
         for i, (src, (near, _)) in enumerate(zip(sources, pairs))
     )
-    return ops + tuple(
-        engine.PauliCorrectionOp((i,), (far,), hop_frame(1))
-        for i, (_, far) in enumerate(pairs)
-    )
+    return ops + engine.hop_undos(range(len(pairs)), [far for _, far in pairs])
 
 
 def hop_frame(hops: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlqclab import engine, pauli, qudit, teleport
+from nlqclab import engine, pauli, qudit, surgery, teleport
 from nlqclab.errors import CapExceeded, DimensionMismatch, IOFailure
 
 
@@ -200,8 +200,42 @@ def test_verify_identity_against_swap_distance():
 
 
 # ---------------------------------------------------------------------------
+# ops are data
+# ---------------------------------------------------------------------------
+
+def test_every_op_is_data():
+    # a ledger counts a program's gates from its ops, which a closure would hide
+    circuit = pauli.random_clifford(3, 2, seed=5)
+    task = surgery.OneSidedTask(2, 1, {0: qudit.hadamard(2), 1: np.diag([1, np.exp(0.4j)])})
+    protocol = surgery.OneSidedProtocol(task, 1)
+    programs = [
+        engine.clifford_protocol(circuit, (1, 2)).program,
+        engine.bk_protocol(qudit.cnot(2), (2, 0), 2).program,
+        protocol.program(1),
+        *(lp.program for lp in surgery.pbt_surgery(task, protocol, 2).values()),
+        surgery.clifford_surgery(surgery.clifford_normal_form(circuit, (1, 2))).program,
+    ]
+    op_lists = [p.ops for p in programs] + [teleport._teleport_ops(("s", "t"), (("n", "f"), ("m", "g")))]
+    for ops in op_lists:
+        for op in ops:
+            for f in dataclasses.fields(op):
+                assert not callable(getattr(op, f.name)), f"{type(op).__name__}.{f.name}"
+
+
+def test_unknown_op_is_rejected():
+    program = engine.Program(2, ("a",), (object(),), ("a",))
+    with pytest.raises(DimensionMismatch, match="unknown op"):
+        list(engine.run_program(program, np.eye(2)))
+
+
+# ---------------------------------------------------------------------------
 # BK protocol
 # ---------------------------------------------------------------------------
+
+def haar_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
 
 def test_bk_reduced_matches_protocol_path():
     for u in (np.eye(4, dtype=complex), qudit.cnot(2)):
@@ -210,6 +244,26 @@ def test_bk_reduced_matches_protocol_path():
             j_pro = engine.program_choi(engine.bk_protocol(u, (1, 1), n).program)
             assert np.abs(j_red - j_pro).max() < 1e-9
             assert abs(np.trace(j_red).real - 1) < 1e-9
+    # n0 = 2 undoes two teleported qudits per port, n0 = 1 one of three
+    rng = np.random.default_rng(31)
+    for split in ((2, 1), (1, 2)):
+        u = haar_unitary(8, rng)
+        j_pro = engine.program_choi(engine.bk_protocol(u, split, 1).program)
+        assert np.abs(engine.bk_choi(u, split, 1) - j_pro).max() < 1e-12
+
+
+def test_bk_program_without_one_undo_is_far_from_bk_choi():
+    # zeroing port 0's undo leaves the Bell Pauli on the 1/N of branches that
+    # select port 0.  One qubit at N = 3 puts the mutant 0.125 away; at d_a = 4
+    # the port channel is too noisy to show it, and at N = 1 it is completely
+    # depolarizing, which no Pauli changes.
+    u = haar_unitary(2, np.random.default_rng(32))
+    program = engine.bk_protocol(u, (1, 0), 3).program
+    first = next(op for op in program.ops if isinstance(op, engine.PauliCorrectionOp))
+    mutant = dataclasses.replace(first, frame=0 * first.frame)
+    ops = tuple(mutant if op is first else op for op in program.ops)
+    j = engine.program_choi(dataclasses.replace(program, ops=ops))
+    assert qudit.trace_distance_matrices(j, engine.bk_choi(u, (1, 0), 3)) > 0.1
 
 
 def test_bk_reduced_path_reaches_eight_ports_without_a_pgm(monkeypatch):

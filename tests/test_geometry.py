@@ -396,9 +396,12 @@ def test_each_region_is_computed_once(monkeypatch):
     assert calls == {"scattering_region_nonempty": 1, "decision_regions": 1}
 
 
-def test_translation_invariance():
+@pytest.mark.parametrize("shift", [-5, -2, -1, 0.41, 1, 1.6, 2, 3])
+def test_translation_invariance(shift):
+    # shifts that carry the ridge midpoint past t = pi need the time read
+    # modulo 2 pi
     a = geo.verify_connected_wedge(delayed(0.2), 2048)
-    later = mapped(delayed(0.2), lambda p: geo.BoundaryPoint(p.t + 0.41, p.theta))
+    later = mapped(delayed(0.2), lambda p: geo.BoundaryPoint(p.t + shift, p.theta))
     b = geo.verify_connected_wedge(later, 2048)
     assert abs(a.ridge_length - b.ridge_length) < 1e-9
     assert abs(a.mutual_information - b.mutual_information) < 1e-9

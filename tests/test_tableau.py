@@ -190,13 +190,12 @@ def test_measuring_one_pair_is_deterministic(d):
 # which path runs
 # ---------------------------------------------------------------------------
 
-def _teleport_with_dense_undo(d):
-    undo = lambda outcomes: qudit.weyl(d, *outcomes["m"]).conj().T
-    return engine.Program(d, ("a",), (
-        engine.AppendOp(("L", "R"), engine.Resource.pairs(d, 1).state),
-        engine.BellMeasureOp(("a", "L"), "m"),
-        engine.CorrectionOp(("m",), ("R",), undo),
-    ), ("R",))
+def _one_sided_qutrit():
+    """The one-sided program at n_a = 1 for a non-Clifford diagonal qutrit U,
+    and U: its undo U W^dag U^dag keeps a correction sequence on the dense path."""
+    u = np.diag(np.exp(1j * np.array([0.0, 0.3, 1.1])))
+    task = surgery.OneSidedTask(3, 1, {0: u})
+    return surgery.OneSidedProtocol(task, 1).program(0), u
 
 
 def dense_only_programs():
@@ -205,7 +204,7 @@ def dense_only_programs():
     plus_i = np.array([1.0, 1.0j]) / np.sqrt(2)
     return [
         ("GateOp", engine.Program(2, ("a",), (engine.GateOp(h, ("a",)),), ("a",)), h),
-        ("CorrectionOp", _teleport_with_dense_undo(3), np.eye(3)),
+        ("OneSidedProtocol", *_one_sided_qutrit()),
         ("PortMeasureOp", engine.Program(2, ("a",), (
             engine.AppendOp(("p", "q"), engine.Resource.pairs(2, 1).state),
             engine.PortMeasureOp("port", ("p",), (("q",),), teleport.PBTParams(2, 1)),
