@@ -17,8 +17,11 @@ The wire is a dense state tensor (optionally with a column axis carrying
 basis inputs, which turns a pure branch into the matrix of the induced
 linear map), or, in ``program_exactness`` on a program whose every op is
 Clifford (``is_clifford_program``), a ``pauli.StabilizerWire`` holding the
-program's Choi state as generator words: the same executor then sweeps the
-branches with no d**n tensor.  The dense sweep is the oracle for that path
+program's Choi state as generator words.  On that wire every Bell outcome
+is a pair of variables that the generator phases depend on linearly, so
+the same executor runs the program once, with no d**n tensor, and
+``tableau_branches`` expands that one run over the outcome grid.  The
+dense sweep, which enumerates every outcome, is the oracle for that path
 and the path for every other program.
 
 A port measurement applies the PGM in factored form
@@ -100,9 +103,11 @@ class Wire:
             w = w.apply(mat, [names[q] for q in g.targets])
         return w
 
-    def apply_pauli(self, word: pauli.PauliWord, names) -> "Wire":
+    def correct(self, op: "PauliCorrectionOp", outcomes) -> "Wire":
+        """Apply the Pauli undo ``op`` for this branch's outcomes."""
+        word = op.word(self.d, outcomes)
         w = self
-        for q, nm in enumerate(names):
+        for q, nm in enumerate(op.targets):
             a, b = word.x[q], word.z[q]
             if a or b:
                 w = w.apply(qudit.weyl(self.d, a, b), [nm])
@@ -130,6 +135,10 @@ class Wire:
         col_axis = len(self.regs)
         t = np.moveaxis(t, col_axis, -1)
         return Wire(d, t, self.regs + names)
+
+    def bell_outcomes(self) -> list:
+        """Every outcome (a, b) of a Bell measurement."""
+        return [(a, b) for a in range(self.d) for b in range(self.d)]
 
     def project_bell(self, pair, outcome) -> "Wire":
         """Contract a register pair with the Bell vector for ``outcome``.
@@ -296,6 +305,8 @@ class Branch:
 def _children(op, wire, outcomes, forced, pgm_cache, rng):
     """Lazily yield (outcomes, branch wire) for each outcome of a measurement.
 
+    A Bell measurement's outcomes are the wire's ``bell_outcomes``: all d**2
+    on a dense ``Wire``, one pair of variables on a ``pauli.StabilizerWire``.
     A forced outcome always runs, and raises ``DimensionMismatch`` when its
     probability given the branch so far is below 1e-30.  An unforced outcome
     is drawn with ``rng`` when one is given, by the Born weights of all the
@@ -303,7 +314,7 @@ def _children(op, wire, outcomes, forced, pgm_cache, rng):
     choice, a branch below ``BRANCH_PRUNE`` is pruned.
     """
     if isinstance(op, BellMeasureOp):
-        kind, choices = tuple, [(a, b) for a in range(wire.d) for b in range(wire.d)]
+        kind, choices = tuple, wire.bell_outcomes()
         project = lambda ab: wire.project_bell(op.pair, ab)
     else:
         kind, choices = int, list(range(op.params.n_ports))
@@ -387,7 +398,7 @@ def _run_ops(ops, wire, forced, pgm_cache, rng):
             elif isinstance(op, CircuitOp):
                 wire = wire.apply_circuit(op.circuit, op.targets)
             elif isinstance(op, PauliCorrectionOp):
-                wire = wire.apply_pauli(op.word(wire.d, outcomes), op.targets)
+                wire = wire.correct(op, outcomes)
             elif isinstance(op, (BellMeasureOp, PortMeasureOp)):
                 stack.append((i, pending, _children(op, wire, outcomes, forced, pgm_cache, rng)))
                 break
@@ -652,25 +663,30 @@ def is_clifford_program(program: Program) -> bool:
 
 
 def tableau_branches(program: Program, target: np.ndarray):
-    """(outcomes, probability, distance) per branch, swept on the Choi stabilizer state.
+    """(outcomes, probability, distance) per branch, from one run on the Choi stabilizer state.
 
     The inputs start paired with ``ref_i`` as in ``program_choi``, and the
-    executor runs the program on that ``pauli.StabilizerWire``.  The
-    probability is exact (d**-r), and the distance is
-    ``rank1_choi_distance`` of the branch: ||u - P u|| for the target's
-    Choi vector u over out + reference registers and the branch's
-    projector P.  ``is_clifford_program(program)`` must hold.
+    executor runs the program once on that ``pauli.StabilizerWire``, every
+    Bell outcome a pair of variables.  That one branch is then expanded
+    over the outcome grid Z_d**(2k) (``StabilizerWire.outcome_phases``):
+    outcomes that break a constraint have probability 0 and are dropped;
+    every other one has the probability d**-r, and outcomes whose
+    generators get the same phases are the same state, whose distance is
+    computed once.  The distance is ``rank1_choi_distance`` of the branch:
+    ||u - P u|| for the target's Choi vector u over out + reference
+    registers and the branch's projector P.  Rows come in the dense sweep's
+    order.  ``is_clifford_program(program)`` must hold.
     """
     ref = _ref_names(program)
     wire = pauli.StabilizerWire.pairs(program.d, program.in_regs, ref)
+    (br,) = _run_ops(program.ops, wire, None, {}, None)
+    w = br.wire.factor_out(list(br.pending_discards))
     names = list(program.out_regs) + ref
-    seen = {}  # branches with the same generator words are the same state
-    for br in _run_ops(program.ops, wire, None, {}, None):
-        w = br.wire.factor_out(list(br.pending_discards))
-        key = (tuple(w.regs), tuple(w.gens))
-        if key not in seen:
-            seen[key] = w.distance(target, names)
-        yield br.outcomes, w.squared_norm(), seen[key]
+    grid, phases = w.outcome_phases()
+    states, which = np.unique(phases, axis=0, return_inverse=True)
+    dists = [w.at(ph).distance(target, names) for ph in states]
+    for o, k in zip(grid.tolist(), which.reshape(-1).tolist()):
+        yield {label: (o[a], o[b]) for label, (a, b) in br.outcomes.items()}, w.norm2, dists[k]
 
 
 def program_exactness(program: Program, target: np.ndarray):

@@ -53,6 +53,10 @@ class EmptyDiamond(NlqcError):
     pass
 
 
+class EmptyDecisionRegion(EmptyDiamond):
+    """No causal diamond lies above an input: its decision region is empty."""
+
+
 class UsageError(NlqcError):
     pass
 

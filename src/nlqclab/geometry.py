@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDiamond, EmptyRegion
+from .errors import DimensionMismatch, EmptyDecisionRegion, EmptyDiamond, EmptyRegion
 
 ETA = np.diag([-1.0, -1.0, 1.0, 1.0])
 REGION_TOL = 1e-7  # a scattering-region margin down to -REGION_TOL still counts as inside
@@ -475,7 +475,7 @@ def decision_regions(cfg: ScatteringConfig) -> tuple:
             ):
                 best = peak
         if best is None:
-            raise EmptyDiamond(f"no causal diamond above input at theta={c.theta}")
+            raise EmptyDecisionRegion(f"no causal diamond above input at theta={c.theta}")
         dt = best.t - c.t
         dth = _wrap_signed(best.theta - c.theta)
         if dt <= abs(dth) + 1e-12:
@@ -541,10 +541,18 @@ def verify_connected_wedge(cfg: ScatteringConfig, resolution: int = 4096) -> Geo
     the caller.  I is cutoff-independent, so the default cutoff is used.
     The ridge length is exact and no ridge point is sampled, so
     ``resolution`` is accepted for callers that pass it and changes nothing.
+    An empty scattering region has ridge length 0; when an input's decision
+    region is empty as well, I is 0, since an empty region carries no
+    mutual information.  Any other ``EmptyDiamond`` is raised.
     """
     region = scattering_region_nonempty(cfg)
     ridge_len = _clipped_ridge(cfg, 0).length if region.nonempty else 0.0
-    mi = mutual_information(cfg)
+    try:
+        mi = mutual_information(cfg)
+    except EmptyDecisionRegion:
+        if region.nonempty:
+            raise
+        mi = 0.0
     return GeometryReport(
         region.nonempty,
         region.margin,

@@ -13,11 +13,12 @@ A circuit's tableau (the images of every X_q and Z_q) is built once per
 circuit and conjugates any word with one product per qudit.
 
 ``StabilizerWire`` runs engine programs on a stabilizer state: circuits
-conjugate its generator words, a Bell measurement with a forced outcome is
-two commuting Pauli measurements (Aaronson and Gottesman,
-arXiv:quant-ph/0406196, with the qudit phases of Hostens, Dehaene and De
-Moor, arXiv:quant-ph/0408190), and discarding registers keeps the
-generators that act trivially on them.
+conjugate its generator words, a Bell measurement is two commuting Pauli
+measurements (Aaronson and Gottesman, arXiv:quant-ph/0406196, with the
+qudit phases of Hostens, Dehaene and De Moor, arXiv:quant-ph/0408190)
+whose outcome stays a pair of variables that the generator phases depend
+on linearly, and discarding registers keeps the generators that act
+trivially on them.
 
 Circuits are read from and written to one JSON format,
 ``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``,
@@ -428,23 +429,29 @@ def _coord(w: PauliWord, c: int) -> int:
     return w.x[c] if c < w.n else w.z[c - w.n]
 
 
-def _reduce(words, cols, d: int):
-    """Row-reduce ``words`` over Z_d on the symplectic coordinates ``cols``.
+def _row_times_power(g, h, m: int) -> tuple:
+    """The (word, form) row g times h**m: the words multiply, the outcome forms add."""
+    mod = _phase_mod(g[0].d)
+    return _times_power(g[0], h[0], m), tuple((a + m * b) % mod for a, b in zip(g[1], h[1]))
 
-    Returns (pivots, rest): ``pivots`` lists (column, word) in elimination
+
+def _reduce(rows, cols, d: int):
+    """Row-reduce (word, form) ``rows`` over Z_d on the symplectic coordinates ``cols``.
+
+    Returns (pivots, rest): ``pivots`` lists (column, row) in elimination
     order, each word zero on the columns of the pivots before it, and
-    ``rest`` the words zero on every column of ``cols``.  Rows change only
-    by multiplying in powers of other rows, so pivots and rest generate the
-    group the words generate.
+    ``rest`` the rows whose words are zero on every column of ``cols``.
+    Rows change only by multiplying in powers of other rows, so pivots and
+    rest generate the group the rows generate.
     """
-    rest, pivots = list(words), []
+    rest, pivots = list(rows), []
     for c in cols:
-        k = next((i for i, w in enumerate(rest) if _coord(w, c)), None)
+        k = next((i for i, (w, _) in enumerate(rest) if _coord(w, c)), None)
         if k is None:
             continue
         piv = rest.pop(k)
-        inv = pow(_coord(piv, c), -1, d)
-        rest = [_times_power(w, piv, -_coord(w, c) * inv % d) if _coord(w, c) else w for w in rest]
+        inv = pow(_coord(piv[0], c), -1, d)
+        rest = [_row_times_power(r, piv, -_coord(r[0], c) * inv % d) if _coord(r[0], c) else r for r in rest]
         pivots.append((c, piv))
     return pivots, rest
 
@@ -453,20 +460,38 @@ class StabilizerWire:
     """Stabilizer state over named registers: ``engine.Wire`` on a tableau.
 
     ``gens`` holds one generator word per register, over ``regs`` in order;
-    the state is the words' joint +1 eigenvector, kept normalized, and
-    ``norm2`` is the squared norm the unnormalized branch would have: the
-    product of its measurement probabilities, d**-r or 0.  The methods are
-    the ones ``engine._run_ops`` and ``engine._children`` call on a wire, so
-    the one executor runs all-Clifford programs on it.
+    the state is the words' joint +1 eigenvector, kept normalized.  It is
+    symbolic in its Bell outcomes: every outcome is a variable, the x/z
+    parts of the words never depend on the outcomes, and the phases depend
+    on them linearly (Dehaene and De Moor, arXiv:quant-ph/0304125).  The
+    phase of ``gens[i]`` is its word's phase plus ``forms[i]`` . o, mod the
+    phase group, for the vector o in Z_d**nvars of the outcome variables.
+    A measurement whose outcome the state fixes adds the (constant, form)
+    of the eigenvalue's phase to ``constraints``: an outcome vector that
+    makes one of them nonzero has probability 0.  Every other outcome
+    vector has probability ``norm2`` = d**-r, r the number of measurements
+    the state does not fix.  The methods are the ones ``engine._run_ops``
+    and ``engine._children`` call on a wire, so the one executor runs an
+    all-Clifford program on it in one pass that covers every outcome;
+    ``outcome_phases`` and ``at`` expand that pass into branches.
     """
 
-    __slots__ = ("d", "gens", "regs", "norm2")
+    __slots__ = ("d", "gens", "forms", "regs", "norm2", "nvars", "constraints")
 
-    def __init__(self, d: int, gens, regs, norm2: float = 1.0):
+    def __init__(self, d: int, gens, regs):
         self.d = d
         self.gens = list(gens)
+        self.forms = [()] * len(self.gens)
         self.regs = list(regs)
-        self.norm2 = norm2
+        self.norm2 = 1.0
+        self.nvars = 0
+        self.constraints = ()
+
+    def _replace(self, **fields) -> "StabilizerWire":
+        new = object.__new__(StabilizerWire)
+        for name in self.__slots__:
+            setattr(new, name, fields.get(name, getattr(self, name)))
+        return new
 
     @classmethod
     def pairs(cls, d: int, left, right) -> "StabilizerWire":
@@ -476,15 +501,13 @@ class StabilizerWire:
     def positions(self, names) -> list:
         return [self.regs.index(nm) for nm in names]
 
-    def squared_norm(self) -> float:
-        return self.norm2
-
     def _adjoin(self, words, names) -> "StabilizerWire":
         n, m = len(self.regs), len(names)
         pad, lead = (0,) * m, (0,) * n
         gens = [_word(self.d, g.x + pad, g.z + pad, g.phase) for g in self.gens]
         gens += [_word(self.d, lead + w.x, lead + w.z, w.phase) for w in words]
-        return StabilizerWire(self.d, gens, self.regs + list(names), self.norm2)
+        forms = self.forms + [(0,) * self.nvars] * len(words)
+        return self._replace(gens=gens, forms=forms, regs=self.regs + list(names))
 
     def append(self, vec, names) -> "StabilizerWire":
         words = stabilizer_generators(self.d, vec, len(names))
@@ -493,7 +516,11 @@ class StabilizerWire:
         return self._adjoin(words, names)
 
     def apply_circuit(self, circuit: CliffordCircuit, names) -> "StabilizerWire":
-        """Conjugate every generator touching ``names`` by the circuit's tableau."""
+        """Conjugate every generator touching ``names`` by the circuit's tableau.
+
+        The phase a conjugation adds depends on the word alone, so the
+        outcome forms are unchanged.
+        """
         if not circuit.gates:
             return self
         d, tab, pos = self.d, circuit.tableau, self.positions(names)
@@ -509,60 +536,82 @@ class StabilizerWire:
             for p, a, b in zip(pos, img_x, img_z):
                 x[p], z[p] = a % d, b % d
             gens.append(_word(d, tuple(x), tuple(z), phase))
-        return StabilizerWire(d, gens, self.regs, self.norm2)
+        return self._replace(gens=gens)
 
-    def apply_pauli(self, word: PauliWord, names) -> "StabilizerWire":
-        """Conjugate by a Pauli word: P g P^-1 = omega**s g, a phase-only update."""
-        d, w, pos = self.d, _omega_units(self.d), self.positions(names)
-        gens = []
-        for g in self.gens:
-            s = sum(word.z[i] * g.x[p] - word.x[i] * g.z[p] for i, p in enumerate(pos)) % d
-            gens.append(_word(d, g.x, g.z, g.phase + w * s) if s else g)
-        return StabilizerWire(d, gens, self.regs, self.norm2)
+    def correct(self, op, outcomes) -> "StabilizerWire":
+        """Apply an ``engine.PauliCorrectionOp`` whose outcomes are variables.
 
-    def _measure(self, p: PauliWord) -> "StabilizerWire":
-        """Project onto the +1 eigenspace of p (with p**d = I); norm2 takes its probability."""
-        d, gens = self.d, self.gens
+        The op applies P, the inverse of X^x Z^z with (x, z) = frame . o, and
+        P g P^-1 = omega**s g with s = x.g_z - z.g_x on the targets.  So s
+        is linear in the outcomes, and frame column j gives the coefficient
+        of variable j.
+        """
+        d, w, mod = self.d, _omega_units(self.d), _phase_mod(self.d)
+        pos, m = self.positions(op.targets), len(op.targets)
+        frame = op.frame.tolist()
+        variables = [v for label in op.labels for v in outcomes[label]]  # one per frame column
+        forms = []
+        for g, f in zip(self.gens, self.forms):
+            gx, gz = [g.x[p] for p in pos], [g.z[p] for p in pos]
+            if any(gx) or any(gz):
+                f = list(f)
+                for j, v in enumerate(variables):
+                    s = sum(frame[i][j] * gz[i] - frame[m + i][j] * gx[i] for i in range(m))
+                    f[v] = (f[v] + w * s) % mod
+                f = tuple(f)
+            forms.append(f)
+        return self._replace(forms=forms)
+
+    def _measure(self, row) -> "StabilizerWire":
+        """Project onto the +1 eigenspace of the (word, form) ``row`` (a word p with p**d = I)."""
+        d, p, rows = self.d, row[0], list(zip(self.gens, self.forms))
         supp = [q for q in range(p.n) if p.x[q] or p.z[q]]
-        s = [sum(g.z[q] * p.x[q] - g.x[q] * p.z[q] for q in supp) % d for g in gens]
+        s = [sum(g.z[q] * p.x[q] - g.x[q] * p.z[q] for q in supp) % d for g in self.gens]
         j0 = next((j for j, v in enumerate(s) if v), None)
         if j0 is None:
             # p commutes with the group, so the state is an eigenvector of p:
-            # reduce p by group elements down to the eigenvalue's phase
-            pivots, _ = _reduce(gens, range(2 * len(self.regs)), d)
-            t = p
+            # reduce p by group elements down to the eigenvalue's phase, which
+            # must vanish
+            pivots, _ = _reduce(rows, range(2 * len(self.regs)), d)
             for c, piv in pivots:
-                if _coord(t, c):
-                    t = _times_power(t, piv, -_coord(t, c) * pow(_coord(piv, c), -1, d) % d)
-            if any(t.x) or any(t.z):
+                if _coord(row[0], c):
+                    row = _row_times_power(row, piv, -_coord(row[0], c) * pow(_coord(piv[0], c), -1, d) % d)
+            if any(row[0].x) or any(row[0].z):
                 raise DimensionMismatch("stabilizer generators do not fix a single state")
-            return StabilizerWire(d, gens, self.regs, self.norm2 if t.phase == 0 else 0.0)
-        # every outcome has probability 1/d; keep the generators commuting with p
-        g0, inv = gens[j0], pow(s[j0], -1, d)
-        new = [_times_power(g, g0, -v * inv % d) if v else g for g, v in zip(gens, s)]
-        new[j0] = p
-        return StabilizerWire(d, new, self.regs, self.norm2 / d)
+            return self._replace(constraints=self.constraints + ((row[0].phase, row[1]),))
+        # every outcome has probability 1/d (Aaronson and Gottesman); keep the
+        # generators commuting with p
+        inv = pow(s[j0], -1, d)
+        rows = [_row_times_power(r, rows[j0], -v * inv % d) if v else r for r, v in zip(rows, s)]
+        rows[j0] = row
+        return self._replace(gens=[g for g, _ in rows], forms=[f for _, f in rows], norm2=self.norm2 / d)
+
+    def bell_outcomes(self) -> list:
+        """The one outcome of the next Bell measurement: its two new variables."""
+        return [(self.nvars, self.nvars + 1)]
 
     def project_bell(self, pair, outcome) -> "StabilizerWire":
-        """Project a register pair onto the Bell vector for ``outcome`` and drop it.
+        """Project a register pair onto the Bell vector of ``outcome`` and drop it.
 
-        The vector ((X^a Z^b)^dagger (x) I)|Phi+> is the +1 eigenvector of
-        omega**-b X (x) X and omega**a Z (x) Z^-1, measured in turn.  As on
-        ``engine.Wire``, the result is not renormalized: ``norm2`` carries
-        the outcome's probability.
+        ``outcome`` is the pair (a, b) of new variables ``bell_outcomes``
+        gives, so every form grows by those two columns.  The vector
+        ((X^a Z^b)^dagger (x) I)|Phi+> is the +1 eigenvector of
+        omega**-b X (x) X and omega**a Z (x) Z^-1, measured in turn.
         """
-        d, n, w = self.d, len(self.regs), _omega_units(self.d)
+        d, n, w, nvars = self.d, len(self.regs), _omega_units(self.d), self.nvars + 2
         i, j = self.positions(pair)
         a, b = outcome
+        wire = self._replace(
+            forms=[f + (0, 0) for f in self.forms], nvars=nvars,
+            constraints=tuple((c, f + (0, 0)) for c, f in self.constraints),
+        )
+        unit = lambda v, c: tuple(c % _phase_mod(d) if u == v else 0 for u in range(nvars))
         xx, zz = [0] * n, [0] * n
         xx[i] = xx[j] = zz[i] = 1
         zz[j] = d - 1
         none = (0,) * n
-        wire = self
-        for s in (_word(d, tuple(xx), none, -w * b), _word(d, none, tuple(zz), w * a)):
-            wire = wire._measure(s)
-            if not wire.norm2:
-                return StabilizerWire(d, [], [nm for nm in self.regs if nm not in pair], 0.0)
+        wire = wire._measure((_word(d, tuple(xx), none, 0), unit(b, -w)))
+        wire = wire._measure((_word(d, none, tuple(zz), 0), unit(a, w)))
         return wire.factor_out(pair)
 
     def factor_out(self, names) -> "StabilizerWire":
@@ -570,15 +619,38 @@ class StabilizerWire:
         if not names:
             return self
         n, pos = len(self.regs), self.positions(names)
-        _, rest = _reduce(self.gens, pos + [n + p for p in pos], self.d)
+        _, rest = _reduce(zip(self.gens, self.forms), pos + [n + p for p in pos], self.d)
         keep = [i for i in range(n) if i not in pos]
         if len(rest) != len(keep):
             raise DimensionMismatch("discarded registers are entangled with the remainder")
         gens = [
             _word(self.d, tuple(g.x[i] for i in keep), tuple(g.z[i] for i in keep), g.phase)
-            for g in rest
+            for g, _ in rest
         ]
-        return StabilizerWire(self.d, gens, [self.regs[i] for i in keep], self.norm2)
+        return self._replace(gens=gens, forms=[f for _, f in rest], regs=[self.regs[i] for i in keep])
+
+    def outcome_phases(self) -> tuple:
+        """(outcomes, phases) over every outcome vector the constraints allow.
+
+        ``outcomes`` holds those vectors of Z_d**nvars as rows, in
+        lexicographic order, and row i of ``phases`` the phase of each
+        generator for outcome vector i.
+        """
+        d, mod, v = self.d, _phase_mod(self.d), self.nvars
+        grid = np.indices((d,) * v).reshape(v, d**v).T
+
+        def values(consts, forms):
+            forms = np.array(forms, dtype=np.int64).reshape(len(consts), v)
+            return (np.array(consts, dtype=np.int64) + grid @ forms.T) % mod
+
+        if self.constraints:
+            grid = grid[~values(*zip(*self.constraints)).any(axis=1)]
+        return grid, values([g.phase for g in self.gens], self.forms)
+
+    def at(self, phases) -> "StabilizerWire":
+        """The branch whose generators have ``phases``: a wire with no outcome variables."""
+        gens = [_word(self.d, g.x, g.z, int(ph)) for g, ph in zip(self.gens, phases)]
+        return self._replace(gens=gens, forms=[()] * len(gens), nvars=0, constraints=())
 
     def distance(self, vec, names) -> float:
         """||u - P u||: u is ``vec`` normalized, over ``names`` in order, P this state's projector.

@@ -9,6 +9,8 @@ import time
 import nlqclab
 from nlqclab import cli, engine, pauli, teleport
 
+from test_geometry import peak_test_configs
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -33,6 +35,21 @@ def test_geometry_marginal_preset(capsys):
     assert row["region_nonempty"] is True
     assert abs(row["ridge_length"]) < 1e-6
     assert abs(row["mutual_information_length_units"]) < 1e-9
+
+
+def test_geometry_reports_an_empty_scattering_region(capsys):
+    # the outputs' pasts share no point of the causal window and no causal
+    # diamond lies above an input: the row says so, with ridge 0 and I = 0
+    for index in (45, 49, 67, 72):
+        cfg = peak_test_configs()[index]
+        points = [f"{p.t!r},{p.theta!r}" for p in cfg.inputs() + cfg.outputs()]
+        code, out = run(capsys, "geometry", *(
+            arg for flag, point in zip(("--c0", "--c1", "--r0", "--r1"), points) for arg in (flag, point)
+        ))
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["region_nonempty"] is False and row["region_margin"] < 0
+        assert row["ridge_length"] == 0.0 and row["mutual_information_length_units"] == 0.0
 
 
 def test_pbt_csv_columns(capsys):

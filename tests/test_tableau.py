@@ -186,6 +186,44 @@ def test_measuring_one_pair_is_deterministic(d):
     assert list(tableau_rows(program, np.eye(d))) == [(("m", (0, 0)),)]
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_swapped_pairs_fix_the_second_outcome(d):
+    # entanglement swapping: Bell-measuring (l1, l2) leaves (r1, r2) in the
+    # Bell state of that outcome, so measuring (r1, r2) next is deterministic
+    # and each branch's outcomes meet a constraint spanning both measurements
+    pairs = engine.Resource.pairs(d, 2).state
+    program = engine.Program(d, ("a",), (
+        engine.AppendOp(("l1", "l2", "r1", "r2"), pairs),
+        engine.BellMeasureOp(("l1", "l2"), "m1"),
+        engine.BellMeasureOp(("r1", "r2"), "m2"),
+    ), ("a",))
+    assert assert_paths_agree(program, np.eye(d)) < 1e-12
+    rows = tableau_rows(program, np.eye(d))
+    assert len(rows) == d**2
+    assert len({dict(key)["m1"] for key in rows}) == d**2
+    assert all(abs(p - d**-2) < 1e-15 for p, _ in rows.values())
+
+
+def test_tableau_path_runs_each_measurement_once(monkeypatch):
+    # two qudits teleported at d = 5: 625 outcomes, from one symbolic run
+    d = 5
+    program = engine.Program(d, ("a", "b"), (
+        engine.AppendOp(("L_0", "L_1", "R_0", "R_1"), engine.Resource.pairs(d, 2).state),
+        engine.BellMeasureOp(("a", "L_0"), "x_0"),
+        engine.BellMeasureOp(("b", "L_1"), "x_1"),
+    ) + engine.hop_undos(("x_0", "x_1"), ("R_0", "R_1")), ("R_0", "R_1"))
+    project_bell, calls = pauli.StabilizerWire.project_bell, []
+
+    def counted(wire, pair, outcome):
+        calls.append(pair)
+        return project_bell(wire, pair, outcome)
+
+    monkeypatch.setattr(pauli.StabilizerWire, "project_bell", counted)
+    maxd, ptot, count = engine.program_exactness(program, np.eye(d**2))
+    assert maxd < 1e-9 and abs(ptot - 1) < 1e-12 and count == d**4
+    assert len(calls) == sum(isinstance(op, engine.BellMeasureOp) for op in program.ops)
+
+
 # ---------------------------------------------------------------------------
 # which path runs
 # ---------------------------------------------------------------------------
