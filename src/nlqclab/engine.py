@@ -24,11 +24,14 @@ the same executor runs the program once, with no d**n tensor, and
 dense sweep, which enumerates every outcome, is the oracle for that path
 and the path for every other program.
 
-A port measurement applies the PGM in factored form
-(``teleport.PBTInstance``): the measured registers move to the front of
-the tensor once, the port-invariant completion is applied once, and each
-port costs two thin real matrix products; no dense POVM element or root is
-formed.
+A Bell measurement on the dense wire rotates the measured pair into the
+Bell basis once (``qudit.bell_basis``, one (d**2, d**2) matrix product),
+whether its outcomes are enumerated, forced or sampled; each outcome's
+branch wire is a slice of that rotated tensor.  A port measurement applies
+the PGM in factored form (``teleport.PBTInstance``): the measured registers
+move to the front of the tensor once, the port-invariant completion is
+applied once, and each port costs two thin real matrix products; no dense
+POVM element or root is formed.
 """
 
 from __future__ import annotations
@@ -140,19 +143,20 @@ class Wire:
         """Every outcome (a, b) of a Bell measurement."""
         return [(a, b) for a in range(self.d) for b in range(self.d)]
 
-    def project_bell(self, pair, outcome) -> "Wire":
-        """Contract a register pair with the Bell vector for ``outcome``.
+    def project_bell(self, pair):
+        """Map from outcome (a, b) to the branch wire of a Bell measurement of ``pair``.
 
-        The result carries the branch amplitude (it is not renormalized).
+        The pair is rotated into the Bell basis once, one (d**2, d**2) @
+        (d**2, rest) product with ``qudit.bell_basis``, and each branch wire
+        is row a*d + b of that product.  A branch carries its amplitude (it
+        is not renormalized).
         """
         d = self.d
-        a, b = outcome
-        pos = self.positions(pair)
-        t = np.moveaxis(self.tensor, pos, (0, 1))
-        vec = qudit.bell_basis_vector(d, a, b).conj().reshape(d, d)
-        t = np.tensordot(vec, t, axes=([0, 1], [0, 1]))
+        t = np.moveaxis(self.tensor, self.positions(pair), (0, 1))
+        rest = t.shape[2:]
+        rotated = qudit.bell_basis(d) @ t.reshape(d * d, -1)
         regs = [nm for nm in self.regs if nm not in pair]
-        return Wire(d, t, regs)
+        return lambda ab: Wire(d, rotated[ab[0] * d + ab[1]].reshape(rest), regs)
 
     def rename(self, mapping) -> "Wire":
         return Wire(self.d, self.tensor, [mapping.get(nm, nm) for nm in self.regs])
@@ -305,8 +309,11 @@ class Branch:
 def _children(op, wire, outcomes, forced, pgm_cache, rng):
     """Lazily yield (outcomes, branch wire) for each outcome of a measurement.
 
-    A Bell measurement's outcomes are the wire's ``bell_outcomes``: all d**2
-    on a dense ``Wire``, one pair of variables on a ``pauli.StabilizerWire``.
+    The wire is asked once per measurement for a projector, a map from
+    outcome to branch wire (``project_bell``, or ``_port_projector`` for
+    ports) that does the measurement's shared work once.  A Bell
+    measurement's outcomes are the wire's ``bell_outcomes``: all d**2 on a
+    dense ``Wire``, one pair of variables on a ``pauli.StabilizerWire``.
     A forced outcome always runs, and raises ``DimensionMismatch`` when its
     probability given the branch so far is below 1e-30.  An unforced outcome
     is drawn with ``rng`` when one is given, by the Born weights of all the
@@ -315,7 +322,7 @@ def _children(op, wire, outcomes, forced, pgm_cache, rng):
     """
     if isinstance(op, BellMeasureOp):
         kind, choices = tuple, wire.bell_outcomes()
-        project = lambda ab: wire.project_bell(op.pair, ab)
+        project = wire.project_bell(op.pair)
     else:
         kind, choices = int, list(range(op.params.n_ports))
         project = _port_projector(op, wire, pgm_cache)
@@ -379,9 +386,10 @@ def _run_ops(ops, wire, forced, pgm_cache, rng):
 
     A stack frame holds the next op index, the pending discards and a lazy
     iterator over a measurement's (outcomes, wire) children.  A child is made
-    only once the previous outcome's subtree is exhausted, so one child wire
-    per measurement level is alive, and program length is not bounded by the
-    recursion limit.
+    only once the previous outcome's subtree is exhausted, and program
+    length is not bounded by the recursion limit.  On a dense wire a Bell
+    measurement level keeps one rotated tensor alive, as large as its
+    parent, whose slices are the children.
     """
     stack = [(0, (), iter([({}, wire)]))]
     while stack:
@@ -604,10 +612,17 @@ def program_density(program: Program, input_vec, extra_regs=()) -> np.ndarray:
     """Density on out_regs + extra_regs, summed over every branch.
 
     ``input_vec`` is a pure state on in_regs + extra_regs; the extra
-    registers (a reference system) ride along untouched.
+    registers (a reference system) ride along untouched.  Raises
+    ``CapExceeded`` before allocating when the density would hold more than
+    ``qudit.STATE_ENTRY_CAP`` entries.
     """
     keep = list(program.out_regs) + list(extra_regs)
     dim = program.d ** len(keep)
+    if dim * dim > qudit.STATE_ENTRY_CAP:
+        raise CapExceeded(
+            f"a density on {len(keep)} registers at d={program.d} has {dim * dim} entries, "
+            f"cap {qudit.STATE_ENTRY_CAP}"
+        )
     total = np.zeros((dim, dim), dtype=complex)
     inp = np.reshape(input_vec, (-1, 1))
     for br in run_program(program, inp, extra_regs=extra_regs):
@@ -672,10 +687,11 @@ def tableau_branches(program: Program, target: np.ndarray):
     outcomes that break a constraint have probability 0 and are dropped;
     every other one has the probability d**-r, and outcomes whose
     generators get the same phases are the same state, whose distance is
-    computed once.  The distance is ``rank1_choi_distance`` of the branch:
-    ||u - P u|| for the target's Choi vector u over out + reference
-    registers and the branch's projector P.  Rows come in the dense sweep's
-    order.  ``is_clifford_program(program)`` must hold.
+    computed once; one ``StabilizerWire.distances`` call computes them all
+    from tables it builds once.  The distance is ``rank1_choi_distance`` of
+    the branch: ||u - P u|| for the target's Choi vector u over out +
+    reference registers and the branch's projector P.  Rows come in the
+    dense sweep's order.  ``is_clifford_program(program)`` must hold.
     """
     ref = _ref_names(program)
     wire = pauli.StabilizerWire.pairs(program.d, program.in_regs, ref)
@@ -684,7 +700,7 @@ def tableau_branches(program: Program, target: np.ndarray):
     names = list(program.out_regs) + ref
     grid, phases = w.outcome_phases()
     states, which = np.unique(phases, axis=0, return_inverse=True)
-    dists = [w.at(ph).distance(target, names) for ph in states]
+    dists = w.distances(target, names, states)
     for o, k in zip(grid.tolist(), which.reshape(-1).tolist()):
         yield {label: (o[a], o[b]) for label, (a, b) in br.outcomes.items()}, w.norm2, dists[k]
 
@@ -943,12 +959,15 @@ def bk_choi(u: np.ndarray, split: tuple, n_ports: int) -> np.ndarray:
 class BoundReport:
     """Product-replacement bound data.
 
-    ``passed`` compares I/2 in nats against ``rhs`` = -ln p_suc(product).
-    The relative-entropy argument (I(L:R) equals S(rho_LR || rho_L x
-    rho_R), and data processing on the success POVM) only supports the
-    full-I version, reported as ``passed_full``; exact teleportation
-    protocols saturate -ln p_suc = I, so ``passed`` is genuinely false for
-    them.
+    ``passed`` compares I/2 in nats against ``rhs`` = -ln p_suc(product),
+    and ``passed_full`` compares I against it.  The relative-entropy
+    argument (I(L:R) equals S(rho_LR || rho_L x rho_R), and data processing
+    on the success POVM) gives the binary relative entropy
+    d(p_suc_original || p_suc_product) <= I.  That is the full-I form only
+    when p_suc_original = 1, as on the maximally entangled resources built
+    here; on a resource that is not maximally entangled ``passed_full`` can
+    be false.  Exact teleportation protocols saturate -ln p_suc = I, so
+    ``passed`` is genuinely false for them.
     """
 
     mutual_information_nats: float

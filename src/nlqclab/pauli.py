@@ -473,7 +473,7 @@ class StabilizerWire:
     the state does not fix.  The methods are the ones ``engine._run_ops``
     and ``engine._children`` call on a wire, so the one executor runs an
     all-Clifford program on it in one pass that covers every outcome;
-    ``outcome_phases`` and ``at`` expand that pass into branches.
+    ``outcome_phases`` and ``distances`` expand that pass into branches.
     """
 
     __slots__ = ("d", "gens", "forms", "regs", "norm2", "nvars", "constraints")
@@ -590,29 +590,33 @@ class StabilizerWire:
         """The one outcome of the next Bell measurement: its two new variables."""
         return [(self.nvars, self.nvars + 1)]
 
-    def project_bell(self, pair, outcome) -> "StabilizerWire":
-        """Project a register pair onto the Bell vector of ``outcome`` and drop it.
+    def project_bell(self, pair):
+        """Map from an outcome to the wire with ``pair`` projected onto its Bell vector and dropped.
 
-        ``outcome`` is the pair (a, b) of new variables ``bell_outcomes``
+        The outcome is the pair (a, b) of new variables ``bell_outcomes``
         gives, so every form grows by those two columns.  The vector
         ((X^a Z^b)^dagger (x) I)|Phi+> is the +1 eigenvector of
         omega**-b X (x) X and omega**a Z (x) Z^-1, measured in turn.
         """
         d, n, w, nvars = self.d, len(self.regs), _omega_units(self.d), self.nvars + 2
         i, j = self.positions(pair)
-        a, b = outcome
-        wire = self._replace(
-            forms=[f + (0, 0) for f in self.forms], nvars=nvars,
-            constraints=tuple((c, f + (0, 0)) for c, f in self.constraints),
-        )
         unit = lambda v, c: tuple(c % _phase_mod(d) if u == v else 0 for u in range(nvars))
         xx, zz = [0] * n, [0] * n
         xx[i] = xx[j] = zz[i] = 1
         zz[j] = d - 1
         none = (0,) * n
-        wire = wire._measure((_word(d, tuple(xx), none, 0), unit(b, -w)))
-        wire = wire._measure((_word(d, none, tuple(zz), 0), unit(a, w)))
-        return wire.factor_out(pair)
+
+        def project(outcome):
+            a, b = outcome
+            wire = self._replace(
+                forms=[f + (0, 0) for f in self.forms], nvars=nvars,
+                constraints=tuple((c, f + (0, 0)) for c, f in self.constraints),
+            )
+            wire = wire._measure((_word(d, tuple(xx), none, 0), unit(b, -w)))
+            wire = wire._measure((_word(d, none, tuple(zz), 0), unit(a, w)))
+            return wire.factor_out(pair)
+
+        return project
 
     def factor_out(self, names) -> "StabilizerWire":
         """Drop registers that are in a product state with the rest."""
@@ -647,17 +651,17 @@ class StabilizerWire:
             grid = grid[~values(*zip(*self.constraints)).any(axis=1)]
         return grid, values([g.phase for g in self.gens], self.forms)
 
-    def at(self, phases) -> "StabilizerWire":
-        """The branch whose generators have ``phases``: a wire with no outcome variables."""
-        gens = [_word(self.d, g.x, g.z, int(ph)) for g, ph in zip(self.gens, phases)]
-        return self._replace(gens=gens, forms=[()] * len(gens), nvars=0, constraints=())
+    def distances(self, vec, names, phases) -> list:
+        """||u - P u|| per row of ``phases``, the branch whose generators have those phases.
 
-    def distance(self, vec, names) -> float:
-        """||u - P u||: u is ``vec`` normalized, over ``names`` in order, P this state's projector.
+        u is ``vec`` normalized, over ``names`` in order, and P the branch's
+        projector.
 
         P = prod_g (1/d) sum_j g**j over the generators.  Each g acts on u as
         one index permutation times one phase vector, so no Pauli matrix is
-        built.  For a pure branch this is ``engine.rank1_choi_distance``.
+        built; the permutations and the phase vectors' omega powers depend on
+        the words' x/z parts only and are built once for every row.  For a
+        pure branch this is ``engine.rank1_choi_distance``.
         """
         if set(names) != set(self.regs):
             raise DimensionMismatch(f"output registers {list(names)} do not match wire {self.regs}")
@@ -668,22 +672,23 @@ class StabilizerWire:
         k = len(self.gens)
         x = np.array([[g.x[p] for p in pos] for g in self.gens], dtype=np.int64).reshape(k, m)
         z = np.array([[g.z[p] for p in pos] for g in self.gens], dtype=np.int64).reshape(k, m)
-        phase = np.array([g.phase for g in self.gens], dtype=np.int64)
         # (g u)[j] = tau**phase omega**(z.(j - x)) u[j - x]; both the index of
         # j - x and the exponent are sums over registers of one digit's term
         shifted = (np.arange(d) - x[:, :, None]) % d  # digit q of j - x, for j_q = 0..d-1
         perms = _outer_sum(shifted * (d ** np.arange(m - 1, -1, -1))[:, None])
-        expo = _outer_sum(shifted * z[:, :, None]) % d
-        phases = (tau(d) ** phase)[:, None] * (qudit.omega(d) ** np.arange(d))[expo]
+        clock = (qudit.omega(d) ** np.arange(d))[_outer_sum(shifted * z[:, :, None]) % d]
         u = vec / np.linalg.norm(vec)
-        v = u
-        for perm, ph in zip(perms, phases):
-            acc = cur = v
-            for _ in range(d - 1):
-                cur = ph * cur[perm]
-                acc = acc + cur
-            v = acc / d
-        return float(min(1.0, np.linalg.norm(u - v)))
+        out = []
+        for phase in np.asarray(phases, dtype=np.int64):
+            v = u
+            for perm, ph in zip(perms, (tau(d) ** phase)[:, None] * clock):
+                acc = cur = v
+                for _ in range(d - 1):
+                    cur = ph * cur[perm]
+                    acc = acc + cur
+                v = acc / d
+            out.append(float(min(1.0, np.linalg.norm(u - v))))
+        return out
 
 
 def _outer_sum(terms: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * Generalized Bell outcomes are labelled so that outcome ``(a, b)`` on a
   measured pair leaves the far half of the consumed entangled pair holding
   ``X^a Z^b |psi>`` exactly; the undo correction is ``(X^a Z^b)^dagger``.
-  ``bell_basis_vector`` fixes this convention; the measurement itself is
-  ``engine.Wire.project_bell``.
+  ``bell_basis_vector`` fixes this convention.  ``bell_basis`` stacks the
+  conjugated vectors, a-major, into the rotation that
+  ``engine.Wire.project_bell`` applies once per measurement.
 
 All values are immutable from the caller's perspective; operations return new
 objects. Randomness enters only through explicitly passed generators.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -184,6 +186,16 @@ def bell_basis_vector(d: int, a: int, b: int) -> np.ndarray:
     pair = bell_pair(d).amplitudes.reshape(d, d)
     w = weyl(d, a, b).conj().T
     return (w @ pair).reshape(-1)
+
+
+@cache
+def bell_basis(d: int) -> np.ndarray:
+    """Read-only (d**2, d**2) rotation into the Bell basis, built once per d.
+
+    Row a*d + b is ``bell_basis_vector(d, a, b).conj()``, so the product with
+    a pair's amplitudes holds every outcome's amplitude, a-major.
+    """
+    return _readonly([bell_basis_vector(d, a, b).conj() for a in range(d) for b in range(d)])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,48 @@ def test_real_matrix_apply_matches_the_complex_path():
             assert np.abs(real - w.apply(m.astype(complex), names).tensor).max() < 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_bell_rotation_matches_the_bell_vector_contractions(d):
+    # the pair in reversed, non-adjacent positions of a three-column tensor:
+    # every child against its own contraction, and no weight lost
+    rng = np.random.default_rng(40 + d)
+    shape = (d,) * 4 + (3,)
+    wire = engine.Wire(d, rng.normal(size=shape) + 1j * rng.normal(size=shape), ["a", "b", "c", "e"])
+    # the basis is built once per d, and its rows are the conjugated Bell
+    # vectors in the order of the wire's outcomes
+    basis = qudit.bell_basis(d)
+    assert basis is qudit.bell_basis(d) and not basis.flags.writeable
+    for row, (a, b) in zip(basis, wire.bell_outcomes(), strict=True):
+        assert np.array_equal(row, qudit.bell_basis_vector(d, a, b).conj())
+    project = wire.project_bell(("e", "b"))
+    total = 0.0
+    for a, b in wire.bell_outcomes():
+        vec = qudit.bell_basis_vector(d, a, b).conj().reshape(d, d)
+        child = project((a, b))
+        assert child.regs == ["a", "c"]
+        assert np.abs(child.tensor - np.einsum("eb,abcek->ack", vec, wire.tensor)).max() < 1e-12
+        total += child.squared_norm()
+    assert abs(total - wire.squared_norm()) < 1e-12 * wire.squared_norm()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forced_sampled_and_enumerated_bell_children_agree(seed):
+    # a qutrit protocol with two Bell measurements: the branch of one outcome
+    # is the same wire whether it is drawn, forced or enumerated
+    program = engine.clifford_protocol(pauli.random_clifford(4, 3, seed=seed), (2, 2)).program
+    gen = np.random.default_rng(200 + seed)
+    psi = gen.normal(size=3**4) + 1j * gen.normal(size=3**4)
+    psi /= np.linalg.norm(psi)
+    sampled = engine.sample_branch(program, psi, rng=np.random.default_rng(seed))
+    forced = engine.sample_branch(program, psi, forced=sampled.outcomes)
+    (enumerated,) = [
+        br for br in engine.run_program(program, psi.reshape(-1, 1)) if br.outcomes == sampled.outcomes
+    ]
+    for br in (forced, enumerated):
+        assert br.wire.regs == sampled.wire.regs
+        assert np.array_equal(br.wire.tensor, sampled.wire.tensor)
+
+
 # ---------------------------------------------------------------------------
 # constructors and exactness
 # ---------------------------------------------------------------------------
@@ -413,6 +455,14 @@ def test_resource_size_is_capped_before_allocating():
         engine.bk_protocol(qudit.cnot(2), (1, 1), 6)
     with pytest.raises(CapExceeded):
         engine.Resource.pairs(2, 12)
+
+
+def test_program_density_is_capped_before_allocating():
+    # 12 kept qubits: a density of 2^24 entries, past the 2^22 cap, while
+    # the state itself has 2^12
+    names = tuple(f"q_{i}" for i in range(12))
+    with pytest.raises(CapExceeded, match="density on 12 registers"):
+        engine.program_density(engine.Program(2, names, (), names), np.eye(2**12)[0])
 
 
 def test_resource_state_is_checked_when_built():

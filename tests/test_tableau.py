@@ -214,9 +214,9 @@ def test_tableau_path_runs_each_measurement_once(monkeypatch):
     ) + engine.hop_undos(("x_0", "x_1"), ("R_0", "R_1")), ("R_0", "R_1"))
     project_bell, calls = pauli.StabilizerWire.project_bell, []
 
-    def counted(wire, pair, outcome):
+    def counted(wire, pair):
         calls.append(pair)
-        return project_bell(wire, pair, outcome)
+        return project_bell(wire, pair)
 
     monkeypatch.setattr(pauli.StabilizerWire, "project_bell", counted)
     maxd, ptot, count = engine.program_exactness(program, np.eye(d**2))
@@ -311,7 +311,9 @@ def test_pauli_words_act_without_their_matrices():
         vec = rng.normal(size=d**3) + 1j * rng.normal(size=d**3)
         u = vec / np.linalg.norm(vec)
         want = np.linalg.norm(u - proj @ u)
-        assert abs(wire.distance(vec, ["a", "b", "c"]) - want) < 1e-12
+        phases = [[g.phase for g in wire.gens]]
+        (dist,) = wire.distances(vec, ["a", "b", "c"], phases)
+        assert abs(dist - want) < 1e-12
         # the state is the circuit's first column, up to phase
         col = circuit.unitary()[:, 0]
-        assert wire.distance(col, ["a", "b", "c"]) < 1e-12
+        assert wire.distances(col, ["a", "b", "c"], phases)[0] < 1e-12
