@@ -184,7 +184,13 @@ class Wire:
         return m @ m.conj().T
 
     def factor_out(self, names) -> "Wire":
-        """Drop registers that are in a product state with the rest."""
+        """Drop registers that are in a product state with the rest.
+
+        The dropped state's phase is fixed, its first entry of at least half
+        the largest modulus real and positive, so column batches of one
+        branch keep one phase; the SVD's own phase choice varies with the
+        columns.
+        """
         if not names:
             return self
         d = self.d
@@ -197,9 +203,11 @@ class Wire:
             raise DimensionMismatch(
                 "discarded registers are entangled with the remainder"
             )
+        mod = np.abs(u[:, 0])
+        lead = u[np.argmax(mod >= mod.max() / 2), 0]
         rest_shape = t.shape[len(names):]
         keep = [nm for nm in self.regs if nm not in names]
-        return Wire(d, (s[0] * vh[0]).reshape(rest_shape), keep)
+        return Wire(d, (s[0] * lead / abs(lead) * vh[0]).reshape(rest_shape), keep)
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +578,22 @@ def assemble_protocol(
 
 
 def _auto_batch(program: Program) -> int:
-    """Column batch size keeping the peak tensor under ``BATCH_BUDGET`` entries."""
+    """Column batch size keeping the peak tensor entries under ``BATCH_BUDGET``.
+
+    A Bell measurement holds three tensors of its wire's size at once: the
+    wire, the copy with the pair moved to the front and its rotation.
+    """
     d = program.d
-    peak = live = len(program.in_regs)
+    live = len(program.in_regs)
+    peak = d**live
     for op in program.ops:
         if isinstance(op, AppendOp):
             live += len(op.names)
-            peak = max(peak, live)
+            peak = max(peak, d**live)
         elif isinstance(op, BellMeasureOp):
+            peak = max(peak, 3 * d**live)
             live -= 2
-    dim = d ** len(program.in_regs)
-    return int(max(1, min(dim, BATCH_BUDGET // max(1, d**peak))))
+    return int(max(1, min(d ** len(program.in_regs), BATCH_BUDGET // peak)))
 
 
 def sweep_branch_maps(program: Program):

@@ -3,22 +3,36 @@
 A Pauli word on n qudits is stored as exponent vectors x, z in Z_d^n plus a
 phase exponent.  The phase exponent counts powers of tau, where tau = i for
 d = 2 and tau = omega for odd prime d (so the phase group is Z_4 at d = 2 and
-Z_d otherwise; omega = tau**2 at d = 2).  The dense operator of a word is
+Z_d otherwise; omega = tau**w with w = 2 at d = 2 and 1 otherwise).  The
+dense operator of a word is
 
     tau**phase  *  kron_q( X^x[q] Z^z[q] ).
 
 Conjugation by the generator set {CNOT, H, S, X, Z} is closed over these
 words, phases included, which is what the tableau simulation relies on.
-A circuit's tableau (the images of every X_q and Z_q) is built once per
-circuit and conjugates any word with one product per qudit.
+
+The stabilizer layer packs words into int64 arrays, one word a row with
+columns x | z and its phase kept beside it.  X and Z on different qudits
+commute, so the word with packed exponents e and phase 0 is the product
+X_0**e_0 ... X_{n-1}**e_{n-1} Z_0**e_n ... Z_{n-1}**e_{2n-1}, in that
+order.  The product, in order, of packed rows r_j with phases p_j raised to
+the powers e_j is
+
+    x | z = sum_j e_j r_j  mod d,
+    phase = sum_j e_j p_j + w (sum_{i<j} e_i e_j z_i.x_j + sum_j C(e_j, 2) x_j.z_j)
+
+mod the phase group, from Z^b X^a = omega**(a.b) X^a Z^b and
+(X^x Z^z)**k = omega**(x.z C(k, 2)) X^kx Z^kz: an affine and quadratic form
+over Z_d (Dehaene and De Moor, arXiv:quant-ph/0304125; Hostens, Dehaene and
+De Moor, arXiv:quant-ph/0408190).  A circuit's tableau holds the images of
+X_0..X_{n-1}, Z_0..Z_{n-1} as those rows, so it conjugates a batch of words
+with one matrix product and one quadratic form.
 
 ``StabilizerWire`` runs engine programs on a stabilizer state: circuits
-conjugate its generator words, a Bell measurement is two commuting Pauli
-measurements (Aaronson and Gottesman, arXiv:quant-ph/0406196, with the
-qudit phases of Hostens, Dehaene and De Moor, arXiv:quant-ph/0408190)
-whose outcome stays a pair of variables that the generator phases depend
-on linearly, and discarding registers keeps the generators that act
-trivially on them.
+conjugate its generator rows, a Bell measurement is two commuting Pauli
+measurements (Aaronson and Gottesman, arXiv:quant-ph/0406196) whose outcome
+stays a pair of variables that the generator phases depend on linearly, and
+discarding registers keeps the generators that act trivially on them.
 
 Circuits are read from and written to one JSON format,
 ``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``,
@@ -28,7 +42,6 @@ whose gate names are the generators.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -38,7 +51,6 @@ from . import qudit
 from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, IOFailure, NotClifford
 
 CLIFFORD_GATES = {"H": 1, "S": 1, "CNOT": 2, "X": 1, "Z": 1}  # generator -> target count
-UNITARY_DIM_CAP = 4096  # largest dimension StabilizerTableau.to_unitary builds
 
 
 def _phase_mod(d: int) -> int:
@@ -52,6 +64,11 @@ def _omega_units(d: int) -> int:
 
 def tau(d: int) -> complex:
     return 1j if d == 2 else qudit.omega(d)
+
+
+def _check_unitary_cap(d: int, n: int) -> None:
+    if d ** (2 * n) > qudit.STATE_ENTRY_CAP:
+        raise CapExceeded(f"unitary of {d ** (2 * n)} entries exceeds cap {qudit.STATE_ENTRY_CAP}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +88,6 @@ class PauliWord:
         object.__setattr__(self, "z", tuple(int(b) % self.d for b in self.z))
         object.__setattr__(self, "phase", int(self.phase) % _phase_mod(self.d))
 
-    @classmethod
-    def single(cls, d: int, n: int, q: int, a: int, b: int) -> "PauliWord":
-        x = [0] * n
-        z = [0] * n
-        x[q], z[q] = a, b
-        return cls(d, n, tuple(x), tuple(z))
-
     def inverse(self) -> "PauliWord":
         # (X^a Z^b)^-1 = Z^-b X^-a = omega^(ab) X^-a Z^-b per qudit
         w = _omega_units(self.d)
@@ -96,11 +106,15 @@ class PauliWord:
         return tau(self.d) ** self.phase * m
 
 
-def _word(d: int, x: tuple, z: tuple, phase: int) -> PauliWord:
-    """A PauliWord from exponents already reduced mod d, without re-checking them."""
-    w = object.__new__(PauliWord)
-    w.__dict__.update(d=d, n=len(x), x=x, z=z, phase=phase % _phase_mod(d))
-    return w
+def _words(d: int, rows: np.ndarray, phases) -> tuple:
+    """PauliWords of packed rows x | z and their phases, all reduced, without re-checking them."""
+    n = rows.shape[1] // 2
+    out = []
+    for r, phase in zip(rows.tolist(), np.broadcast_to(phases, len(rows)).tolist()):
+        w = object.__new__(PauliWord)
+        w.__dict__.update(d=d, n=n, x=tuple(r[:n]), z=tuple(r[n:]), phase=phase)
+        out.append(w)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -150,19 +164,14 @@ class CliffordCircuit:
 
     @cached_property
     def _unitary(self) -> np.ndarray:
-        # the columns are held as a tensor with one axis per qudit and each
-        # gate acts on its target axes, so no gate is embedded at d**n x d**n
-        d, n = self.d, self.n
-        if d ** (2 * n) > qudit.STATE_ENTRY_CAP:
-            raise CapExceeded(f"unitary of {d ** (2 * n)} entries exceeds cap {qudit.STATE_ENTRY_CAP}")
-        u = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
-        for g in self.gates:
-            k = len(g.targets)
-            t = np.moveaxis(u, g.targets, range(k))
-            rest = t.shape[k:]
-            t = qudit.gate_matrix(g.name, d, g.power) @ t.reshape(d**k, -1)
-            u = np.moveaxis(t.reshape((d,) * k + rest), range(k), g.targets)
-        u = u.reshape(d**n, d**n)
+        # the engine's wire on the identity columns: each gate acts on its
+        # target axes, so no gate is embedded at d**n x d**n
+        from .engine import Wire  # engine imports this module
+
+        _check_unitary_cap(self.d, self.n)
+        names = list(range(self.n))
+        wire = Wire.from_matrix(self.d, np.eye(self.d**self.n), names).apply_circuit(self, names)
+        u = wire.as_matrix(names)
         u.setflags(write=False)
         return u
 
@@ -203,39 +212,6 @@ def dump_circuit_json(circuit: CliffordCircuit) -> str:
 # conjugation
 # ---------------------------------------------------------------------------
 
-def _conjugate_rows(rows, circuit: CliffordCircuit) -> None:
-    """Conjugate raw words [x, z, phase] by the circuit, in place, gate by gate.
-
-    ``x`` and ``z`` are lists of exponents; a gate power acts as that many
-    generator steps (CNOT, X and Z steps add up linearly).
-    """
-    d, w = circuit.d, _omega_units(circuit.d)
-    for g in circuit.gates:
-        k = g.power % qudit._gate_order(g.name, d)
-        q = g.targets[0]
-        for r in rows:
-            x, z = r[0], r[1]
-            if g.name == "CNOT":
-                # X_c -> X_c X_t, Z_t -> Z_c^-1 Z_t, others fixed; no phases
-                t = g.targets[1]
-                z[q] = (z[q] - k * z[t]) % d
-                x[t] = (x[t] + k * x[q]) % d
-            elif g.name == "X":
-                r[2] -= w * k * z[q]
-            elif g.name == "Z":
-                r[2] += w * k * x[q]
-            elif g.name == "H":
-                for _ in range(k):
-                    a, b = x[q], z[q]
-                    x[q], z[q] = -b % d, a
-                    r[2] -= w * a * b
-            else:  # S
-                for _ in range(k):
-                    a = x[q]
-                    z[q] = (z[q] + a) % d
-                    r[2] += a + w * (a * (a - 1) // 2)
-
-
 def conjugate_pauli(circuit: CliffordCircuit, p: PauliWord) -> PauliWord:
     """Return C p C^dagger with the phase tracked exactly."""
     if (circuit.d, circuit.n) != (p.d, p.n):
@@ -249,39 +225,61 @@ def conjugation_frame(circuit: CliffordCircuit, sources, targets) -> np.ndarray:
     Conjugation is linear in the exponents, phases aside, so column pair j
     holds the exponents of the images of X and Z on ``sources[j]``: the
     (2 len(targets), 2 len(sources)) frame with rows x then z on the
-    targets and columns (a_1, b_1, ..., a_k, b_k).
+    targets and columns (a_1, b_1, ..., a_k, b_k), a slice of the tableau.
     """
-    tab, targets = circuit.tableau, list(targets)
-    images = [img for s in sources for img in (tab.x_images[s], tab.z_images[s])]
-    cols = [[img.x[t] for t in targets] + [img.z[t] for t in targets] for img in images]
-    return np.array(cols, dtype=np.int64).reshape(len(images), 2 * len(targets)).T
+    n, targets = circuit.n, list(targets)
+    images = [r for s in sources for r in (s, n + s)]
+    return circuit.tableau.rows[images][:, targets + [n + t for t in targets]].T
 
 
 # ---------------------------------------------------------------------------
 # tableau
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class StabilizerTableau:
-    """Images of the 2n generator words X_i, Z_i under a Clifford circuit."""
+    """Images of the 2n generator words X_i, Z_i under a Clifford circuit C.
 
-    d: int
-    n: int
-    x_images: tuple
-    z_images: tuple
+    ``rows`` is the (2n, 2n) int64 array of the images of X_0..X_{n-1},
+    Z_0..Z_{n-1}, columns x | z, and ``phases`` their phases.  A word w with
+    packed exponents e = x | z and phase f is tau**f times the product, in
+    that order, of the e_j-th powers of X_0..Z_{n-1}, so C w C^dagger is the
+    same product of the images: e.rows mod d, with phase
 
-    def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
+        f + e.phases + w (e U e + C(e, 2).D)
+
+    mod the phase group (see the module docstring), where U, the strict
+    upper triangle of Z X^T, and D, the row-wise x.z of ``rows``, are built
+    once per tableau.
+    """
+
+    def __init__(self, d: int, n: int, x_images, z_images):
+        if len(x_images) != n or len(z_images) != n:
             raise DimensionMismatch("tableau needs n X-rows and n Z-rows")
+        words = tuple(x_images) + tuple(z_images)
+        rows = np.array([w.x + w.z for w in words], dtype=np.int64).reshape(2 * n, 2 * n)
+        self._fill(d, n, rows, np.array([w.phase for w in words], dtype=np.int64))
         self.validate()
+
+    def _fill(self, d: int, n: int, rows: np.ndarray, phases: np.ndarray) -> None:
+        self.d, self.n, self.rows, self.phases = d, n, rows, phases
+        rows.setflags(write=False)  # kept with its circuit, like the unitary
+        phases.setflags(write=False)
+        zx, i = rows[:, n:] @ rows[:, :n].T, np.arange(2 * n)  # zx[i, j] = z_i . x_j
+        self._upper, self._diag = zx * (i[:, None] < i), zx.diagonal()
+
+    @property
+    def x_images(self) -> tuple:
+        return _words(self.d, self.rows[:self.n], self.phases[:self.n])
+
+    @property
+    def z_images(self) -> tuple:
+        return _words(self.d, self.rows[self.n:], self.phases[self.n:])
 
     def validate(self) -> None:
         d, n = self.d, self.n
         # commutation structure must match the generator words'
         # (a nondegenerate Gram matrix, so the 2n rows are independent over Z_d)
-        rows = self.x_images + self.z_images
-        x = np.array([w.x for w in rows], dtype=np.int64).reshape(2 * n, n)
-        z = np.array([w.z for w in rows], dtype=np.int64).reshape(2 * n, n)
+        x, z = self.rows[:, :n], self.rows[:, n:]
         # gram[i, j] = s with rows[i] rows[j] = omega**s rows[j] rows[i]
         gram = (z @ x.T - x @ z.T) % d
         want = np.zeros((2 * n, 2 * n), dtype=np.int64)
@@ -290,41 +288,27 @@ class StabilizerTableau:
         if not np.array_equal(gram, want):
             raise DimensionMismatch("tableau rows violate the X/Z commutation relations")
 
-    def _image(self, x, z, phase: int) -> tuple:
-        """Unreduced (x, z, phase) of C w C^dagger, w = tau**phase prod_q X^x[q] Z^z[q].
-
-        One product per qudit: the images of X_q and Z_q raised to the
-        word's exponents, (X^x Z^z)**k = omega**(x.z k(k-1)/2) X^kx Z^kz.
-        """
-        n, w = self.n, _omega_units(self.d)
-        ox, oz = [0] * n, [0] * n
-        for q in range(n):
-            for img, k in ((self.x_images[q], x[q]), (self.z_images[q], z[q])):
-                if k:
-                    cross = k * sum(map(operator.mul, oz, img.x))
-                    if k > 1:
-                        cross += sum(map(operator.mul, img.x, img.z)) * (k * (k - 1) // 2)
-                    phase += k * img.phase + w * cross
-                    ox = [u + k * v for u, v in zip(ox, img.x)]
-                    oz = [u + k * v for u, v in zip(oz, img.z)]
-        return ox, oz, phase
+    def images(self, words: np.ndarray, phases) -> tuple:
+        """(rows, phases) of C w C^dagger for each packed row w of ``words``, entries in 0..d-1."""
+        quad = ((words @ self._upper) * words).sum(axis=1) + (words * (words - 1) // 2) @ self._diag
+        phases = (phases + words @ self.phases + _omega_units(self.d) * quad) % _phase_mod(self.d)
+        return words @ self.rows % self.d, phases
 
     def conjugate(self, p: PauliWord) -> PauliWord:
         """C p C^dagger for the circuit C of the tableau."""
-        x, z, phase = self._image(p.x, p.z, p.phase)
-        return _word(self.d, tuple(v % self.d for v in x), tuple(v % self.d for v in z), phase)
+        return _words(self.d, *self.images(np.array([p.x + p.z], dtype=np.int64), p.phase))[0]
 
     def to_unitary(self) -> np.ndarray:
         """Dense unitary reproducing the tableau, fixed up to global phase.
 
         The first column is reconstructed as the joint +1 eigenvector of the
         Z-row images; the remaining columns follow by applying X-row image
-        words, which pins every relative phase.
+        words, which pins every relative phase.  Past ``qudit.STATE_ENTRY_CAP``
+        entries it raises ``CapExceeded`` before allocating.
         """
         d, n = self.d, self.n
+        _check_unitary_cap(d, n)
         dim = d**n
-        if dim > UNITARY_DIM_CAP:
-            raise DimensionMismatch(f"dense reconstruction capped at {UNITARY_DIM_CAP}")
         proj = np.eye(dim, dtype=complex)
         for zi in self.z_images:
             m = zi.matrix()
@@ -363,15 +347,41 @@ def _digits(k: int, d: int, n: int) -> tuple:
 
 
 def tableau_simulate(circuit: CliffordCircuit) -> StabilizerTableau:
-    d, n = circuit.d, circuit.n
-    unit = lambda q: [int(i == q) for i in range(n)]
-    rows = [[unit(q), [0] * n, 0] for q in range(n)] + [[[0] * n, unit(q), 0] for q in range(n)]
-    _conjugate_rows(rows, circuit)
-    words = tuple(_word(d, tuple(x), tuple(z), ph) for x, z, ph in rows)
+    """The circuit's tableau: the packed rows of X_q and Z_q conjugated gate by gate.
+
+    A gate power acts as that many generator steps (CNOT, X and Z steps add
+    up linearly).  The rows are Python lists while the gates run, which is
+    faster than array updates at these sizes.
+    """
+    d, n, w = circuit.d, circuit.n, _omega_units(circuit.d)
+    rows, phases = np.eye(2 * n, dtype=np.int64).tolist(), [0] * (2 * n)
+    for g in circuit.gates:
+        k = g.power % qudit._gate_order(g.name, d)
+        q, zq = g.targets[0], n + g.targets[0]
+        if g.name == "CNOT":
+            # X_c -> X_c X_t, Z_t -> Z_c^-1 Z_t, others fixed; no phases
+            t = g.targets[1]
+            for r in rows:
+                r[zq] = (r[zq] - k * r[n + t]) % d
+                r[t] = (r[t] + k * r[q]) % d
+        elif g.name == "X":
+            phases = [p - w * k * r[zq] for p, r in zip(phases, rows)]
+        elif g.name == "Z":
+            phases = [p + w * k * r[q] for p, r in zip(phases, rows)]
+        elif g.name == "H":
+            for _ in range(k):
+                phases = [p - w * r[q] * r[zq] for p, r in zip(phases, rows)]
+                for r in rows:
+                    r[q], r[zq] = -r[zq] % d, r[q]
+        else:  # S
+            for _ in range(k):
+                phases = [p + r[q] + w * (r[q] * (r[q] - 1) // 2) for p, r in zip(phases, rows)]
+                for r in rows:
+                    r[zq] = (r[zq] + r[q]) % d
     # the rows are symplectic by construction, so StabilizerTableau.validate
     # is not run again here
     tab = object.__new__(StabilizerTableau)
-    tab.__dict__.update(d=d, n=n, x_images=words[:n], z_images=words[n:])
+    tab._fill(d, n, np.array(rows, dtype=np.int64).reshape(2 * n, 2 * n), np.array(phases) % _phase_mod(d))
     return tab
 
 
@@ -379,20 +389,16 @@ def tableau_simulate(circuit: CliffordCircuit) -> StabilizerTableau:
 # stabilizer wires: the executor's wire on a stabilizer state
 # ---------------------------------------------------------------------------
 
-def _pair_words(d: int, k: int) -> list:
-    """Generators of k pairs |Phi+> on (i, k + i): X (x) X and Z (x) Z^-1."""
-    words, none = [], (0,) * (2 * k)
-    for i in range(k):
-        one = [0] * (2 * k)
-        one[i] = one[k + i] = 1
-        words.append(_word(d, tuple(one), none, 0))
-        one[k + i] = d - 1
-        words.append(_word(d, none, tuple(one), 0))
+def _pair_words(d: int, k: int) -> np.ndarray:
+    """Generators of k pairs |Phi+> on (i, k + i), packed: X (x) X and Z (x) Z^-1 per pair."""
+    words, i = np.zeros((2 * k, 4 * k), dtype=np.int64), np.arange(k)
+    words[2 * i, i] = words[2 * i, k + i] = 1
+    words[2 * i + 1, 2 * k + i], words[2 * i + 1, 3 * k + i] = 1, d - 1
     return words
 
 
 def stabilizer_generators(d: int, vec, m: int):
-    """Generator words of ``vec`` on m registers, or None if it has none here.
+    """Packed generator rows of ``vec`` on m registers (phases 0), or None if it has none here.
 
     Two states are recognized, to 1e-12 per amplitude: |0...0>, and m/2
     pairs |Phi+> in the register order L_1..L_k R_1..R_k of
@@ -404,94 +410,88 @@ def stabilizer_generators(d: int, vec, m: int):
     zero = np.zeros(d**m)
     zero[0] = 1.0
     if np.abs(vec - zero).max() <= 1e-12:
-        return [PauliWord.single(d, m, q, 0, 1) for q in range(m)]
+        return np.eye(m, 2 * m, m, dtype=np.int64)  # Z on each register
     half = d ** (m // 2)
     if m % 2 == 0 and np.abs(vec - (np.eye(half) / np.sqrt(half)).reshape(-1)).max() <= 1e-12:
         return _pair_words(d, m // 2)
     return None
 
 
-def _times_power(g: PauliWord, h: PauliWord, m: int) -> PauliWord:
-    """g @ h**m, from (X^x Z^z)**m = omega**(x.z m(m-1)/2) X^(mx) Z^(mz)."""
-    d = g.d
-    xz = sum(a * b for a, b in zip(h.x, h.z))
-    cross = sum(b * a for b, a in zip(g.z, h.x))  # Z^b X^a reorder
-    return _word(
-        d,
-        tuple((a + m * a2) % d for a, a2 in zip(g.x, h.x)),
-        tuple((b + m * b2) % d for b, b2 in zip(g.z, h.z)),
-        g.phase + m * h.phase + _omega_units(d) * (m * cross + xz * (m * (m - 1) // 2)),
-    )
+def _times_row(gens, phases, forms, i: int, m: np.ndarray, d: int) -> tuple:
+    """Every generator row g times row h = ``gens[i]`` to the power m[g]: words multiply, forms add.
 
-
-def _coord(w: PauliWord, c: int) -> int:
-    # symplectic coordinate c: x[c] for c < n, else z[c - n]
-    return w.x[c] if c < w.n else w.z[c - w.n]
-
-
-def _row_times_power(g, h, m: int) -> tuple:
-    """The (word, form) row g times h**m: the words multiply, the outcome forms add."""
-    mod = _phase_mod(g[0].d)
-    return _times_power(g[0], h[0], m), tuple((a + m * b) % mod for a, b in zip(g[1], h[1]))
-
-
-def _reduce(rows, cols, d: int):
-    """Row-reduce (word, form) ``rows`` over Z_d on the symplectic coordinates ``cols``.
-
-    Returns (pivots, rest): ``pivots`` lists (column, row) in elimination
-    order, each word zero on the columns of the pivots before it, and
-    ``rest`` the rows whose words are zero on every column of ``cols``.
-    Rows change only by multiplying in powers of other rows, so pivots and
-    rest generate the group the rows generate.
+    The packed product of the module docstring with exponents (1, m):
+    g h**m = tau**(g_phase + m h_phase) omega**(m g_z.h_x + C(m, 2) h_x.h_z)
+    X^(g_x + m h_x) Z^(g_z + m h_z).
     """
-    rest, pivots = list(rows), []
+    n, h, mod = gens.shape[1] // 2, gens[i], _phase_mod(d)
+    quad = m * (gens[:, n:] @ h[:n]) + m * (m - 1) // 2 * (h[:n] @ h[n:])
+    phases = (phases + m * phases[i] + _omega_units(d) * quad) % mod
+    return (gens + m[:, None] * h) % d, phases, (forms + m[:, None] * forms[i]) % mod
+
+
+def _eliminate(gens, phases, forms, cols, d: int) -> tuple:
+    """Row-reduce generator rows over Z_d on the packed columns ``cols``, in order.
+
+    Each column's pivot is the first row, not yet a pivot, that is nonzero
+    there, and every other such row takes the power of the pivot that clears
+    the column.  Rows change only by multiplying in powers of other rows, so
+    they generate the group they generated.  Returns the new (gens, phases,
+    forms) and the mask of the rows that are not pivots: those are zero on
+    every column of ``cols``.
+    """
+    free = np.ones(len(gens), dtype=bool)
     for c in cols:
-        k = next((i for i, (w, _) in enumerate(rest) if _coord(w, c)), None)
-        if k is None:
-            continue
-        piv = rest.pop(k)
-        inv = pow(_coord(piv[0], c), -1, d)
-        rest = [_row_times_power(r, piv, -_coord(r[0], c) * inv % d) if _coord(r[0], c) else r for r in rest]
-        pivots.append((c, piv))
-    return pivots, rest
+        hits = free & (gens[:, c] != 0)
+        i = hits.argmax()
+        if hits[i]:
+            free[i] = False
+            m = np.where(free, -gens[:, c] * pow(int(gens[i, c]), -1, d) % d, 0)
+            gens, phases, forms = _times_row(gens, phases, forms, i, m, d)
+    return gens, phases, forms, free
 
 
 class StabilizerWire:
     """Stabilizer state over named registers: ``engine.Wire`` on a tableau.
 
-    ``gens`` holds one generator word per register, over ``regs`` in order;
-    the state is the words' joint +1 eigenvector, kept normalized.  It is
-    symbolic in its Bell outcomes: every outcome is a variable, the x/z
-    parts of the words never depend on the outcomes, and the phases depend
-    on them linearly (Dehaene and De Moor, arXiv:quant-ph/0304125).  The
-    phase of ``gens[i]`` is its word's phase plus ``forms[i]`` . o, mod the
-    phase group, for the vector o in Z_d**nvars of the outcome variables.
-    A measurement whose outcome the state fixes adds the (constant, form)
-    of the eigenvalue's phase to ``constraints``: an outcome vector that
-    makes one of them nonzero has probability 0.  Every other outcome
-    vector has probability ``norm2`` = d**-r, r the number of measurements
-    the state does not fix.  The methods are the ones ``engine._run_ops``
-    and ``engine._children`` call on a wire, so the one executor runs an
-    all-Clifford program on it in one pass that covers every outcome;
-    ``outcome_phases`` and ``distances`` expand that pass into branches.
+    ``gens`` holds one packed generator row per register, (k, 2N) over the
+    N ``regs`` with columns x | z; the state is the words' joint +1
+    eigenvector, kept normalized.  It is symbolic in its Bell outcomes:
+    every outcome is a variable, the x/z parts never depend on the
+    outcomes, and the phases depend on them linearly (Dehaene and De Moor,
+    arXiv:quant-ph/0304125).  The phase of generator i is ``phases[i]``
+    plus ``forms[i]`` . o, mod the phase group, for the vector o in
+    Z_d**nvars of the outcome variables.  A measurement whose outcome the
+    state fixes adds the row (constant | form) of the eigenvalue's phase to
+    the (c, 1 + nvars) array ``constraints``: an outcome vector that makes
+    one of them nonzero has probability 0.  Every other outcome vector has probability ``norm2`` =
+    d**-r, r the number of measurements the state does not fix.  The
+    methods are the ones ``engine._run_ops`` and ``engine._children`` call
+    on a wire, so the one executor runs an all-Clifford program on it in one
+    pass that covers every outcome; ``outcome_phases`` and ``distances``
+    expand that pass into branches.
     """
 
-    __slots__ = ("d", "gens", "forms", "regs", "norm2", "nvars", "constraints")
+    __slots__ = ("d", "gens", "phases", "forms", "regs", "norm2", "constraints")
 
     def __init__(self, d: int, gens, regs):
         self.d = d
-        self.gens = list(gens)
-        self.forms = [()] * len(self.gens)
         self.regs = list(regs)
+        self.gens = np.asarray(gens, dtype=np.int64).reshape(len(gens), 2 * len(self.regs))
+        self.phases = np.zeros(len(gens), dtype=np.int64)
+        self.forms = np.zeros((len(gens), 0), dtype=np.int64)
         self.norm2 = 1.0
-        self.nvars = 0
-        self.constraints = ()
+        self.constraints = np.zeros((0, 1), dtype=np.int64)
 
     def _replace(self, **fields) -> "StabilizerWire":
         new = object.__new__(StabilizerWire)
         for name in self.__slots__:
             setattr(new, name, fields.get(name, getattr(self, name)))
         return new
+
+    @property
+    def nvars(self) -> int:
+        return self.forms.shape[1]
 
     @classmethod
     def pairs(cls, d: int, left, right) -> "StabilizerWire":
@@ -501,13 +501,24 @@ class StabilizerWire:
     def positions(self, names) -> list:
         return [self.regs.index(nm) for nm in names]
 
+    def _columns(self, names) -> list:
+        """The packed columns of ``names``: their x columns, then their z columns."""
+        pos = self.positions(names)
+        return pos + [len(self.regs) + p for p in pos]
+
     def _adjoin(self, words, names) -> "StabilizerWire":
-        n, m = len(self.regs), len(names)
-        pad, lead = (0,) * m, (0,) * n
-        gens = [_word(self.d, g.x + pad, g.z + pad, g.phase) for g in self.gens]
-        gens += [_word(self.d, lead + w.x, lead + w.z, w.phase) for w in words]
-        forms = self.forms + [(0,) * self.nvars] * len(words)
-        return self._replace(gens=gens, forms=forms, regs=self.regs + list(names))
+        n, m, j, k = len(self.regs), len(names), len(self.gens), len(words)
+        # (rows, x|z, register) blocks: the old rows gain m zero registers,
+        # the new rows n leading ones
+        gens = np.zeros((j + k, 2, n + m), dtype=np.int64)
+        gens[:j, :, :n] = self.gens.reshape(j, 2, n)
+        gens[j:, :, n:] = words.reshape(k, 2, m)
+        return self._replace(
+            gens=gens.reshape(-1, 2 * (n + m)),
+            phases=np.concatenate([self.phases, np.zeros(k, dtype=np.int64)]),
+            forms=np.concatenate([self.forms, np.zeros((k, self.nvars), dtype=np.int64)]),
+            regs=self.regs + list(names),
+        )
 
     def append(self, vec, names) -> "StabilizerWire":
         words = stabilizer_generators(self.d, vec, len(names))
@@ -516,75 +527,53 @@ class StabilizerWire:
         return self._adjoin(words, names)
 
     def apply_circuit(self, circuit: CliffordCircuit, names) -> "StabilizerWire":
-        """Conjugate every generator touching ``names`` by the circuit's tableau.
+        """Conjugate the generators' columns on ``names`` by the circuit's tableau.
 
         The phase a conjugation adds depends on the word alone, so the
         outcome forms are unchanged.
         """
         if not circuit.gates:
             return self
-        d, tab, pos = self.d, circuit.tableau, self.positions(names)
-        gens = []
-        for g in self.gens:
-            sub_x = [g.x[p] for p in pos]
-            sub_z = [g.z[p] for p in pos]
-            if not any(sub_x) and not any(sub_z):
-                gens.append(g)
-                continue
-            img_x, img_z, phase = tab._image(sub_x, sub_z, g.phase)
-            x, z = list(g.x), list(g.z)
-            for p, a, b in zip(pos, img_x, img_z):
-                x[p], z[p] = a % d, b % d
-            gens.append(_word(d, tuple(x), tuple(z), phase))
-        return self._replace(gens=gens)
+        cols, gens = self._columns(names), self.gens.copy()
+        gens[:, cols], phases = circuit.tableau.images(self.gens[:, cols], self.phases)
+        return self._replace(gens=gens, phases=phases)
 
     def correct(self, op, outcomes) -> "StabilizerWire":
         """Apply an ``engine.PauliCorrectionOp`` whose outcomes are variables.
 
         The op applies P, the inverse of X^x Z^z with (x, z) = frame . o, and
         P g P^-1 = omega**s g with s = x.g_z - z.g_x on the targets.  So s
-        is linear in the outcomes, and frame column j gives the coefficient
-        of variable j.
+        is linear in the outcomes: the frame, with its columns moved to the
+        variables they read, times the generators' target columns.
         """
-        d, w, mod = self.d, _omega_units(self.d), _phase_mod(self.d)
-        pos, m = self.positions(op.targets), len(op.targets)
-        frame = op.frame.tolist()
+        m = len(op.targets)
         variables = [v for label in op.labels for v in outcomes[label]]  # one per frame column
-        forms = []
-        for g, f in zip(self.gens, self.forms):
-            gx, gz = [g.x[p] for p in pos], [g.z[p] for p in pos]
-            if any(gx) or any(gz):
-                f = list(f)
-                for j, v in enumerate(variables):
-                    s = sum(frame[i][j] * gz[i] - frame[m + i][j] * gx[i] for i in range(m))
-                    f[v] = (f[v] + w * s) % mod
-                f = tuple(f)
-            forms.append(f)
-        return self._replace(forms=forms)
+        frame = op.frame @ np.eye(self.nvars, dtype=np.int64)[variables]
+        s = self.gens[:, self._columns(op.targets)] @ np.concatenate([-frame[m:], frame[:m]])
+        return self._replace(forms=(self.forms + _omega_units(self.d) * s) % _phase_mod(self.d))
 
-    def _measure(self, row) -> "StabilizerWire":
-        """Project onto the +1 eigenspace of the (word, form) ``row`` (a word p with p**d = I)."""
-        d, p, rows = self.d, row[0], list(zip(self.gens, self.forms))
-        supp = [q for q in range(p.n) if p.x[q] or p.z[q]]
-        s = [sum(g.z[q] * p.x[q] - g.x[q] * p.z[q] for q in supp) % d for g in self.gens]
-        j0 = next((j for j, v in enumerate(s) if v), None)
-        if j0 is None:
-            # p commutes with the group, so the state is an eigenvector of p:
-            # reduce p by group elements down to the eigenvalue's phase, which
-            # must vanish
-            pivots, _ = _reduce(rows, range(2 * len(self.regs)), d)
-            for c, piv in pivots:
-                if _coord(row[0], c):
-                    row = _row_times_power(row, piv, -_coord(row[0], c) * pow(_coord(piv[0], c), -1, d) % d)
-            if any(row[0].x) or any(row[0].z):
+    def _measure(self, word, form) -> "StabilizerWire":
+        """Project onto the +1 eigenspace of tau**(form . o) times the packed ``word`` (word**d = I)."""
+        d, n = self.d, len(self.regs)
+        s = (self.gens[:, n:] @ word[:n] - self.gens[:, :n] @ word[n:]) % d
+        if not s.any():
+            # the word commutes with the group, so the state is an eigenvector
+            # of it: reduce it, as the last row, by the generators down to the
+            # eigenvalue's phase, which must vanish
+            gens, phases, forms, _ = _eliminate(
+                np.vstack([self.gens, word]), np.append(self.phases, 0), np.vstack([self.forms, form]),
+                range(2 * n), d,
+            )
+            if gens[-1].any():
                 raise DimensionMismatch("stabilizer generators do not fix a single state")
-            return self._replace(constraints=self.constraints + ((row[0].phase, row[1]),))
+            return self._replace(constraints=np.vstack([self.constraints, np.append(phases[-1], forms[-1])]))
         # every outcome has probability 1/d (Aaronson and Gottesman); keep the
-        # generators commuting with p
-        inv = pow(s[j0], -1, d)
-        rows = [_row_times_power(r, rows[j0], -v * inv % d) if v else r for r, v in zip(rows, s)]
-        rows[j0] = row
-        return self._replace(gens=[g for g, _ in rows], forms=[f for _, f in rows], norm2=self.norm2 / d)
+        # generators commuting with the word
+        j0 = np.flatnonzero(s)[0]
+        m = -s * pow(int(s[j0]), -1, d) % d
+        gens, phases, forms = _times_row(self.gens, self.phases, self.forms, j0, m, d)
+        gens[j0], phases[j0], forms[j0] = word, 0, form
+        return self._replace(gens=gens, phases=phases, forms=forms, norm2=self.norm2 / d)
 
     def bell_outcomes(self) -> list:
         """The one outcome of the next Bell measurement: its two new variables."""
@@ -598,22 +587,18 @@ class StabilizerWire:
         ((X^a Z^b)^dagger (x) I)|Phi+> is the +1 eigenvector of
         omega**-b X (x) X and omega**a Z (x) Z^-1, measured in turn.
         """
-        d, n, w, nvars = self.d, len(self.regs), _omega_units(self.d), self.nvars + 2
+        d, n, w, mod = self.d, len(self.regs), _omega_units(self.d), _phase_mod(self.d)
         i, j = self.positions(pair)
-        unit = lambda v, c: tuple(c % _phase_mod(d) if u == v else 0 for u in range(nvars))
-        xx, zz = [0] * n, [0] * n
-        xx[i] = xx[j] = zz[i] = 1
-        zz[j] = d - 1
-        none = (0,) * n
+        xx, zz = np.zeros(2 * n, dtype=np.int64), np.zeros(2 * n, dtype=np.int64)
+        xx[[i, j]] = 1
+        zz[[n + i, n + j]] = 1, d - 1
+        unit = np.eye(self.nvars + 2, dtype=np.int64)
+        grow = lambda a: np.concatenate([a, np.zeros((len(a), 2), dtype=np.int64)], axis=1)
 
         def project(outcome):
             a, b = outcome
-            wire = self._replace(
-                forms=[f + (0, 0) for f in self.forms], nvars=nvars,
-                constraints=tuple((c, f + (0, 0)) for c, f in self.constraints),
-            )
-            wire = wire._measure((_word(d, tuple(xx), none, 0), unit(b, -w)))
-            wire = wire._measure((_word(d, none, tuple(zz), 0), unit(a, w)))
+            wire = self._replace(forms=grow(self.forms), constraints=grow(self.constraints))
+            wire = wire._measure(xx, unit[b] * -w % mod)._measure(zz, unit[a] * w % mod)
             return wire.factor_out(pair)
 
         return project
@@ -622,16 +607,14 @@ class StabilizerWire:
         """Drop registers that are in a product state with the rest."""
         if not names:
             return self
-        n, pos = len(self.regs), self.positions(names)
-        _, rest = _reduce(zip(self.gens, self.forms), pos + [n + p for p in pos], self.d)
-        keep = [i for i in range(n) if i not in pos]
-        if len(rest) != len(keep):
+        cols = self._columns(names)
+        gens, phases, forms, rest = _eliminate(self.gens, self.phases, self.forms, cols, self.d)
+        keep = [nm for nm in self.regs if nm not in names]
+        if rest.sum() != len(keep):
             raise DimensionMismatch("discarded registers are entangled with the remainder")
-        gens = [
-            _word(self.d, tuple(g.x[i] for i in keep), tuple(g.z[i] for i in keep), g.phase)
-            for g, _ in rest
-        ]
-        return self._replace(gens=gens, forms=[f for _, f in rest], regs=[self.regs[i] for i in keep])
+        return self._replace(
+            gens=gens[rest][:, self._columns(keep)], phases=phases[rest], forms=forms[rest], regs=keep,
+        )
 
     def outcome_phases(self) -> tuple:
         """(outcomes, phases) over every outcome vector the constraints allow.
@@ -642,14 +625,9 @@ class StabilizerWire:
         """
         d, mod, v = self.d, _phase_mod(self.d), self.nvars
         grid = np.indices((d,) * v).reshape(v, d**v).T
-
-        def values(consts, forms):
-            forms = np.array(forms, dtype=np.int64).reshape(len(consts), v)
-            return (np.array(consts, dtype=np.int64) + grid @ forms.T) % mod
-
-        if self.constraints:
-            grid = grid[~values(*zip(*self.constraints)).any(axis=1)]
-        return grid, values([g.phase for g in self.gens], self.forms)
+        c = self.constraints
+        grid = grid[~((c[:, 0] + grid @ c[:, 1:].T) % mod).any(axis=1)]
+        return grid, (self.phases + grid @ self.forms.T) % mod
 
     def distances(self, vec, names, phases) -> list:
         """||u - P u|| per row of ``phases``, the branch whose generators have those phases.
@@ -665,13 +643,12 @@ class StabilizerWire:
         """
         if set(names) != set(self.regs):
             raise DimensionMismatch(f"output registers {list(names)} do not match wire {self.regs}")
-        d, m, pos = self.d, len(names), self.positions(names)
+        d, m = self.d, len(names)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if vec.size != d**m:
             raise DimensionMismatch(f"target has {vec.size} entries, the branch {d**m}")
-        k = len(self.gens)
-        x = np.array([[g.x[p] for p in pos] for g in self.gens], dtype=np.int64).reshape(k, m)
-        z = np.array([[g.z[p] for p in pos] for g in self.gens], dtype=np.int64).reshape(k, m)
+        xz = self.gens[:, self._columns(names)]
+        x, z = xz[:, :m], xz[:, m:]
         # (g u)[j] = tau**phase omega**(z.(j - x)) u[j - x]; both the index of
         # j - x and the exponent are sums over registers of one digit's term
         shifted = (np.arange(d) - x[:, :, None]) % d  # digit q of j - x, for j_q = 0..d-1

@@ -1,6 +1,7 @@
 """One-round protocol engine: constructors, execution, the success bound."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,24 @@ def test_choi_paths_agree():
         v = m.reshape(-1)
         want += np.outer(v, v.conj()) / 4
     assert np.abs(engine.program_choi(p.program) - want).max() < 1e-10
+
+
+def test_batch_budget_bounds_the_sweep_memory(monkeypatch):
+    # at 2^14 entries the surgery program's 12-register wire fits 4 columns,
+    # but each Bell measurement holds the wire, its moved copy and the
+    # rotation at once, so the batch must leave room for all three; only
+    # the branch maps the sweep returns come on top of the budget
+    monkeypatch.setattr(engine, "BATCH_BUDGET", 2**14)
+    circuit = pauli.random_clifford(4, 2, seed=77)
+    program = surgery.clifford_surgery(surgery.clifford_normal_form(circuit, (2, 2))).program
+    list(engine.sweep_branch_maps(program))  # imports and caches, built once
+    tracemalloc.start()
+    try:
+        maps = [m for _, m in engine.sweep_branch_maps(program)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * engine.BATCH_BUDGET + sum(m.nbytes for m in maps)
 
 
 def test_verify_identity_against_swap_distance():

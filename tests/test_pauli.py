@@ -1,5 +1,7 @@
 """Pauli words, conjugation, and tableau simulation against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from nlqclab.errors import CapExceeded, DimensionMismatch, IOFailure
 
 def test_hadamard_exchanges_x_and_z():
     c = pauli.CliffordCircuit.from_gate_list(2, 1, [("H", (0,), 1)])
-    x = pauli.PauliWord.single(2, 1, 0, 1, 0)
-    z = pauli.PauliWord.single(2, 1, 0, 0, 1)
+    x = pauli.PauliWord(2, 1, (1,), (0,))
+    z = pauli.PauliWord(2, 1, (0,), (1,))
     assert pauli.conjugate_pauli(c, x) == z
     assert pauli.conjugate_pauli(c, z) == x  # X^-1 = X at d = 2
 
@@ -48,13 +50,26 @@ def test_unitary_is_built_once_and_read_only():
 
 
 def test_unitary_is_capped_at_the_state_entry_cap():
-    # d^(2n) = 2^22 entries at n = 11 is the cap itself; n = 12 is past it
+    # d^(2n) = 2^22 entries at n = 11 is the cap itself; n = 12 is past it,
+    # for the circuit's unitary and the tableau's reconstruction alike, and
+    # both raise before allocating
     assert pauli.CliffordCircuit(2, 11, ()).unitary().shape == (2048, 2048)
-    with pytest.raises(CapExceeded):
-        pauli.CliffordCircuit(2, 12, ()).unitary()
+    big = pauli.CliffordCircuit(2, 12, ())
+    tab = big.tableau
+    tracemalloc.start()
+    try:
+        for build in (big.unitary, tab.to_unitary):
+            with pytest.raises(CapExceeded):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_word_multiplication_matches_matrices():
+    # the packed row product a b**m that StabilizerWire's elimination relies
+    # on, for every power m an elimination over Z_d can take
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
         for _ in range(10):
@@ -66,8 +81,13 @@ def test_word_multiplication_matches_matrices():
                 d, 2, tuple(rng.integers(0, d, 2)), tuple(rng.integers(0, d, 2)),
                 int(rng.integers(0, 4 if d == 2 else d)),
             )
-            product = pauli._times_power(a, b, 1)  # the phase bookkeeping StabilizerWire relies on
-            assert np.abs(product.matrix() - a.matrix() @ b.matrix()).max() < 1e-9
+            gens = np.array([a.x + a.z, b.x + b.z], dtype=np.int64)
+            phases, forms = np.array([a.phase, b.phase]), np.zeros((2, 0), dtype=np.int64)
+            for m in range(d):
+                rows, ph, _ = pauli._times_row(gens, phases, forms, 1, np.array([m, 0]), d)
+                product = pauli.PauliWord(d, 2, rows[0, :2], rows[0, 2:], ph[0])
+                want = a.matrix() @ np.linalg.matrix_power(b.matrix(), m)
+                assert np.abs(product.matrix() - want).max() < 1e-9
             assert np.abs(a.inverse().matrix() - np.linalg.inv(a.matrix())).max() < 1e-9
 
 
@@ -96,8 +116,8 @@ def test_involution_is_exact():
 
 def test_empty_circuit_gives_identity_tableau():
     t = pauli.tableau_simulate(pauli.CliffordCircuit(3, 2, ()))
-    assert t.x_images[0] == pauli.PauliWord.single(3, 2, 0, 1, 0)
-    assert t.z_images[1] == pauli.PauliWord.single(3, 2, 1, 0, 1)
+    assert t.x_images[0] == pauli.PauliWord(3, 2, (1, 0), (0, 0))
+    assert t.z_images[1] == pauli.PauliWord(3, 2, (0, 0), (0, 1))
 
 
 def test_cnot_tableau_rows():
@@ -134,8 +154,8 @@ def test_random_clifford_deterministic():
 
 def test_random_clifford_covers_single_qubit_actions():
     seen = set()
-    x = pauli.PauliWord.single(2, 1, 0, 1, 0)
-    z = pauli.PauliWord.single(2, 1, 0, 0, 1)
+    x = pauli.PauliWord(2, 1, (1,), (0,))
+    z = pauli.PauliWord(2, 1, (0,), (1,))
     for seed in range(1000):
         c = pauli.random_clifford(1, 2, seed=seed)
         ix = pauli.conjugate_pauli(c, x)
