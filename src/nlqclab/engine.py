@@ -107,15 +107,21 @@ class Wire:
         return w
 
     def correct(self, op: "PauliCorrectionOp", outcomes) -> "Wire":
-        """Apply the Pauli undo ``op`` for this branch's outcomes."""
-        word = op.word(self.d, outcomes)
+        """Apply the Pauli undo ``op`` for this branch's outcomes.
+
+        The outcomes o leave X^x Z^z, (x, z) = frame . o mod d, whose inverse
+        is omega**(x.z) X^-x Z^-z: one Weyl matrix per target it moves, then
+        the global phase tau**(w x.z) with omega = tau**w.
+        """
+        d, m = self.d, len(op.targets)
+        xz = (op.frame @ [c for label in op.labels for c in outcomes[label]] % d).tolist()
         w = self
-        for q, nm in enumerate(op.targets):
-            a, b = word.x[q], word.z[q]
+        for nm, a, b in zip(op.targets, xz[:m], xz[m:]):
             if a or b:
-                w = w.apply(qudit.weyl(self.d, a, b), [nm])
-        if word.phase:  # reduced mod the phase order, so 0 is the identity
-            w = Wire(self.d, w.tensor * pauli.tau(self.d) ** word.phase, w.regs)
+                w = w.apply(qudit.weyl(d, -a, -b), [nm])
+        phase = pauli._omega_units(d) * sum(a * b for a, b in zip(xz[:m], xz[m:])) % pauli._phase_mod(d)
+        if phase:  # reduced mod the phase order, so 0 is the identity
+            w = Wire(d, w.tensor * pauli.tau(d) ** phase, w.regs)
         return w
 
     def append(self, vec: np.ndarray, names) -> "Wire":
@@ -132,6 +138,8 @@ class Wire:
                 f"appending {len(names)} registers to {len(self.regs)} at d={d} gives "
                 f"columns of {size} entries, cap {qudit.STATE_ENTRY_CAP}"
             )
+        if np.size(vec) != d ** len(names):
+            raise DimensionMismatch(f"state of {np.size(vec)} entries for {len(names)} registers")
         add = np.asarray(vec, dtype=complex).reshape((d,) * len(names))
         t = np.multiply.outer(self.tensor, add)
         # move the column axis back to the end
@@ -225,11 +233,19 @@ class CircuitOp:
     circuit: pauli.CliffordCircuit
     targets: tuple
 
+    def __post_init__(self):
+        if len(self.targets) != self.circuit.n:
+            raise DimensionMismatch(f"{self.circuit.n}-register circuit on targets {self.targets}")
+
 
 @dataclass(frozen=True, eq=False)
 class BellMeasureOp:
     pair: tuple
     label: str
+
+    def __post_init__(self):
+        if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
+            raise DimensionMismatch(f"Bell measurement {self.label!r} on {self.pair}, not two registers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,11 +265,6 @@ class PauliCorrectionOp:
     def __post_init__(self):
         if np.shape(self.frame) != (2 * len(self.targets), 2 * len(self.labels)):
             raise DimensionMismatch(f"frame of shape {np.shape(self.frame)} does not fit {self}")
-
-    def word(self, d: int, outcomes) -> pauli.PauliWord:
-        xz = self.frame @ [c for label in self.labels for c in outcomes[label]]
-        m = len(self.targets)
-        return pauli.PauliWord(d, m, tuple(xz[:m]), tuple(xz[m:])).inverse()
 
 
 def hop_undos(labels, targets) -> tuple:
@@ -499,14 +510,10 @@ class Resource:
                 f"{k} pairs at d={d} need {d ** (2 * k)} state entries, cap "
                 f"{qudit.STATE_ENTRY_CAP}"
             )
-        vec = np.ones(1, dtype=complex)
-        for _ in range(k):
-            vec = np.kron(vec, qudit.bell_pair(d).amplitudes)
-        if k:
-            t = vec.reshape((d,) * (2 * k))
-            order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-            vec = np.transpose(t, order).reshape(-1)
-        return cls(d, k, k, vec, pair_count=k)
+        amp = 1.0
+        for _ in range(k):  # one 1/sqrt(d) per pair, in order: the kron of k pairs, bit for bit
+            amp *= 1.0 / np.sqrt(d)
+        return cls(d, k, k, np.diag(np.full(d**k, amp, dtype=complex)).reshape(-1), pair_count=k)
 
     def account(self) -> "ResourceAccount":
         """Mutual information I(L:R) = 2 S(rho_L) of the pure resource.

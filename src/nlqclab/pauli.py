@@ -1,22 +1,17 @@
 """Generalized Pauli words and symplectic simulation of Clifford circuits.
 
-A Pauli word on n qudits is stored as exponent vectors x, z in Z_d^n plus a
-phase exponent.  The phase exponent counts powers of tau, where tau = i for
-d = 2 and tau = omega for odd prime d (so the phase group is Z_4 at d = 2 and
-Z_d otherwise; omega = tau**w with w = 2 at d = 2 and 1 otherwise).  The
-dense operator of a word is
+A Pauli word on n qudits is one packed int64 row of exponents x | z in
+Z_d^2n and a phase exponent.  The phase exponent counts powers of tau,
+where tau = i for d = 2 and tau = omega for odd prime d (so the phase group
+is Z_4 at d = 2 and Z_d otherwise; omega = tau**w with w = 2 at d = 2 and 1
+otherwise).  The dense operator of a word (``word_matrix``) is
 
     tau**phase  *  kron_q( X^x[q] Z^z[q] ).
 
-Conjugation by the generator set {CNOT, H, S, X, Z} is closed over these
-words, phases included, which is what the tableau simulation relies on.
-
-The stabilizer layer packs words into int64 arrays, one word a row with
-columns x | z and its phase kept beside it.  X and Z on different qudits
-commute, so the word with packed exponents e and phase 0 is the product
-X_0**e_0 ... X_{n-1}**e_{n-1} Z_0**e_n ... Z_{n-1}**e_{2n-1}, in that
-order.  The product, in order, of packed rows r_j with phases p_j raised to
-the powers e_j is
+X and Z on different qudits commute, so the word with packed exponents e
+and phase 0 is the product X_0**e_0 ... X_{n-1}**e_{n-1} Z_0**e_n ...
+Z_{n-1}**e_{2n-1}, in that order.  The product, in order, of packed rows
+r_j with phases p_j raised to the powers e_j is
 
     x | z = sum_j e_j r_j  mod d,
     phase = sum_j e_j p_j + w (sum_{i<j} e_i e_j z_i.x_j + sum_j C(e_j, 2) x_j.z_j)
@@ -24,15 +19,17 @@ the powers e_j is
 mod the phase group, from Z^b X^a = omega**(a.b) X^a Z^b and
 (X^x Z^z)**k = omega**(x.z C(k, 2)) X^kx Z^kz: an affine and quadratic form
 over Z_d (Dehaene and De Moor, arXiv:quant-ph/0304125; Hostens, Dehaene and
-De Moor, arXiv:quant-ph/0408190).  A circuit's tableau holds the images of
-X_0..X_{n-1}, Z_0..Z_{n-1} as those rows, so it conjugates a batch of words
-with one matrix product and one quadratic form.
+De Moor, arXiv:quant-ph/0408190).  Conjugation by the generator set
+{CNOT, H, S, X, Z} is closed over these words, phases included.  A
+circuit's tableau holds the images of X_0..X_{n-1}, Z_0..Z_{n-1} as those
+rows, so it conjugates a batch of words with one matrix product and one
+quadratic form.
 
 ``StabilizerWire`` runs engine programs on a stabilizer state: circuits
 conjugate its generator rows, a Bell measurement is two commuting Pauli
 measurements (Aaronson and Gottesman, arXiv:quant-ph/0406196) whose outcome
-stays a pair of variables that the generator phases depend on linearly, and
-discarding registers keeps the generators that act trivially on them.
+stays a pair of variables, each generator's phase is one affine form in the
+variables, and discarding registers keeps the generators acting trivially on them.
 
 Circuits are read from and written to one JSON format,
 ``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``,
@@ -71,50 +68,11 @@ def _check_unitary_cap(d: int, n: int) -> None:
         raise CapExceeded(f"unitary of {d ** (2 * n)} entries exceeds cap {qudit.STATE_ENTRY_CAP}")
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    d: int
-    n: int
-    x: tuple
-    z: tuple
-    phase: int = 0
-
-    def __post_init__(self):
-        if not qudit.is_prime(self.d):
-            raise DimensionMismatch(f"d must be prime, got {self.d}")
-        if len(self.x) != self.n or len(self.z) != self.n:
-            raise DimensionMismatch("exponent vectors must have length n")
-        object.__setattr__(self, "x", tuple(int(a) % self.d for a in self.x))
-        object.__setattr__(self, "z", tuple(int(b) % self.d for b in self.z))
-        object.__setattr__(self, "phase", int(self.phase) % _phase_mod(self.d))
-
-    def inverse(self) -> "PauliWord":
-        # (X^a Z^b)^-1 = Z^-b X^-a = omega^(ab) X^-a Z^-b per qudit
-        w = _omega_units(self.d)
-        cross = sum(a * b for a, b in zip(self.x, self.z))
-        return PauliWord(
-            self.d,
-            self.n,
-            tuple(-a for a in self.x),
-            tuple(-b for b in self.z),
-            -self.phase + w * cross,
-        )
-
-    def matrix(self) -> np.ndarray:
-        facs = [qudit.weyl(self.d, a, b) for a, b in zip(self.x, self.z)]
-        m = reduce(np.kron, facs, np.eye(1, dtype=complex))
-        return tau(self.d) ** self.phase * m
-
-
-def _words(d: int, rows: np.ndarray, phases) -> tuple:
-    """PauliWords of packed rows x | z and their phases, all reduced, without re-checking them."""
-    n = rows.shape[1] // 2
-    out = []
-    for r, phase in zip(rows.tolist(), np.broadcast_to(phases, len(rows)).tolist()):
-        w = object.__new__(PauliWord)
-        w.__dict__.update(d=d, n=n, x=tuple(r[:n]), z=tuple(r[n:]), phase=phase)
-        out.append(w)
-    return tuple(out)
+def word_matrix(d: int, row, phase: int = 0) -> np.ndarray:
+    """Dense operator tau**phase kron_q X^x[q] Z^z[q] of the packed row x | z."""
+    x, z = np.split(np.asarray(row, dtype=np.int64) % d, 2)
+    facs = [qudit.weyl(d, a, b) for a, b in zip(x.tolist(), z.tolist())]
+    return tau(d) ** (int(phase) % _phase_mod(d)) * reduce(np.kron, facs, np.eye(1, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -212,11 +170,13 @@ def dump_circuit_json(circuit: CliffordCircuit) -> str:
 # conjugation
 # ---------------------------------------------------------------------------
 
-def conjugate_pauli(circuit: CliffordCircuit, p: PauliWord) -> PauliWord:
-    """Return C p C^dagger with the phase tracked exactly."""
-    if (circuit.d, circuit.n) != (p.d, p.n):
-        raise DimensionMismatch("circuit and Pauli word registers differ")
-    return circuit.tableau.conjugate(p)
+def conjugate_pauli(circuit: CliffordCircuit, row, phase: int = 0) -> tuple:
+    """(row, phase) of C w C^dagger for the packed word ``row`` = x | z with ``phase``, exact."""
+    row = np.asarray(row, dtype=np.int64)
+    if row.shape != (2 * circuit.n,):
+        raise DimensionMismatch(f"word of shape {row.shape} on a circuit of {circuit.n} registers")
+    rows, phases = circuit.tableau.images(row[None] % circuit.d, phase)
+    return rows[0], int(phases[0])
 
 
 def conjugation_frame(circuit: CliffordCircuit, sources, targets) -> np.ndarray:
@@ -252,12 +212,11 @@ class StabilizerTableau:
     once per tableau.
     """
 
-    def __init__(self, d: int, n: int, x_images, z_images):
-        if len(x_images) != n or len(z_images) != n:
-            raise DimensionMismatch("tableau needs n X-rows and n Z-rows")
-        words = tuple(x_images) + tuple(z_images)
-        rows = np.array([w.x + w.z for w in words], dtype=np.int64).reshape(2 * n, 2 * n)
-        self._fill(d, n, rows, np.array([w.phase for w in words], dtype=np.int64))
+    def __init__(self, d: int, n: int, rows, phases):
+        rows, phases = np.array(rows, dtype=np.int64), np.array(phases, dtype=np.int64)
+        if rows.shape != (2 * n, 2 * n) or phases.shape != (2 * n,):
+            raise DimensionMismatch("tableau needs 2n packed rows of 2n columns and 2n phases")
+        self._fill(d, n, rows % d, phases % _phase_mod(d))
         self.validate()
 
     def _fill(self, d: int, n: int, rows: np.ndarray, phases: np.ndarray) -> None:
@@ -266,14 +225,6 @@ class StabilizerTableau:
         phases.setflags(write=False)
         zx, i = rows[:, n:] @ rows[:, :n].T, np.arange(2 * n)  # zx[i, j] = z_i . x_j
         self._upper, self._diag = zx * (i[:, None] < i), zx.diagonal()
-
-    @property
-    def x_images(self) -> tuple:
-        return _words(self.d, self.rows[:self.n], self.phases[:self.n])
-
-    @property
-    def z_images(self) -> tuple:
-        return _words(self.d, self.rows[self.n:], self.phases[self.n:])
 
     def validate(self) -> None:
         d, n = self.d, self.n
@@ -294,10 +245,6 @@ class StabilizerTableau:
         phases = (phases + words @ self.phases + _omega_units(self.d) * quad) % _phase_mod(self.d)
         return words @ self.rows % self.d, phases
 
-    def conjugate(self, p: PauliWord) -> PauliWord:
-        """C p C^dagger for the circuit C of the tableau."""
-        return _words(self.d, *self.images(np.array([p.x + p.z], dtype=np.int64), p.phase))[0]
-
     def to_unitary(self) -> np.ndarray:
         """Dense unitary reproducing the tableau, fixed up to global phase.
 
@@ -310,8 +257,8 @@ class StabilizerTableau:
         _check_unitary_cap(d, n)
         dim = d**n
         proj = np.eye(dim, dtype=complex)
-        for zi in self.z_images:
-            m = zi.matrix()
+        for row, phase in zip(self.rows[n:], self.phases[n:]):
+            m = word_matrix(d, row, phase)
             acc = np.eye(dim, dtype=complex)
             term = np.eye(dim, dtype=complex)
             for _ in range(d - 1):
@@ -327,7 +274,7 @@ class StabilizerTableau:
         if col0 is None:
             raise DimensionMismatch("failed to reconstruct stabilizer state")
         cols = []
-        x_mats = [xi.matrix() for xi in self.x_images]
+        x_mats = [word_matrix(d, row, phase) for row, phase in zip(self.rows[:n], self.phases[:n])]
         for k in range(dim):
             digits = _digits(k, d, n)
             v = col0
@@ -417,28 +364,29 @@ def stabilizer_generators(d: int, vec, m: int):
     return None
 
 
-def _times_row(gens, phases, forms, i: int, m: np.ndarray, d: int) -> tuple:
+def _times_row(gens, forms, i: int, m: np.ndarray, d: int) -> tuple:
     """Every generator row g times row h = ``gens[i]`` to the power m[g]: words multiply, forms add.
 
     The packed product of the module docstring with exponents (1, m):
     g h**m = tau**(g_phase + m h_phase) omega**(m g_z.h_x + C(m, 2) h_x.h_z)
-    X^(g_x + m h_x) Z^(g_z + m h_z).
+    X^(g_x + m h_x) Z^(g_z + m h_z), whose omega factor goes to the constant.
     """
-    n, h, mod = gens.shape[1] // 2, gens[i], _phase_mod(d)
+    n, h = gens.shape[1] // 2, gens[i]
     quad = m * (gens[:, n:] @ h[:n]) + m * (m - 1) // 2 * (h[:n] @ h[n:])
-    phases = (phases + m * phases[i] + _omega_units(d) * quad) % mod
-    return (gens + m[:, None] * h) % d, phases, (forms + m[:, None] * forms[i]) % mod
+    forms = forms + m[:, None] * forms[i]
+    forms[:, 0] += _omega_units(d) * quad
+    return (gens + m[:, None] * h) % d, forms % _phase_mod(d)
 
 
-def _eliminate(gens, phases, forms, cols, d: int) -> tuple:
+def _eliminate(gens, forms, cols, d: int) -> tuple:
     """Row-reduce generator rows over Z_d on the packed columns ``cols``, in order.
 
     Each column's pivot is the first row, not yet a pivot, that is nonzero
     there, and every other such row takes the power of the pivot that clears
     the column.  Rows change only by multiplying in powers of other rows, so
-    they generate the group they generated.  Returns the new (gens, phases,
-    forms) and the mask of the rows that are not pivots: those are zero on
-    every column of ``cols``.
+    they generate the group they generated.  Returns the new (gens, forms)
+    and the mask of the rows that are not pivots: those are zero on every
+    column of ``cols``.
     """
     free = np.ones(len(gens), dtype=bool)
     for c in cols:
@@ -447,8 +395,8 @@ def _eliminate(gens, phases, forms, cols, d: int) -> tuple:
         if hits[i]:
             free[i] = False
             m = np.where(free, -gens[:, c] * pow(int(gens[i, c]), -1, d) % d, 0)
-            gens, phases, forms = _times_row(gens, phases, forms, i, m, d)
-    return gens, phases, forms, free
+            gens, forms = _times_row(gens, forms, i, m, d)
+    return gens, forms, free
 
 
 class StabilizerWire:
@@ -458,13 +406,14 @@ class StabilizerWire:
     N ``regs`` with columns x | z; the state is the words' joint +1
     eigenvector, kept normalized.  It is symbolic in its Bell outcomes:
     every outcome is a variable, the x/z parts never depend on the
-    outcomes, and the phases depend on them linearly (Dehaene and De Moor,
-    arXiv:quant-ph/0304125).  The phase of generator i is ``phases[i]``
-    plus ``forms[i]`` . o, mod the phase group, for the vector o in
-    Z_d**nvars of the outcome variables.  A measurement whose outcome the
-    state fixes adds the row (constant | form) of the eigenvalue's phase to
-    the (c, 1 + nvars) array ``constraints``: an outcome vector that makes
-    one of them nonzero has probability 0.  Every other outcome vector has probability ``norm2`` =
+    outcomes, and the phases are affine in them (Dehaene and De Moor,
+    arXiv:quant-ph/0304125).  Row i of the (k, 1 + nvars) array ``forms``
+    is the phase of generator i as a constant and then the coefficients:
+    forms[i] . (1, o) mod the phase group, for the vector o in Z_d**nvars
+    of the outcome variables.  A measurement whose outcome the state fixes
+    appends its eigenvalue's phase form, a row of the same shape, to
+    ``constraints``: an outcome vector that makes one of them nonzero has
+    probability 0.  Every other outcome vector has probability ``norm2`` =
     d**-r, r the number of measurements the state does not fix.  The
     methods are the ones ``engine._run_ops`` and ``engine._children`` call
     on a wire, so the one executor runs an all-Clifford program on it in one
@@ -472,14 +421,13 @@ class StabilizerWire:
     expand that pass into branches.
     """
 
-    __slots__ = ("d", "gens", "phases", "forms", "regs", "norm2", "constraints")
+    __slots__ = ("d", "gens", "forms", "regs", "norm2", "constraints")
 
     def __init__(self, d: int, gens, regs):
         self.d = d
         self.regs = list(regs)
         self.gens = np.asarray(gens, dtype=np.int64).reshape(len(gens), 2 * len(self.regs))
-        self.phases = np.zeros(len(gens), dtype=np.int64)
-        self.forms = np.zeros((len(gens), 0), dtype=np.int64)
+        self.forms = np.zeros((len(gens), 1), dtype=np.int64)
         self.norm2 = 1.0
         self.constraints = np.zeros((0, 1), dtype=np.int64)
 
@@ -491,7 +439,7 @@ class StabilizerWire:
 
     @property
     def nvars(self) -> int:
-        return self.forms.shape[1]
+        return self.forms.shape[1] - 1
 
     @classmethod
     def pairs(cls, d: int, left, right) -> "StabilizerWire":
@@ -515,8 +463,7 @@ class StabilizerWire:
         gens[j:, :, n:] = words.reshape(k, 2, m)
         return self._replace(
             gens=gens.reshape(-1, 2 * (n + m)),
-            phases=np.concatenate([self.phases, np.zeros(k, dtype=np.int64)]),
-            forms=np.concatenate([self.forms, np.zeros((k, self.nvars), dtype=np.int64)]),
+            forms=np.concatenate([self.forms, np.zeros((k, 1 + self.nvars), dtype=np.int64)]),
             regs=self.regs + list(names),
         )
 
@@ -529,14 +476,14 @@ class StabilizerWire:
     def apply_circuit(self, circuit: CliffordCircuit, names) -> "StabilizerWire":
         """Conjugate the generators' columns on ``names`` by the circuit's tableau.
 
-        The phase a conjugation adds depends on the word alone, so the
-        outcome forms are unchanged.
+        The phase a conjugation adds depends on the word alone, so only the
+        forms' constant column changes.
         """
         if not circuit.gates:
             return self
-        cols, gens = self._columns(names), self.gens.copy()
-        gens[:, cols], phases = circuit.tableau.images(self.gens[:, cols], self.phases)
-        return self._replace(gens=gens, phases=phases)
+        cols, gens, forms = self._columns(names), self.gens.copy(), self.forms.copy()
+        gens[:, cols], forms[:, 0] = circuit.tableau.images(self.gens[:, cols], self.forms[:, 0])
+        return self._replace(gens=gens, forms=forms)
 
     def correct(self, op, outcomes) -> "StabilizerWire":
         """Apply an ``engine.PauliCorrectionOp`` whose outcomes are variables.
@@ -544,36 +491,36 @@ class StabilizerWire:
         The op applies P, the inverse of X^x Z^z with (x, z) = frame . o, and
         P g P^-1 = omega**s g with s = x.g_z - z.g_x on the targets.  So s
         is linear in the outcomes: the frame, with its columns moved to the
-        variables they read, times the generators' target columns.
+        form columns of the variables they read, times the generators'
+        target columns; the constant column gains nothing.
         """
         m = len(op.targets)
-        variables = [v for label in op.labels for v in outcomes[label]]  # one per frame column
-        frame = op.frame @ np.eye(self.nvars, dtype=np.int64)[variables]
+        variables = [1 + v for label in op.labels for v in outcomes[label]]  # one per frame column
+        frame = op.frame @ np.eye(1 + self.nvars, dtype=np.int64)[variables]
         s = self.gens[:, self._columns(op.targets)] @ np.concatenate([-frame[m:], frame[:m]])
         return self._replace(forms=(self.forms + _omega_units(self.d) * s) % _phase_mod(self.d))
 
     def _measure(self, word, form) -> "StabilizerWire":
-        """Project onto the +1 eigenspace of tau**(form . o) times the packed ``word`` (word**d = I)."""
+        """Project onto the +1 eigenspace of tau**(form . (1, o)) ``word`` (packed, word**d = I)."""
         d, n = self.d, len(self.regs)
         s = (self.gens[:, n:] @ word[:n] - self.gens[:, :n] @ word[n:]) % d
         if not s.any():
             # the word commutes with the group, so the state is an eigenvector
             # of it: reduce it, as the last row, by the generators down to the
             # eigenvalue's phase, which must vanish
-            gens, phases, forms, _ = _eliminate(
-                np.vstack([self.gens, word]), np.append(self.phases, 0), np.vstack([self.forms, form]),
-                range(2 * n), d,
+            gens, forms, _ = _eliminate(
+                np.vstack([self.gens, word]), np.vstack([self.forms, form]), range(2 * n), d
             )
             if gens[-1].any():
                 raise DimensionMismatch("stabilizer generators do not fix a single state")
-            return self._replace(constraints=np.vstack([self.constraints, np.append(phases[-1], forms[-1])]))
+            return self._replace(constraints=np.vstack([self.constraints, forms[-1]]))
         # every outcome has probability 1/d (Aaronson and Gottesman); keep the
         # generators commuting with the word
         j0 = np.flatnonzero(s)[0]
         m = -s * pow(int(s[j0]), -1, d) % d
-        gens, phases, forms = _times_row(self.gens, self.phases, self.forms, j0, m, d)
-        gens[j0], phases[j0], forms[j0] = word, 0, form
-        return self._replace(gens=gens, phases=phases, forms=forms, norm2=self.norm2 / d)
+        gens, forms = _times_row(self.gens, self.forms, j0, m, d)
+        gens[j0], forms[j0] = word, form
+        return self._replace(gens=gens, forms=forms, norm2=self.norm2 / d)
 
     def bell_outcomes(self) -> list:
         """The one outcome of the next Bell measurement: its two new variables."""
@@ -592,13 +539,13 @@ class StabilizerWire:
         xx, zz = np.zeros(2 * n, dtype=np.int64), np.zeros(2 * n, dtype=np.int64)
         xx[[i, j]] = 1
         zz[[n + i, n + j]] = 1, d - 1
-        unit = np.eye(self.nvars + 2, dtype=np.int64)
+        unit = np.eye(1 + self.nvars + 2, dtype=np.int64)
         grow = lambda a: np.concatenate([a, np.zeros((len(a), 2), dtype=np.int64)], axis=1)
 
         def project(outcome):
             a, b = outcome
             wire = self._replace(forms=grow(self.forms), constraints=grow(self.constraints))
-            wire = wire._measure(xx, unit[b] * -w % mod)._measure(zz, unit[a] * w % mod)
+            wire = wire._measure(xx, unit[1 + b] * -w % mod)._measure(zz, unit[1 + a] * w % mod)
             return wire.factor_out(pair)
 
         return project
@@ -608,12 +555,12 @@ class StabilizerWire:
         if not names:
             return self
         cols = self._columns(names)
-        gens, phases, forms, rest = _eliminate(self.gens, self.phases, self.forms, cols, self.d)
+        gens, forms, rest = _eliminate(self.gens, self.forms, cols, self.d)
         keep = [nm for nm in self.regs if nm not in names]
         if rest.sum() != len(keep):
             raise DimensionMismatch("discarded registers are entangled with the remainder")
         return self._replace(
-            gens=gens[rest][:, self._columns(keep)], phases=phases[rest], forms=forms[rest], regs=keep,
+            gens=gens[rest][:, self._columns(keep)], forms=forms[rest], regs=keep,
         )
 
     def outcome_phases(self) -> tuple:
@@ -621,13 +568,14 @@ class StabilizerWire:
 
         ``outcomes`` holds those vectors of Z_d**nvars as rows, in
         lexicographic order, and row i of ``phases`` the phase of each
-        generator for outcome vector i.
+        generator for outcome vector i: both arrays of forms evaluated at
+        (1, o).
         """
         d, mod, v = self.d, _phase_mod(self.d), self.nvars
         grid = np.indices((d,) * v).reshape(v, d**v).T
-        c = self.constraints
-        grid = grid[~((c[:, 0] + grid @ c[:, 1:].T) % mod).any(axis=1)]
-        return grid, (self.phases + grid @ self.forms.T) % mod
+        points = np.column_stack([np.ones(len(grid), dtype=np.int64), grid])
+        points = points[~(points @ self.constraints.T % mod).any(axis=1)]
+        return points[:, 1:], points @ self.forms.T % mod
 
     def distances(self, vec, names, phases) -> list:
         """||u - P u|| per row of ``phases``, the branch whose generators have those phases.

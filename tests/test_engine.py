@@ -289,6 +289,27 @@ def test_unknown_op_is_rejected():
         list(engine.run_program(program, np.eye(2)))
 
 
+def test_circuit_op_needs_one_target_per_register():
+    # a 1-qudit X on no targets would be a silent no-op on the stabilizer wire
+    x = pauli.CliffordCircuit.from_gate_list(2, 1, [("X", (0,), 1)])
+    for targets in ((), ("a", "b")):
+        with pytest.raises(DimensionMismatch):
+            engine.CircuitOp(x, targets)
+
+
+def test_bell_measurement_needs_two_distinct_registers():
+    for pair in (("a", "a"), ("a",), ("a", "b", "c")):
+        with pytest.raises(DimensionMismatch):
+            engine.BellMeasureOp(pair, "x")
+
+
+def test_appended_state_must_fit_its_registers():
+    wire = engine.Wire.from_matrix(2, np.eye(2), ["a"])
+    for vec in (np.eye(8)[0], np.eye(2)[0]):
+        with pytest.raises(DimensionMismatch):
+            wire.append(vec, ["b", "c"])
+
+
 # ---------------------------------------------------------------------------
 # BK protocol
 # ---------------------------------------------------------------------------
@@ -489,6 +510,17 @@ def test_resource_state_is_checked_when_built():
         engine.Resource(2, 1, 1, np.ones(3))
     with pytest.raises(DimensionMismatch, match="norm"):
         engine.Resource(2, 1, 1, np.array([1, 0, 0, 1], dtype=complex))
+
+
+def test_resource_pairs_equal_the_product_of_bell_pairs():
+    # bit for bit: k pairs |Phi+>, regrouped into the order L_1..L_k R_1..R_k
+    for d, k in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
+        vec = np.ones(1, dtype=complex)
+        for _ in range(k):
+            vec = np.kron(vec, qudit.bell_pair(d).amplitudes)
+        order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+        want = np.transpose(vec.reshape((d,) * (2 * k)), order).reshape(-1)
+        assert np.array_equal(engine.Resource.pairs(d, k).state, want)
 
 
 def test_resource_account_pairs_consistency():

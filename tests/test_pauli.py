@@ -5,24 +5,32 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlqclab import pauli
+from nlqclab import engine, pauli
 from nlqclab.errors import CapExceeded, DimensionMismatch, IOFailure
+
+
+def _word(pair):
+    """A (row, phase) word as plain ints, for exact comparison."""
+    row, phase = pair
+    return np.asarray(row).tolist(), phase
 
 
 def test_hadamard_exchanges_x_and_z():
     c = pauli.CliffordCircuit.from_gate_list(2, 1, [("H", (0,), 1)])
-    x = pauli.PauliWord(2, 1, (1,), (0,))
-    z = pauli.PauliWord(2, 1, (0,), (1,))
-    assert pauli.conjugate_pauli(c, x) == z
-    assert pauli.conjugate_pauli(c, z) == x  # X^-1 = X at d = 2
+    assert _word(pauli.conjugate_pauli(c, [1, 0])) == ([0, 1], 0)
+    assert _word(pauli.conjugate_pauli(c, [0, 1])) == ([1, 0], 0)  # X^-1 = X at d = 2
 
 
 def test_cnot_propagates_x():
     c = pauli.CliffordCircuit.from_gate_list(2, 2, [("CNOT", (0, 1), 1)])
-    x0 = pauli.PauliWord(2, 2, (1, 0), (0, 0))
-    assert pauli.conjugate_pauli(c, x0) == pauli.PauliWord(2, 2, (1, 1), (0, 0))
-    z1 = pauli.PauliWord(2, 2, (0, 0), (0, 1))
-    assert pauli.conjugate_pauli(c, z1) == pauli.PauliWord(2, 2, (0, 0), (1, 1))
+    assert _word(pauli.conjugate_pauli(c, [1, 0, 0, 0])) == ([1, 1, 0, 0], 0)
+    assert _word(pauli.conjugate_pauli(c, [0, 0, 0, 1])) == ([0, 0, 1, 1], 0)
+
+
+def test_conjugation_rejects_a_word_of_the_wrong_length():
+    c = pauli.CliffordCircuit.from_gate_list(2, 2, [("CNOT", (0, 1), 1)])
+    with pytest.raises(DimensionMismatch):
+        pauli.conjugate_pauli(c, [1, 0])
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
@@ -31,14 +39,10 @@ def test_conjugation_matches_dense_including_phase(d, n):
     for trial in range(8):
         c = pauli.random_clifford(n, d, seed=1000 * d + 10 * n + trial)
         u = c.unitary()
-        p = pauli.PauliWord(
-            d, n,
-            tuple(rng.integers(0, d, n)),
-            tuple(rng.integers(0, d, n)),
-            int(rng.integers(0, 4 if d == 2 else d)),
-        )
-        img = pauli.conjugate_pauli(c, p)
-        assert np.abs(u @ p.matrix() @ u.conj().T - img.matrix()).max() < 1e-9
+        row, phase = rng.integers(0, d, 2 * n), int(rng.integers(0, 4 if d == 2 else d))
+        img = pauli.conjugate_pauli(c, row, phase)
+        want = u @ pauli.word_matrix(d, row, phase) @ u.conj().T
+        assert np.abs(want - pauli.word_matrix(d, *img)).max() < 1e-9
 
 
 def test_unitary_is_built_once_and_read_only():
@@ -73,58 +77,60 @@ def test_word_multiplication_matches_matrices():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
         for _ in range(10):
-            a = pauli.PauliWord(
-                d, 2, tuple(rng.integers(0, d, 2)), tuple(rng.integers(0, d, 2)),
-                int(rng.integers(0, 4 if d == 2 else d)),
-            )
-            b = pauli.PauliWord(
-                d, 2, tuple(rng.integers(0, d, 2)), tuple(rng.integers(0, d, 2)),
-                int(rng.integers(0, 4 if d == 2 else d)),
-            )
-            gens = np.array([a.x + a.z, b.x + b.z], dtype=np.int64)
-            phases, forms = np.array([a.phase, b.phase]), np.zeros((2, 0), dtype=np.int64)
+            gens = rng.integers(0, d, (2, 4))
+            forms = rng.integers(0, 4 if d == 2 else d, (2, 1))  # the phases, with no outcome variables
+            a, b = (pauli.word_matrix(d, row, phase) for row, (phase,) in zip(gens, forms))
             for m in range(d):
-                rows, ph, _ = pauli._times_row(gens, phases, forms, 1, np.array([m, 0]), d)
-                product = pauli.PauliWord(d, 2, rows[0, :2], rows[0, 2:], ph[0])
-                want = a.matrix() @ np.linalg.matrix_power(b.matrix(), m)
-                assert np.abs(product.matrix() - want).max() < 1e-9
-            assert np.abs(a.inverse().matrix() - np.linalg.inv(a.matrix())).max() < 1e-9
+                rows, product = pauli._times_row(gens, forms, 1, np.array([m, 0]), d)
+                want = a @ np.linalg.matrix_power(b, m)
+                assert np.abs(pauli.word_matrix(d, rows[0], product[0, 0]) - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_correction_applies_the_exact_inverse_word(d):
+    # the dense wire's Pauli undo on the identity columns is the matrix
+    # inverse of the word frame . o, its phase included
+    rng = np.random.default_rng(d)
+    names = ("a", "b")
+    for _ in range(10):
+        frame = rng.integers(0, d, (4, 4))
+        outcomes = {"x": tuple(rng.integers(0, d, 2)), "y": tuple(rng.integers(0, d, 2))}
+        op = engine.PauliCorrectionOp(("x", "y"), names, frame)
+        wire = engine.Wire.from_matrix(d, np.eye(d**2), names).correct(op, outcomes)
+        word = frame @ (outcomes["x"] + outcomes["y"])
+        assert np.abs(wire.as_matrix(names) - np.linalg.inv(pauli.word_matrix(d, word))).max() < 1e-12
 
 
 def test_group_closure_under_generators():
     for d in (2, 3):
-        word = pauli.PauliWord(d, 2, (1, 0), (1, 1), 1)
         for name, targets in [("H", (0,)), ("S", (1,)), ("CNOT", (0, 1)), ("X", (0,)), ("Z", (1,))]:
             c = pauli.CliffordCircuit.from_gate_list(d, 2, [(name, targets, 1)])
-            out = pauli.conjugate_pauli(c, word)
-            assert isinstance(out, pauli.PauliWord)
-            assert all(0 <= v < d for v in out.x + out.z)
+            row, phase = pauli.conjugate_pauli(c, [1, 0, 1, 1], 1)
+            assert row.shape == (4,) and all(0 <= v < d for v in row.tolist())
+            assert 0 <= phase < (4 if d == 2 else d)
 
 
 def test_involution_is_exact():
     for d in (2, 3, 5):
         c = pauli.random_clifford(3, d, seed=d)
         rng = np.random.default_rng(d)
-        p = pauli.PauliWord(
-            d, 3, tuple(rng.integers(0, d, 3)), tuple(rng.integers(0, d, 3)), 1
-        )
+        row = rng.integers(0, d, 6)
         back = tuple(pauli.CliffordGate(g.name, g.targets, -g.power) for g in reversed(c.gates))
         there_and_back = pauli.CliffordCircuit(d, 3, c.gates + back)
-        roundtrip = pauli.conjugate_pauli(there_and_back, p)
-        assert roundtrip == p
+        assert _word(pauli.conjugate_pauli(there_and_back, row, 1)) == (row.tolist(), 1)
 
 
 def test_empty_circuit_gives_identity_tableau():
     t = pauli.tableau_simulate(pauli.CliffordCircuit(3, 2, ()))
-    assert t.x_images[0] == pauli.PauliWord(3, 2, (1, 0), (0, 0))
-    assert t.z_images[1] == pauli.PauliWord(3, 2, (0, 0), (0, 1))
+    assert _word((t.rows[0], t.phases[0])) == ([1, 0, 0, 0], 0)  # X_0
+    assert _word((t.rows[3], t.phases[3])) == ([0, 0, 0, 1], 0)  # Z_1
 
 
 def test_cnot_tableau_rows():
     c = pauli.CliffordCircuit.from_gate_list(2, 2, [("CNOT", (0, 1), 1)])
     t = pauli.tableau_simulate(c)
-    assert t.x_images[0] == pauli.PauliWord(2, 2, (1, 1), (0, 0))
-    assert t.z_images[1] == pauli.PauliWord(2, 2, (0, 0), (1, 1))
+    assert _word((t.rows[0], t.phases[0])) == ([1, 1, 0, 0], 0)  # X_0
+    assert _word((t.rows[3], t.phases[3])) == ([0, 0, 1, 1], 0)  # Z_1
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -142,7 +148,7 @@ def test_tableau_unitary_reconstruction(d, n):
 def test_tableau_validation_rejects_broken_rows():
     t = pauli.tableau_simulate(pauli.CliffordCircuit(2, 2, ()))
     with pytest.raises(DimensionMismatch):
-        pauli.StabilizerTableau(2, 2, t.x_images, (t.z_images[1], t.z_images[0]))
+        pauli.StabilizerTableau(2, 2, t.rows[[0, 1, 3, 2]], t.phases[[0, 1, 3, 2]])
 
 
 def test_random_clifford_deterministic():
@@ -154,13 +160,11 @@ def test_random_clifford_deterministic():
 
 def test_random_clifford_covers_single_qubit_actions():
     seen = set()
-    x = pauli.PauliWord(2, 1, (1,), (0,))
-    z = pauli.PauliWord(2, 1, (0,), (1,))
     for seed in range(1000):
         c = pauli.random_clifford(1, 2, seed=seed)
-        ix = pauli.conjugate_pauli(c, x)
-        iz = pauli.conjugate_pauli(c, z)
-        seen.add(((ix.x, ix.z), (iz.x, iz.z)))
+        ix, _ = pauli.conjugate_pauli(c, [1, 0])
+        iz, _ = pauli.conjugate_pauli(c, [0, 1])
+        seen.add((tuple(ix.tolist()), tuple(iz.tolist())))
         if len(seen) == 6:
             break
     assert len(seen) == 6

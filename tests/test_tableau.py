@@ -305,13 +305,13 @@ def test_pauli_words_act_without_their_matrices():
         wire = pauli.StabilizerWire(d, [], []).append(np.eye(d**3)[0], ("a", "b", "c"))
         wire = wire.apply_circuit(circuit, ("a", "b", "c"))
         proj = np.eye(d**3, dtype=complex)
-        for row, phase in zip(wire.gens, wire.phases):
-            m = pauli.PauliWord(d, 3, row[:3], row[3:], phase).matrix()
+        for row, phase in zip(wire.gens, wire.forms[:, 0]):
+            m = pauli.word_matrix(d, row, phase)
             proj = proj @ sum(np.linalg.matrix_power(m, j) for j in range(d)) / d
         vec = rng.normal(size=d**3) + 1j * rng.normal(size=d**3)
         u = vec / np.linalg.norm(vec)
         want = np.linalg.norm(u - proj @ u)
-        phases = [wire.phases]
+        phases = [wire.forms[:, 0]]
         (dist,) = wire.distances(vec, ["a", "b", "c"], phases)
         assert abs(dist - want) < 1e-12
         # the state is the circuit's first column, up to phase
