@@ -228,8 +228,6 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    if args.resolution < 1:
-        raise UsageError(f"--resolution must be at least 1, got {args.resolution}")
     if args.preset:
         cfg = geometry.preset_config(args.preset, args.delay)
     else:
@@ -239,7 +237,7 @@ def cmd_geometry(args) -> int:
             _parse_point(args.c0), _parse_point(args.c1),
             _parse_point(args.r0), _parse_point(args.r1),
         )
-    rep = geometry.verify_connected_wedge(cfg, resolution=args.resolution)
+    rep = geometry.verify_connected_wedge(cfg)
     row = {
         "region_nonempty": rep.region_nonempty,
         "region_margin": rep.region_margin,
@@ -352,11 +350,11 @@ def cmd_suite(args) -> int:
         require(rep.side == 1 and rep.fidelity > 1 - 1e-9, f"side {rep.side}, F {rep.fidelity}")
 
     def _geometry():
-        rep = geometry.verify_connected_wedge(geometry.preset_config("marginal"), 512)
+        rep = geometry.verify_connected_wedge(geometry.preset_config("marginal"))
         require(rep.mutual_information < 1e-9 and rep.ridge_length < 1e-6, "not marginal")
 
     def _geometry_delayed():
-        rep = geometry.verify_connected_wedge(geometry.preset_config("delayed", 0.2), 64)
+        rep = geometry.verify_connected_wedge(geometry.preset_config("delayed", 0.2))
         require(abs(rep.ridge_length - 2 * np.arctanh(np.sin(0.2))) < 1e-12, "ridge length")
         require(rep.saturation_residual < 1e-9, f"residual {rep.saturation_residual}")
 
@@ -462,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", default=None)
     p.add_argument("--r0", default=None)
     p.add_argument("--r1", default=None)
-    p.add_argument("--resolution", type=int, default=4096,
-                   help="accepted and checked (>= 1); the report is exact and samples no ridge points")
     common(p)
     p.set_defaults(func=cmd_geometry)
 

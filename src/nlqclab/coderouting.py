@@ -256,6 +256,7 @@ def code_route(
     # the share against its near half, so the share moves to the far half
     shares = tuple(f"share{i}" for i in range(n))
     regs = list(shares)  # register holding each share
+    pipe = engine.Resource.pairs(d, 1)
     ops = ()
     pipes_used = 0
     for i, (share_side, hops, pipes) in enumerate(routes):
@@ -266,7 +267,7 @@ def code_route(
         for label in labels:
             near, far = f"pipe{i}_{label[1]}_near", f"pipe{i}_{label[1]}_far"
             ops += (
-                engine.AppendOp((near, far), qudit.bell_pair(d).amplitudes),
+                engine.AppendOp((near, far), pipe),
                 engine.BellMeasureOp((regs[i], near), label),
             )
             regs[i] = far

@@ -11,18 +11,21 @@ Every op is data, corrections included.  A Pauli correction's integer frame
 over Z_d maps the Bell outcomes it reads linearly to the Pauli word the
 outcomes leave on its targets, and the op applies that word's inverse; a
 correction that is not Pauli, such as the BK undo U P_x^dagger, is Pauli
-corrections followed or framed by ``GateOp``s.
+corrections followed or framed by ``GateOp``s.  Registers that are not
+inputs enter by an ``AppendOp`` of a ``Resource``, with one name per
+resource register and the program's d, both checked when built.
 
 The wire is a dense state tensor (optionally with a column axis carrying
 basis inputs, which turns a pure branch into the matrix of the induced
 linear map), or, in ``program_exactness`` on a program whose every op is
-Clifford (``is_clifford_program``), a ``pauli.StabilizerWire`` holding the
-program's Choi state as generator words.  On that wire every Bell outcome
-is a pair of variables that the generator phases depend on linearly, so
-the same executor runs the program once, with no d**n tensor, and
-``tableau_branches`` expands that one run over the outcome grid.  The
-dense sweep, which enumerates every outcome, is the oracle for that path
-and the path for every other program.
+Clifford (``is_clifford_program``; an appended resource is when
+``Resource.pairs`` built it, and no amplitude is compared), a
+``pauli.StabilizerWire`` holding the program's Choi state as generator
+words.  On that wire every Bell outcome is a pair of variables that the
+generator phases depend on linearly, so the same executor runs the program
+once, with no d**n tensor, and ``tableau_branches`` expands that one run
+over the outcome grid.  The dense sweep, which enumerates every outcome,
+is the oracle for that path and the path for every other program.
 
 A Bell measurement on the dense wire rotates the measured pair into the
 Bell basis once (``qudit.bell_basis``, one (d**2, d**2) matrix product),
@@ -73,7 +76,7 @@ class Wire:
         return self.tensor.shape[-1]
 
     def positions(self, names) -> list:
-        return [self.regs.index(nm) for nm in names]
+        return pauli.register_positions(self.regs, names)
 
     def squared_norm(self) -> float:
         return float(np.linalg.norm(self.tensor) ** 2)
@@ -124,8 +127,8 @@ class Wire:
             w = Wire(d, w.tensor * pauli.tau(d) ** phase, w.regs)
         return w
 
-    def append(self, vec: np.ndarray, names) -> "Wire":
-        """Adjoin registers ``names`` in the pure state ``vec``.
+    def append(self, resource: "Resource", names) -> "Wire":
+        """Adjoin registers ``names`` in the resource's pure state.
 
         Raises ``CapExceeded`` before allocating when one column of the
         result would hold more than ``qudit.STATE_ENTRY_CAP`` entries.
@@ -138,9 +141,7 @@ class Wire:
                 f"appending {len(names)} registers to {len(self.regs)} at d={d} gives "
                 f"columns of {size} entries, cap {qudit.STATE_ENTRY_CAP}"
             )
-        if np.size(vec) != d ** len(names):
-            raise DimensionMismatch(f"state of {np.size(vec)} entries for {len(names)} registers")
-        add = np.asarray(vec, dtype=complex).reshape((d,) * len(names))
+        add = np.asarray(resource.state, dtype=complex).reshape((d,) * len(names))
         t = np.multiply.outer(self.tensor, add)
         # move the column axis back to the end
         col_axis = len(self.regs)
@@ -297,10 +298,14 @@ class DiscardOp:
 
 @dataclass(frozen=True, eq=False)
 class AppendOp:
-    """Adjoin fresh registers in a given pure state mid-program."""
+    """Adjoin fresh registers ``names``, L halves then R halves, in a resource's state."""
 
     names: tuple
-    vec: np.ndarray = field(repr=False)
+    resource: Resource
+
+    def __post_init__(self):
+        if len(self.names) != self.resource.n_l + self.resource.n_r:
+            raise DimensionMismatch(f"{len(self.names)} names for the registers of {self.resource}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,12 +315,18 @@ class Program:
     The program starts on ``in_regs``; every other register, the halves of
     a shared resource included, enters through an ``AppendOp``.  The
     registers left at the end, less the discarded ones, are ``out_regs``.
+    Every appended resource has the program's d.
     """
 
     d: int
     in_regs: tuple
     ops: tuple
     out_regs: tuple
+
+    def __post_init__(self):
+        for op in self.ops:
+            if isinstance(op, AppendOp) and op.resource.d != self.d:
+                raise DimensionMismatch(f"{op.resource} appended to a program at d={self.d}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,7 +447,7 @@ def _run_ops(ops, wire, forced, pgm_cache, rng):
             elif isinstance(op, DiscardOp):
                 pending += tuple(op.targets)
             elif isinstance(op, AppendOp):
-                wire = wire.append(op.vec, op.names)
+                wire = wire.append(op.resource, op.names)
             else:
                 raise DimensionMismatch(f"unknown op {op!r}")
         else:
@@ -491,7 +502,7 @@ class Resource:
     n_l: int
     n_r: int
     state: np.ndarray = field(repr=False)  # pure amplitude vector
-    pair_count: int | None = None
+    pair_count: int | None = field(default=None, init=False)  # set by ``pairs`` alone
 
     def __post_init__(self):
         dim = self.d ** (self.n_l + self.n_r)
@@ -513,7 +524,9 @@ class Resource:
         amp = 1.0
         for _ in range(k):  # one 1/sqrt(d) per pair, in order: the kron of k pairs, bit for bit
             amp *= 1.0 / np.sqrt(d)
-        return cls(d, k, k, np.diag(np.full(d**k, amp, dtype=complex)).reshape(-1), pair_count=k)
+        res = cls(d, k, k, np.diag(np.full(d**k, amp, dtype=complex)).reshape(-1))
+        object.__setattr__(res, "pair_count", k)
+        return res
 
     def account(self) -> "ResourceAccount":
         """Mutual information I(L:R) = 2 S(rho_L) of the pure resource.
@@ -577,7 +590,7 @@ def assemble_protocol(
     """
     halves = tuple(f"L_{i}" for i in range(resource.n_l))
     halves += tuple(f"R_{i}" for i in range(resource.n_r))
-    ops = (AppendOp(halves, resource.state),) if halves else ()
+    ops = (AppendOp(halves, resource),) if halves else ()
     ops += tuple(op for stage in stages for op in stage)
     program = Program(d, input_names(n0, n1), ops, tuple(out_regs))
     meta = {**(meta or {}), "pairs": resource.pair_count}
@@ -687,12 +700,11 @@ def is_clifford_program(program: Program) -> bool:
     """Whether every op has a stabilizer form, so exactness runs on a tableau.
 
     Circuits, Pauli corrections, Bell measurements and discards do; an
-    ``AppendOp`` does when its state is |0...0> or ``Resource.pairs``.
+    ``AppendOp`` does when its resource was built by ``Resource.pairs``.
     """
     return qudit.is_prime(program.d) and all(
         isinstance(op, (CircuitOp, PauliCorrectionOp, BellMeasureOp, DiscardOp))
-        or (isinstance(op, AppendOp)
-            and pauli.stabilizer_generators(program.d, op.vec, len(op.names)) is not None)
+        or (isinstance(op, AppendOp) and op.resource.pair_count is not None)
         for op in program.ops
     )
 
@@ -1028,8 +1040,8 @@ def _product_program(protocol: OneRoundProtocol) -> Program:
     left, right = names[: res.n_l], names[res.n_l :]
     purifiers = lambda regs: tuple(("purifier", nm) for nm in regs)
     copies = (
-        AppendOp(left + purifiers(right), res.state),
-        AppendOp(purifiers(left) + right, res.state),
+        AppendOp(left + purifiers(right), res),
+        AppendOp(purifiers(left) + right, res),
     )
     return replace(prog, ops=copies + prog.ops[1:])
 

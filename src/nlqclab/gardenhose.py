@@ -176,7 +176,7 @@ def gh_quantum_execute(
     halves += tuple(right_node(i) for i in range(1, strategy.pipes + 1))
     measured = {node for pair in pairs for node in pair}
     untouched = tuple(nm for nm in (Q,) + halves if nm not in measured and nm != route.terminal)
-    ops = (engine.AppendOp(halves, engine.Resource.pairs(d, strategy.pipes).state),)
+    ops = (engine.AppendOp(halves, engine.Resource.pairs(d, strategy.pipes)),)
     ops += tuple(engine.BellMeasureOp(pair, pair) for pair in pairs)
     ops += (
         engine.PauliCorrectionOp(pairs, (route.terminal,), _path_frame(route.path, pairs)),

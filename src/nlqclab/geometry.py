@@ -532,18 +532,17 @@ class GeometryReport:
     inequality_margin: float  # I - 2 * ridge
 
 
-def verify_connected_wedge(cfg: ScatteringConfig, resolution: int = 4096) -> GeometryReport:
+def verify_connected_wedge(cfg: ScatteringConfig) -> GeometryReport:
     """Mutual information versus twice the ridge length.
 
     In the vacuum the two quantities agree; the report carries the raw
     residual |I - 2 ridge| and the signed inequality margin.  Sub-leading
     corrections are not modelled, so residual interpretation is left to
     the caller.  I is cutoff-independent, so the default cutoff is used.
-    The ridge length is exact and no ridge point is sampled, so
-    ``resolution`` is accepted for callers that pass it and changes nothing.
-    An empty scattering region has ridge length 0; when an input's decision
-    region is empty as well, I is 0, since an empty region carries no
-    mutual information.  Any other ``EmptyDiamond`` is raised.
+    The ridge length is exact and no ridge point is sampled.  An empty
+    scattering region has ridge length 0; when an input's decision region
+    is empty as well, I is 0, since an empty region carries no mutual
+    information.  Any other ``EmptyDiamond`` is raised.
     """
     region = scattering_region_nonempty(cfg)
     ridge_len = _clipped_ridge(cfg, 0).length if region.nonempty else 0.0

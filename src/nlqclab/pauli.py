@@ -25,11 +25,13 @@ circuit's tableau holds the images of X_0..X_{n-1}, Z_0..Z_{n-1} as those
 rows, so it conjugates a batch of words with one matrix product and one
 quadratic form.
 
-``StabilizerWire`` runs engine programs on a stabilizer state: circuits
-conjugate its generator rows, a Bell measurement is two commuting Pauli
-measurements (Aaronson and Gottesman, arXiv:quant-ph/0406196) whose outcome
-stays a pair of variables, each generator's phase is one affine form in the
-variables, and discarding registers keeps the generators acting trivially on them.
+``StabilizerWire`` runs engine programs on a stabilizer state: an appended
+``engine.Resource.pairs`` adjoins its pairs' generator rows, read from the
+pair count it was built with, circuits conjugate the generator rows, a Bell
+measurement is two commuting Pauli measurements (Aaronson and Gottesman,
+arXiv:quant-ph/0406196) whose outcome stays a pair of variables, each
+generator's phase is one affine form in the variables, and discarding
+registers keeps the generators acting trivially on them.
 
 Circuits are read from and written to one JSON format,
 ``{"d": int, "n": int, "gates": [{"g": name, "q": [...], "pow": int}]}``,
@@ -344,24 +346,13 @@ def _pair_words(d: int, k: int) -> np.ndarray:
     return words
 
 
-def stabilizer_generators(d: int, vec, m: int):
-    """Packed generator rows of ``vec`` on m registers (phases 0), or None if it has none here.
-
-    Two states are recognized, to 1e-12 per amplitude: |0...0>, and m/2
-    pairs |Phi+> in the register order L_1..L_k R_1..R_k of
-    ``engine.Resource.pairs``.
-    """
-    vec = np.asarray(vec).reshape(-1)
-    if vec.size != d**m:
-        return None
-    zero = np.zeros(d**m)
-    zero[0] = 1.0
-    if np.abs(vec - zero).max() <= 1e-12:
-        return np.eye(m, 2 * m, m, dtype=np.int64)  # Z on each register
-    half = d ** (m // 2)
-    if m % 2 == 0 and np.abs(vec - (np.eye(half) / np.sqrt(half)).reshape(-1)).max() <= 1e-12:
-        return _pair_words(d, m // 2)
-    return None
+def register_positions(regs: list, names) -> list:
+    """Index in ``regs`` of each of ``names``; a name not there is a ``DimensionMismatch``."""
+    try:
+        return [regs.index(nm) for nm in names]
+    except ValueError:
+        missing = [nm for nm in names if nm not in regs]
+        raise DimensionMismatch(f"no register {missing[0]!r} on the wire {regs}") from None
 
 
 def _times_row(gens, forms, i: int, m: np.ndarray, d: int) -> tuple:
@@ -447,7 +438,7 @@ class StabilizerWire:
         return cls(d, [], [])._adjoin(_pair_words(d, len(left)), list(left) + list(right))
 
     def positions(self, names) -> list:
-        return [self.regs.index(nm) for nm in names]
+        return register_positions(self.regs, names)
 
     def _columns(self, names) -> list:
         """The packed columns of ``names``: their x columns, then their z columns."""
@@ -467,11 +458,11 @@ class StabilizerWire:
             regs=self.regs + list(names),
         )
 
-    def append(self, vec, names) -> "StabilizerWire":
-        words = stabilizer_generators(self.d, vec, len(names))
-        if words is None:
-            raise NotClifford("appended state is neither |0...0> nor Bell pairs")
-        return self._adjoin(words, names)
+    def append(self, resource, names) -> "StabilizerWire":
+        """Adjoin ``names`` in an ``engine.Resource.pairs`` state, from its pair count."""
+        if resource.pair_count is None:
+            raise NotClifford(f"{resource} was not built as pairs")
+        return self._adjoin(_pair_words(self.d, resource.pair_count), names)
 
     def apply_circuit(self, circuit: CliffordCircuit, names) -> "StabilizerWire":
         """Conjugate the generators' columns on ``names`` by the circuit's tableau.

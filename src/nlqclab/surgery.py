@@ -54,8 +54,7 @@ class CliffordOneRound:
     def program(self) -> engine.Program:
         ops = ()
         if self.pairs:
-            pair_state = engine.Resource.pairs(self.d, self.pairs).state
-            ops += (engine.AppendOp(self.v0 + self.v1, pair_state),)
+            ops += (engine.AppendOp(self.v0 + self.v1, engine.Resource.pairs(self.d, self.pairs)),)
         ops += tuple(engine.CircuitOp(circ, regs) for regs, circ in self.stages)
         ops += (engine.DiscardOp(self.discards),)
         in_regs = engine.input_names(self.n_a0, self.n_a1)
@@ -242,7 +241,7 @@ def clifford_surgery(cnf: CliffordOneRound) -> LocalInteractionProtocol:
     # collapsing the inner halves early keeps the working tensor small
     ops = ()
     if k:
-        left_pairs = engine.Resource.pairs(d, k).state
+        left_pairs = engine.Resource.pairs(d, k)
         ops += (engine.AppendOp(cnf.v0 + tuple(s0), left_pairs),)
         ops += (engine.AppendOp(tuple(s1) + cnf.v1, left_pairs),)
         ops += tuple(engine.BellMeasureOp((s0[j], s1[j]), labels[j]) for j in range(k))
@@ -325,7 +324,7 @@ class OneSidedProtocol:
         v0 = tuple(f"V0_{j}" for j in range(n))
         v1 = tuple(f"V1_{j}" for j in range(n))
         labels = tuple(f"x_{j}" for j in range(n))
-        ops = (engine.AppendOp(v0 + v1, engine.Resource.pairs(d, n).state), engine.GateOp(u, v1))
+        ops = (engine.AppendOp(v0 + v1, engine.Resource.pairs(d, n)), engine.GateOp(u, v1))
         ops += tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(n))
         return engine.Program(d, a, ops + _undo(u, labels, v1), v1)
 
@@ -364,9 +363,9 @@ def pbt_surgery(
     out_names = tuple(f"B_{j}" for j in range(e))
 
     # everything but the label's unitary is the same program for every label
-    pair_state = engine.Resource.pairs(d, e).state
-    appends = (engine.AppendOp(v0 + vl, pair_state),)
-    appends += tuple(engine.AppendOp(c + y, pair_state) for c, y in zip(ports_c, ports_y))
+    pairs = engine.Resource.pairs(d, e)
+    appends = (engine.AppendOp(v0 + vl, pairs),)
+    appends += tuple(engine.AppendOp(c + y, pairs) for c, y in zip(ports_c, ports_y))
     measures = tuple(engine.BellMeasureOp((a[j], v0[j]), labels[j]) for j in range(e))
     measures += (
         engine.PortMeasureOp("port", vl, ports_c, teleport.PBTParams(d**e, n_ports)),

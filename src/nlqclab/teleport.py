@@ -115,7 +115,7 @@ def teleportation_channel_choi(d: int) -> np.ndarray:
     """Choi matrix of one-qudit Bell teleportation, all outcomes summed."""
     from . import engine  # engine imports this module
 
-    ops = (engine.AppendOp((1, 2), qudit.bell_pair(d).amplitudes),)
+    ops = (engine.AppendOp((1, 2), engine.Resource.pairs(d, 1)),)
     ops += _teleport_ops((0,), ((1, 2),))
     return engine.program_choi(engine.Program(d, (0,), ops, (2,)))
 

@@ -250,9 +250,9 @@ def test_criterion_8_product_replacement_bound_as_stated():
 
 def test_criterion_9_geometry_saturation_and_grid():
     t0 = time.time()
-    marginal = geometry.verify_connected_wedge(geometry.preset_config("marginal"), 4096)
+    marginal = geometry.verify_connected_wedge(geometry.preset_config("marginal"))
     ok = marginal.mutual_information < 1e-9 and marginal.ridge_length < 1e-6
-    delayed = geometry.verify_connected_wedge(geometry.preset_config("delayed", 0.2), 4096)
+    delayed = geometry.verify_connected_wedge(geometry.preset_config("delayed", 0.2))
     ok &= delayed.saturation_residual < 1e-3
     cfg = geometry.preset_config("delayed", 0.2)
     mis = [geometry.mutual_information(cfg, cutoff=c) for c in (1e-3, 1e-4, 1e-5)]
@@ -263,7 +263,7 @@ def test_criterion_9_geometry_saturation_and_grid():
     assert len(grid) >= 20
     worst = 0.0
     for c in grid[:20]:
-        rep = geometry.verify_connected_wedge(c, 2048)
+        rep = geometry.verify_connected_wedge(c)
         worst = min(worst, rep.inequality_margin)
         ok &= rep.inequality_margin >= -1e-3
     elapsed = time.time() - t0

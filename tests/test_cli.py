@@ -29,7 +29,7 @@ def test_gh_exhaustive_truth_table(capsys):
 
 
 def test_geometry_marginal_preset(capsys):
-    code, out = run(capsys, "geometry", "--preset", "marginal", "--resolution", "512")
+    code, out = run(capsys, "geometry", "--preset", "marginal")
     assert code == 0
     row = json.loads(out)[0]
     assert row["region_nonempty"] is True
@@ -245,14 +245,6 @@ def test_inputs_outside_the_register_are_errors(capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-
-
-def test_geometry_resolution_below_one_is_a_usage_error(capsys):
-    for value in ("-5", "-1", "0"):
-        assert cli.main(["geometry", "--preset", "delayed", "--resolution", value]) == 2
-        assert capsys.readouterr().err.startswith("usage error: ")
-    code, _ = run(capsys, "geometry", "--preset", "delayed", "--resolution", "1")
-    assert code == 0
 
 
 def test_suite_checks_survive_python_optimize():

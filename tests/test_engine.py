@@ -182,7 +182,8 @@ def test_programs_are_a_resource_append_then_the_stages():
         head, *rest = p.program.ops
         assert isinstance(head, engine.AppendOp)
         assert head.names == tuple(f"L_{i}" for i in range(k)) + tuple(f"R_{i}" for i in range(k))
-        assert np.array_equal(head.vec, engine.Resource.pairs(p.d, k).state)
+        assert head.resource is p.resource and head.resource.pair_count == k
+        assert np.array_equal(head.resource.state, engine.Resource.pairs(p.d, k).state)
         assert len(p.stages) == 4
         assert tuple(rest) == tuple(op for stage in p.stages for op in stage)
     assert [f.name for f in dataclasses.fields(engine.Program)] == ["d", "in_regs", "ops", "out_regs"]
@@ -304,10 +305,22 @@ def test_bell_measurement_needs_two_distinct_registers():
 
 
 def test_appended_state_must_fit_its_registers():
-    wire = engine.Wire.from_matrix(2, np.eye(2), ["a"])
-    for vec in (np.eye(8)[0], np.eye(2)[0]):
+    # one name per resource register, checked by the op; the resource's d,
+    # checked by the program
+    for resource in (engine.Resource(2, 3, 0, np.eye(8)[0]), engine.Resource(2, 1, 0, np.eye(2)[0])):
         with pytest.raises(DimensionMismatch):
-            wire.append(vec, ["b", "c"])
+            engine.AppendOp(("b", "c"), resource)
+    op = engine.AppendOp(("b", "c"), engine.Resource.pairs(3, 1))
+    with pytest.raises(DimensionMismatch, match="d=2"):
+        engine.Program(2, ("a",), (op,), ("a", "b", "c"))
+
+
+def test_pair_count_is_set_by_pairs_alone():
+    state = engine.Resource.pairs(2, 1).state
+    with pytest.raises(TypeError):
+        engine.Resource(2, 1, 1, state, pair_count=1)
+    assert engine.Resource(2, 1, 1, state).pair_count is None
+    assert engine.Resource.pairs(2, 1).pair_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +483,7 @@ def test_partially_entangled_resource_matches_eigen_ensemble(alpha):
         for j in range(2):
             vec = np.zeros(4, dtype=complex)
             vec[2 * i + j] = 1.0
-            ops = (engine.AppendOp(prog.ops[0].names, vec),) + prog.ops[1:]
+            ops = (engine.AppendOp(prog.ops[0].names, engine.Resource(2, 1, 1, vec)),) + prog.ops[1:]
             want += w[i] * w[j] * task(engine.program_choi(dataclasses.replace(prog, ops=ops)))
     rep = engine.product_replacement_check(p)
     assert abs(rep.p_suc_product - want) < 1e-12
@@ -514,7 +527,7 @@ def test_resource_state_is_checked_when_built():
 
 def test_resource_pairs_equal_the_product_of_bell_pairs():
     # bit for bit: k pairs |Phi+>, regrouped into the order L_1..L_k R_1..R_k
-    for d, k in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
+    for d, k in ((2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
         vec = np.ones(1, dtype=complex)
         for _ in range(k):
             vec = np.kron(vec, qudit.bell_pair(d).amplitudes)

@@ -372,7 +372,7 @@ def test_cutoff_independence(cutoff):
 
 
 def test_marginal_report_is_all_zero():
-    rep = geo.verify_connected_wedge(geo.preset_config("marginal"), 512)
+    rep = geo.verify_connected_wedge(geo.preset_config("marginal"))
     assert rep.region_nonempty
     assert rep.ridge_length < 1e-6
     assert rep.mutual_information < 1e-9
@@ -381,7 +381,7 @@ def test_marginal_report_is_all_zero():
 
 @pytest.mark.parametrize("tau", [0.1, 0.2])
 def test_vacuum_saturation(tau):
-    rep = geo.verify_connected_wedge(delayed(tau), 4096)
+    rep = geo.verify_connected_wedge(delayed(tau))
     assert rep.saturation_residual < 1e-3
 
 
@@ -392,7 +392,7 @@ def test_each_region_is_computed_once(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(geo, name, counted)
-    geo.verify_connected_wedge(delayed(0.2), 512)
+    geo.verify_connected_wedge(delayed(0.2))
     assert calls == {"scattering_region_nonempty": 1, "decision_regions": 1}
 
 
@@ -400,9 +400,9 @@ def test_each_region_is_computed_once(monkeypatch):
 def test_translation_invariance(shift):
     # shifts that carry the ridge midpoint past t = pi need the time read
     # modulo 2 pi
-    a = geo.verify_connected_wedge(delayed(0.2), 2048)
+    a = geo.verify_connected_wedge(delayed(0.2))
     later = mapped(delayed(0.2), lambda p: geo.BoundaryPoint(p.t + shift, p.theta))
-    b = geo.verify_connected_wedge(later, 2048)
+    b = geo.verify_connected_wedge(later)
     assert abs(a.ridge_length - b.ridge_length) < 1e-9
     assert abs(a.mutual_information - b.mutual_information) < 1e-9
 
@@ -434,6 +434,6 @@ def test_inequality_on_config_grid():
     configs = grid_configs()
     assert len(configs) >= 20
     for cfg in configs:
-        rep = geo.verify_connected_wedge(cfg, 2048)
+        rep = geo.verify_connected_wedge(cfg)
         assert rep.region_nonempty
         assert rep.inequality_margin >= -1e-3

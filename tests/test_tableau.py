@@ -37,13 +37,18 @@ def tableau_rows(program, target):
     }
 
 
-def assert_paths_agree(program, target) -> float:
-    """Check the two sweeps branch by branch; return the worst distance."""
-    dense, tableau = dense_rows(program, target), tableau_rows(program, target)
+def assert_rows_agree(dense, tableau):
+    """The same outcomes, probabilities to 1e-12 and distances to 1e-9."""
     assert dense.keys() == tableau.keys()
     for key, (p, dist) in dense.items():
         assert abs(tableau[key][0] - p) < 1e-12, key
         assert abs(tableau[key][1] - dist) < 1e-9, key
+
+
+def assert_paths_agree(program, target) -> float:
+    """Check the two sweeps branch by branch; return the worst distance."""
+    dense, tableau = dense_rows(program, target), tableau_rows(program, target)
+    assert_rows_agree(dense, tableau)
     maxd, ptot, count = engine.program_exactness(program, target)
     assert count == len(dense)
     assert maxd == max(dist for _, dist in tableau.values())
@@ -176,7 +181,7 @@ def test_discarding_an_entangled_register_raises_on_both_paths():
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_measuring_one_pair_is_deterministic(d):
     # both halves of one |Phi+>: outcome (0, 0) has probability 1, the rest 0
-    pair = engine.Resource.pairs(d, 1).state
+    pair = engine.Resource.pairs(d, 1)
     program = engine.Program(
         d, ("a",),
         (engine.AppendOp(("p", "q"), pair), engine.BellMeasureOp(("p", "q"), "m")),
@@ -191,7 +196,7 @@ def test_swapped_pairs_fix_the_second_outcome(d):
     # entanglement swapping: Bell-measuring (l1, l2) leaves (r1, r2) in the
     # Bell state of that outcome, so measuring (r1, r2) next is deterministic
     # and each branch's outcomes meet a constraint spanning both measurements
-    pairs = engine.Resource.pairs(d, 2).state
+    pairs = engine.Resource.pairs(d, 2)
     program = engine.Program(d, ("a",), (
         engine.AppendOp(("l1", "l2", "r1", "r2"), pairs),
         engine.BellMeasureOp(("l1", "l2"), "m1"),
@@ -208,7 +213,7 @@ def test_tableau_path_runs_each_measurement_once(monkeypatch):
     # two qudits teleported at d = 5: 625 outcomes, from one symbolic run
     d = 5
     program = engine.Program(d, ("a", "b"), (
-        engine.AppendOp(("L_0", "L_1", "R_0", "R_1"), engine.Resource.pairs(d, 2).state),
+        engine.AppendOp(("L_0", "L_1", "R_0", "R_1"), engine.Resource.pairs(d, 2)),
         engine.BellMeasureOp(("a", "L_0"), "x_0"),
         engine.BellMeasureOp(("b", "L_1"), "x_1"),
     ) + engine.hop_undos(("x_0", "x_1"), ("R_0", "R_1")), ("R_0", "R_1"))
@@ -244,12 +249,12 @@ def dense_only_programs():
         ("GateOp", engine.Program(2, ("a",), (engine.GateOp(h, ("a",)),), ("a",)), h),
         ("OneSidedProtocol", *_one_sided_qutrit()),
         ("PortMeasureOp", engine.Program(2, ("a",), (
-            engine.AppendOp(("p", "q"), engine.Resource.pairs(2, 1).state),
+            engine.AppendOp(("p", "q"), engine.Resource.pairs(2, 1)),
             engine.PortMeasureOp("port", ("p",), (("q",),), teleport.PBTParams(2, 1)),
             engine.DiscardOp(("p", "q")),
         ), ("a",)), np.eye(2)),
         ("AppendOp", engine.Program(
-            2, ("a",), (engine.AppendOp(("b",), plus_i), engine.DiscardOp(("b",))), ("a",),
+            2, ("a",), (engine.AppendOp(("b",), engine.Resource(2, 1, 0, plus_i)), engine.DiscardOp(("b",))), ("a",),
         ), np.eye(2)),
     ]
 
@@ -271,29 +276,69 @@ def test_clifford_programs_take_the_tableau_path(monkeypatch):
     circuit = pauli.random_clifford(3, 3, seed=2)
     programs = three_programs(circuit, (1, 2))
 
-    def no_dense(*args):
-        raise AssertionError("the dense sweep ran")
+    def not_run(*args):
+        raise AssertionError("the other path's sweep ran")
 
-    monkeypatch.setattr(engine, "sweep_branch_maps", no_dense)
+    monkeypatch.setattr(engine, "sweep_branch_maps", not_run)
     for program in programs:
         assert engine.is_clifford_program(program)
         maxd, ptot, _ = engine.program_exactness(program, circuit.unitary())
         assert maxd < 1e-9 and abs(ptot - 1) < 1e-12
-    # an appended |0> is a stabilizer state too
-    zero = engine.AppendOp(("b",), np.eye(3)[0])
+    # an appended |0> is a stabilizer state, but only Resource.pairs declares
+    # generators, so this program takes the dense path
+    monkeypatch.undo()
+    zero = engine.AppendOp(("b",), engine.Resource(3, 1, 0, np.eye(3)[0]))
     program = dataclasses.replace(programs[0], ops=(zero,) + programs[0].ops + (engine.DiscardOp(("b",)),))
+    assert not engine.is_clifford_program(program)
+    monkeypatch.setattr(engine, "tableau_branches", not_run)
     assert engine.program_exactness(program, circuit.unitary())[0] < 1e-9
+
+
+def _undeclared(program):
+    """The program with each appended ``Resource.pairs`` rebuilt from its amplitudes alone."""
+    ops = tuple(
+        engine.AppendOp(op.names, engine.Resource(op.resource.d, op.resource.n_l, op.resource.n_r,
+                                                  op.resource.state))
+        if isinstance(op, engine.AppendOp) else op
+        for op in program.ops
+    )
+    return dataclasses.replace(program, ops=ops)
+
+
+@pytest.mark.parametrize("d,n,n0,seed", [(2, 2, 1, 40), (3, 3, 1, 41), (5, 2, 1, 42)])
+def test_pair_amplitudes_without_pairs_take_the_dense_path(d, n, n0, seed):
+    # the same state, not built by Resource.pairs, declares no pair count:
+    # its program runs dense, and its rows are the tableau rows of the original
+    circuit = pauli.random_clifford(n, d, seed=seed)
+    u = circuit.unitary()
+    for program in three_programs(circuit, (n0, n - n0)):
+        undeclared = _undeclared(program)
+        assert not engine.is_clifford_program(undeclared)
+        assert_rows_agree(dense_rows(undeclared, u), tableau_rows(program, u))
+
+
+def test_both_sweeps_name_an_unknown_register():
+    program = engine.Program(2, ("a",), (
+        engine.AppendOp(("b", "c"), engine.Resource.pairs(2, 1)),
+        engine.BellMeasureOp(("a", "zz"), "m"),
+    ), ("b", "c"))
+    with pytest.raises(DimensionMismatch, match="'zz'"):
+        list(engine.sweep_branch_maps(program))
+    with pytest.raises(DimensionMismatch, match="'zz'"):
+        list(engine.tableau_branches(program, np.eye(4, 2)))
 
 
 def test_stabilizer_wire_rejects_other_states():
     wire = pauli.StabilizerWire.pairs(2, ("a",), ("ref_0",))
     with pytest.raises(NotClifford):
-        wire.append(np.array([1.0, 1.0]) / np.sqrt(2), ("b",))
-    # two pairs in the order (L_1, R_1, L_2, R_2) are not Resource.pairs' order
-    pairs = np.kron(qudit.bell_pair(2).amplitudes, qudit.bell_pair(2).amplitudes)
-    with pytest.raises(NotClifford):
-        wire.append(pairs, ("b", "c", "e", "f"))
-    assert pauli.stabilizer_generators(2, engine.Resource.pairs(2, 2).state, 4) is not None
+        wire.append(engine.Resource(2, 1, 0, np.array([1.0, 1.0]) / np.sqrt(2)), ("b",))
+    # the amplitudes of two pairs, in either register order, declare no pairs
+    for vec in (engine.Resource.pairs(2, 2).state,
+                np.kron(qudit.bell_pair(2).amplitudes, qudit.bell_pair(2).amplitudes)):
+        with pytest.raises(NotClifford):
+            wire.append(engine.Resource(2, 2, 2, vec), ("b", "c", "e", "f"))
+    grown = wire.append(engine.Resource.pairs(2, 2), ("b", "c", "e", "f"))
+    assert grown.regs == ["a", "ref_0", "b", "c", "e", "f"] and len(grown.gens) == 6
 
 
 def test_pauli_words_act_without_their_matrices():
@@ -302,7 +347,7 @@ def test_pauli_words_act_without_their_matrices():
     rng = np.random.default_rng(3)
     for d in (2, 3):
         circuit = pauli.random_clifford(3, d, seed=21 + d)
-        wire = pauli.StabilizerWire(d, [], []).append(np.eye(d**3)[0], ("a", "b", "c"))
+        wire = pauli.StabilizerWire(d, np.eye(3, 6, 3), ("a", "b", "c"))  # Z on each: |000>
         wire = wire.apply_circuit(circuit, ("a", "b", "c"))
         proj = np.eye(d**3, dtype=complex)
         for row, phase in zip(wire.gens, wire.forms[:, 0]):

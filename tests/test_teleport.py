@@ -279,7 +279,7 @@ def _port_program(m, n_ports):
     out = tuple(f"B_{i}" for i in range(m))
     ops = (
         engine.AppendOp(
-            sum(ports_l, ()) + sum(ports_r, ()), engine.Resource.pairs(2, m * n_ports).state
+            sum(ports_l, ()) + sum(ports_r, ()), engine.Resource.pairs(2, m * n_ports)
         ),
         engine.PortMeasureOp("port", a, tuple(ports_l), teleport.PBTParams(2**m, n_ports)),
         engine.SelectPortOp("port", tuple(ports_r), out),
@@ -292,7 +292,7 @@ def test_port_measurement_on_registers_of_another_dimension_is_rejected():
     # two one-qubit ports and a one-qubit input, labelled as two-qubit ports
     a = engine.input_names(1)
     ops = (
-        engine.AppendOp(("L_0", "L_1", "R_0", "R_1"), engine.Resource.pairs(2, 2).state),
+        engine.AppendOp(("L_0", "L_1", "R_0", "R_1"), engine.Resource.pairs(2, 2)),
         engine.PortMeasureOp("port", a, (("L_0",), ("L_1",)), teleport.PBTParams(4, 2)),
         engine.SelectPortOp("port", (("R_0",), ("R_1",)), ("B_0",)),
         engine.DiscardOp(a + ("L_0", "L_1")),
